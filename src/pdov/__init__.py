@@ -4,7 +4,6 @@ phase classification, rate functions, and Monte Carlo cross-checks."""
 
 from . import coefficients, ldp, mc, moments, tilted
 from .errors import DomainError, PrecisionError
-from .lognum import LogNum
 from .model import SelectionSpec
 
 __version__ = "0.1.0"
@@ -15,7 +14,6 @@ __all__ = [
     "tilted",
     "mc",
     "ldp",
-    "LogNum",
     "SelectionSpec",
     "DomainError",
     "PrecisionError",

@@ -17,7 +17,6 @@ import hashlib
 import io
 import json
 import math
-import os
 import sys
 from datetime import datetime, timezone
 
@@ -313,10 +312,6 @@ def build_parser() -> _Parser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    threads = os.environ.get("PDOV_THREADS")
-    if threads:  # cap numpy/BLAS pools before any heavy work
-        os.environ.setdefault("OMP_NUM_THREADS", threads)
-        os.environ.setdefault("OPENBLAS_NUM_THREADS", threads)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

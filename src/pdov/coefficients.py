@@ -27,17 +27,17 @@ import numpy as np
 from scipy.special import gammaln, logsumexp
 
 from .errors import DomainError
-from .lognum import LogNum
 
 __all__ = [
     "CoeffTable",
     "build_coeff_table",
     "build_limit_table",
-    "b_term",
+    "log_a1",
+    "log_b_term",
     "c_constant",
-    "asymptotic_A",
-    "c_combined",
-    "asymptotic_C",
+    "log_asymptotic_A",
+    "log_c_combined",
+    "log_asymptotic_C",
     "series_kmax",
     "cached_table",
     "cached_limit_table",
@@ -65,9 +65,6 @@ class CoeffTable:
             raise DomainError(f"index (k={k}, l={l}) outside triangle kmax={self.kmax}")
         return float(self.log_entries[k, l])
 
-    def entry(self, k: int, l: int) -> LogNum:
-        return LogNum(self.log_entry(k, l))
-
     def log_column(self, l: int) -> np.ndarray:
         """log A(k,l) for k = 1..kmax (vector index k; -inf for k < l)."""
         if not (1 <= l <= self.kmax):
@@ -77,6 +74,15 @@ class CoeffTable:
     @property
     def is_limit(self) -> bool:
         return self.theta == 0.0
+
+
+def log_a1(k, theta: float):
+    """log A(k,1)(theta) = log of 2^{k-1} (k-1)! Gamma(k+theta) / Gamma(2k+theta).
+
+    k may be a scalar or an array; both take the same gammaln path, so the
+    table's first column and the moment recursion agree bit for bit.
+    """
+    return (k - 1.0) * _LN2 + gammaln(k) + gammaln(k + theta) - gammaln(2.0 * k + theta)
 
 
 def build_coeff_table(theta: float, kmax: int) -> CoeffTable:
@@ -91,10 +97,7 @@ def build_coeff_table(theta: float, kmax: int) -> CoeffTable:
 
     k = np.arange(1, kmax + 1, dtype=float)
     log_entries = np.full((kmax + 1, kmax + 1), -np.inf)
-    # first column: 2^{k-1}(k-1)! Gamma(k+theta)/Gamma(2k+theta)
-    log_entries[1:, 1] = (
-        (k - 1.0) * _LN2 + gammaln(k) + gammaln(k + theta) - gammaln(2.0 * k + theta)
-    )
+    log_entries[1:, 1] = log_a1(k, theta)
     if kmax == 1:
         return CoeffTable(theta=float(theta), kmax=kmax, log_entries=log_entries)
 
@@ -125,15 +128,13 @@ def build_coeff_table(theta: float, kmax: int) -> CoeffTable:
 
 def build_limit_table(kmax: int) -> CoeffTable:
     """Table of the theta-free coefficients A(k,l) (theta = 0 tag)."""
-    if kmax < 1:
-        raise DomainError(f"kmax must be >= 1, got {kmax}")
     return build_coeff_table(0.0, kmax)
 
 
-def b_term(k: int, l: int) -> LogNum:
-    """B(k,l) = 2^k k! Gamma(k+l) / (2^l l! Gamma(2k+1)), 1 <= l <= k-1."""
+def log_b_term(k: int, l: int) -> float:
+    """log B(k,l), B(k,l) = 2^k k! Gamma(k+l) / (2^l l! Gamma(2k+1)), 1 <= l <= k-1."""
     if not (1 <= l <= k - 1):
-        raise DomainError(f"b_term needs 1 <= l <= k-1, got (k={k}, l={l})")
+        raise DomainError(f"log_b_term needs 1 <= l <= k-1, got (k={k}, l={l})")
     log = (
         k * _LN2
         + gammaln(k + 1.0)
@@ -142,7 +143,7 @@ def b_term(k: int, l: int) -> LogNum:
         - gammaln(l + 1.0)
         - gammaln(2.0 * k + 1.0)
     )
-    return LogNum(log)
+    return float(log)
 
 
 def c_constant(p: int) -> float:
@@ -155,8 +156,8 @@ def c_constant(p: int) -> float:
     return c
 
 
-def asymptotic_A(k: int, p: int) -> LogNum:
-    """Large-k approximation C_p k^{-p/2} (p/(p+1))^k.
+def log_asymptotic_A(k: int, p: int) -> float:
+    """log of the large-k approximation C_p k^{-p/2} (p/(p+1))^k.
 
     Evaluated verbatim at any k >= p; accuracy is only claimed for large k.
     """
@@ -167,7 +168,7 @@ def asymptotic_A(k: int, p: int) -> LogNum:
         - 0.5 * p * math.log(k)
         + k * math.log(p / (p + 1.0))
     )
-    return LogNum(log)
+    return float(log)
 
 
 def series_kmax(x: float) -> int:
@@ -200,8 +201,8 @@ def cached_limit_table(kmax: int) -> CoeffTable:
     return cached_table(0.0, kmax)
 
 
-def c_combined(k: int, l: int, lam: float, table: CoeffTable | None = None) -> LogNum:
-    """sum_{s=0}^{k-l} binom(k,s) ((lam-l)/lam)^s A(k-s,l), in log space.
+def log_c_combined(k: int, l: int, lam: float, table: CoeffTable | None = None) -> float:
+    """log of sum_{s=0}^{k-l} binom(k,s) ((lam-l)/lam)^s A(k-s,l).
 
     The binomial weight carries exponent s (the form consistent with the
     theta^{-(lam-l)} rescaling identity of the series it represents).
@@ -213,18 +214,18 @@ def c_combined(k: int, l: int, lam: float, table: CoeffTable | None = None) -> L
     if table is None:
         table = cached_limit_table(k)
     elif not table.is_limit or table.kmax < k:
-        raise DomainError("c_combined needs a limit table with kmax >= k")
+        raise DomainError("log_c_combined needs a limit table with kmax >= k")
 
     s = np.arange(0, k - l + 1, dtype=float)
     log_binom = gammaln(k + 1.0) - gammaln(s + 1.0) - gammaln(k - s + 1.0)
     log_ratio = s * math.log((lam - l) / lam)
     ks = (k - s).astype(int)
     log_a = table.log_entries[ks, l]
-    return LogNum(logsumexp(log_binom + log_ratio + log_a))
+    return float(logsumexp(log_binom + log_ratio + log_a))
 
 
-def asymptotic_C(k: int, l: int, lam: float) -> LogNum:
-    """Large-k approximation of c_combined:
+def log_asymptotic_C(k: int, l: int, lam: float) -> float:
+    """log of the large-k approximation of the log_c_combined sum:
 
     C_l (1 + (lam-l)(l+1)/(lam l))^{l/2} k^{-l/2} ((lam-l)/lam + l/(l+1))^k.
     """
@@ -239,7 +240,7 @@ def asymptotic_C(k: int, l: int, lam: float) -> LogNum:
         - 0.5 * l * math.log(k)
         + k * math.log(base)
     )
-    return LogNum(log)
+    return float(log)
 
 
 def _linear_repr(log_value: float) -> str:

@@ -161,18 +161,16 @@ def homozygosity(sample: GemSample) -> tuple[float, float]:
 _h2_cache: dict[tuple, np.ndarray] = {}
 
 
-def h2_samples(
-    theta: float, n: int, seed: int, epsilon: float = DEFAULT_EPSILON
-) -> np.ndarray:
+def h2_samples(theta: float, n: int, seed: int) -> np.ndarray:
     """n homozygosity draws under PD(theta), cached per (theta, n, seed)."""
-    key = (float(theta), int(n), int(seed), float(epsilon))
+    key = (float(theta), int(n), int(seed))
     cached = _h2_cache.get(key)
     if cached is not None:
         return cached
     out = np.empty(n)
     for b, lo in enumerate(range(0, n, _BATCH)):
         hi = min(n, lo + _BATCH)
-        h2, _, _ = _gem_batch(theta, hi - lo, epsilon, stream(seed, b), False)
+        h2, _, _ = _gem_batch(theta, hi - lo, DEFAULT_EPSILON, stream(seed, b), False)
         out[lo:hi] = h2
     out.setflags(write=False)
     if len(_h2_cache) >= 8:
@@ -201,12 +199,36 @@ def _weighted_estimate(f: np.ndarray, w: np.ndarray) -> TiltedEstimate:
     )
 
 
+def _sorted_batch_estimate(
+    spec: SelectionSpec,
+    n: int,
+    seed: int,
+    batch_statistic: Callable[[np.ndarray], np.ndarray],
+) -> TiltedEstimate:
+    """Weighted estimate of a statistic of the descending-sorted sticks.
+
+    Draws come in batches of _BATCH_WIDE from stream(seed, b), with the
+    full stick matrix kept; `batch_statistic` maps one batch's sorted
+    matrix (one row per draw, zero-padded) to one value per row.
+    """
+    f = np.empty(n)
+    h2 = np.empty(n)
+    for b, lo in enumerate(range(0, n, _BATCH_WIDE)):
+        hi = min(n, lo + _BATCH_WIDE)
+        bh2, _, weights = _gem_batch(
+            spec.theta, hi - lo, DEFAULT_EPSILON, stream(seed, b), True
+        )
+        h2[lo:hi] = bh2
+        f[lo:hi] = batch_statistic(-np.sort(-weights, axis=1))
+    w = np.exp(spec.sigma * h2)
+    return _weighted_estimate(f, w)
+
+
 def tilted_estimate(
     spec: SelectionSpec,
     statistic: Callable[[Configuration], float],
     n: int,
     seed: int,
-    epsilon: float = DEFAULT_EPSILON,
 ) -> TiltedEstimate:
     """Self-normalized importance-sampling estimate of E_pi[statistic].
 
@@ -218,26 +240,18 @@ def tilted_estimate(
     if n < 1000:
         raise DomainError(f"n must be >= 1000, got {n}")
     if isinstance(statistic, H2Statistic):
-        h2 = h2_samples(spec.theta, n, seed, epsilon)
+        h2 = h2_samples(spec.theta, n, seed)
         f = np.asarray(statistic.fn(h2), dtype=float)
         w = np.exp(spec.sigma * h2)
         return _weighted_estimate(f, w)
 
-    f = np.empty(n)
-    h2 = np.empty(n)
-    for b, lo in enumerate(range(0, n, _BATCH_WIDE)):
-        hi = min(n, lo + _BATCH_WIDE)
-        bh2, _, weights = _gem_batch(
-            spec.theta, hi - lo, epsilon, stream(seed, b), True
-        )
-        h2[lo:hi] = bh2
-        ordered = -np.sort(-weights, axis=1)
-        for i in range(hi - lo):
-            row = ordered[i]
-            config = Configuration(entries=tuple(row[row > 0.0]), validate=False)
-            f[lo + i] = statistic(config)
-    w = np.exp(spec.sigma * h2)
-    return _weighted_estimate(f, w)
+    def per_draw(ordered: np.ndarray) -> np.ndarray:
+        out = np.empty(len(ordered))
+        for i, row in enumerate(ordered):
+            out[i] = statistic(Configuration(entries=tuple(row[row > 0.0]), validate=False))
+        return out
+
+    return _sorted_batch_estimate(spec, n, seed, per_draw)
 
 
 def homozygosity_histogram(
@@ -264,7 +278,6 @@ def ball_probability(
     delta: float,
     n: int,
     seed: int,
-    epsilon: float = DEFAULT_EPSILON,
 ) -> TiltedEstimate:
     """Tilted probability of the radius-delta ball around the k-uniform
     configuration, in the 2^{-i}-weighted l1 metric.
@@ -278,15 +291,8 @@ def ball_probability(
         raise DomainError(f"delta must be > 0, got {delta}")
     if n < 1000:
         raise DomainError(f"n must be >= 1000, got {n}")
-    inside = np.empty(n)
-    h2 = np.empty(n)
-    for b, lo in enumerate(range(0, n, _BATCH_WIDE)):
-        hi = min(n, lo + _BATCH_WIDE)
-        bh2, _, weights = _gem_batch(
-            spec.theta, hi - lo, epsilon, stream(seed, b), True
-        )
-        h2[lo:hi] = bh2
-        ordered = -np.sort(-weights, axis=1)
+
+    def inside(ordered: np.ndarray) -> np.ndarray:
         cols = ordered.shape[1]
         target = np.zeros(cols)
         target[: min(k, cols)] = 1.0 / k
@@ -294,6 +300,6 @@ def ball_probability(
         d = np.abs(ordered - target[None, :]) @ pow2
         if cols < k:  # unsampled coordinates of the center still count
             d += np.sum(np.exp2(-np.arange(cols + 1, k + 1, dtype=float))) / k
-        inside[lo:hi] = (d < delta).astype(float)
-    w = np.exp(spec.sigma * h2)
-    return _weighted_estimate(inside, w)
+        return (d < delta).astype(float)
+
+    return _sorted_batch_estimate(spec, n, seed, inside)

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.special import gammaln, logsumexp
 
 from . import mc
-from .coefficients import CoeffTable
+from .coefficients import CoeffTable, log_a1
 from .errors import DomainError
 
 __all__ = [
@@ -77,7 +77,8 @@ def _log_recursion_weight(k: int, l: int, theta: float) -> float:
 
 
 def moment_via_recursion(theta: float, k: int) -> float:
-    """m_k by direct recursion in m_1..m_{k-1}, independent of the table.
+    """m_k by direct recursion in m_1..m_{k-1}, independent of the table
+    (it shares only the closed form of A(k,1) with the table build).
 
     Memoized per theta (compared bitwise); O(k^2) total work.
     """
@@ -92,13 +93,7 @@ def moment_via_recursion(theta: float, k: int) -> float:
         for l in range(1, j):
             acc += math.exp(_log_recursion_weight(j, l, theta)) * ms[l - 1]
         # free term: A(j,1)(theta) * theta
-        log_a1 = (
-            (j - 1.0) * _LN2
-            + gammaln(j)
-            + gammaln(j + theta)
-            - gammaln(2.0 * j + theta)
-        )
-        ms.append(theta * acc + math.exp(log_a1) * theta)
+        ms.append(theta * acc + math.exp(log_a1(j, theta)) * theta)
     return ms[k - 1]
 
 

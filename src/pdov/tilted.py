@@ -19,7 +19,6 @@ from scipy.special import gammaln, logsumexp
 from . import ldp
 from .coefficients import CoeffTable, cached_table, series_kmax
 from .errors import DomainError, PrecisionError
-from .lognum import LogNum
 from .model import SelectionSpec
 from .moments import log_moments_from_table
 
@@ -49,19 +48,15 @@ class PhaseResult:
 
 
 def exp_series(
-    x: float,
-    log_coeffs: np.ndarray,
-    start: int = 0,
-    rtol: float = DEFAULT_RTOL,
-    coeff_cap: float | None = None,
-) -> LogNum:
-    """log-space sum of sum_{k>=start} a_k x^k / k! over the supplied
-    coefficients (log a_k, indexed from `start`).
+    x: float, log_coeffs: np.ndarray, start: int = 0, *, coeff_cap: float
+) -> float:
+    """log of sum_{k>=start} a_k x^k / k! over the supplied coefficients
+    (log a_k, indexed from `start`).
 
-    With a coefficient cap the truncated tail is bounded geometrically
-    (terms past the Poisson mode shrink by x/(k+1) < 1); if the bound
-    exceeds rtol times the sum, PrecisionError is raised rather than
-    silently truncating.
+    Every a_k past the supplied ones is assumed <= coeff_cap, so the
+    truncated tail is bounded geometrically (terms past the Poisson mode
+    shrink by x/(k+1) < 1); if the bound exceeds DEFAULT_RTOL times the
+    sum, PrecisionError is raised rather than silently truncating.
     """
     if x < 0.0:
         raise DomainError(f"x must be >= 0, got {x}")
@@ -69,31 +64,28 @@ def exp_series(
     if log_coeffs.size == 0:
         raise DomainError("empty coefficient sequence")
     if x == 0.0:
-        return LogNum(log_coeffs[0] if start == 0 else -math.inf)
+        return float(log_coeffs[0]) if start == 0 else -math.inf
     k = np.arange(start, start + log_coeffs.size, dtype=float)
     log_terms = log_coeffs + k * math.log(x) - gammaln(k + 1.0)
     total = float(logsumexp(log_terms))
     k_last = start + log_coeffs.size - 1
-    if coeff_cap is not None:
-        if x >= k_last + 2:
-            raise PrecisionError(
-                f"coefficient sequence ends at k={k_last} inside the series "
-                f"bulk (x={x}); enlarge the table"
-            )
-        log_tail = (
-            math.log(coeff_cap)
-            + (k_last + 1) * math.log(x)
-            - gammaln(k_last + 2.0)
-            - math.log1p(-x / (k_last + 2.0))
+    if x >= k_last + 2:
+        raise PrecisionError(
+            f"coefficient sequence ends at k={k_last} inside the series "
+            f"bulk (x={x}); enlarge the table"
         )
-    else:
-        log_tail = float(log_terms[-1])
-    if log_tail > math.log(rtol) + total:
+    log_tail = (
+        math.log(coeff_cap)
+        + (k_last + 1) * math.log(x)
+        - gammaln(k_last + 2.0)
+        - math.log1p(-x / (k_last + 2.0))
+    )
+    if log_tail > math.log(DEFAULT_RTOL) + total:
         raise PrecisionError(
             f"series tail bound {log_tail:.3f} (log) above tolerance at "
             f"k={k_last}, x={x}"
         )
-    return LogNum(total)
+    return total
 
 
 def _log_series(table: CoeffTable, l: int, x: float, shift: int = 0) -> float:
@@ -102,7 +94,7 @@ def _log_series(table: CoeffTable, l: int, x: float, shift: int = 0) -> float:
     if hi < l:
         raise PrecisionError(f"table kmax={table.kmax} too small for l={l}, shift={shift}")
     log_coeffs = table.log_entries[l + shift : table.kmax + 1, l]
-    return exp_series(x, log_coeffs, start=l, coeff_cap=2.0 ** (2 - l)).log
+    return exp_series(x, log_coeffs, start=l, coeff_cap=2.0 ** (2 - l))
 
 
 def _floor_lam(lam: float) -> int:
@@ -181,30 +173,26 @@ def tail_bound(spec: SelectionSpec) -> tuple[float, float]:
     return total, analytic
 
 
-def _log_moment_series(
-    spec: SelectionSpec, n_max: int, m_top: int | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def _log_moment_series(spec: SelectionSpec, n_max: int) -> np.ndarray:
     """log S_n for n = 0..n_max, where S_n = sum_m (x^m/m!) m_{n+m}.
 
-    Returns (logS, logm).  S_n / S_0 is the tilted n-th heterozygosity
-    moment.
+    S_n / S_0 is the tilted n-th heterozygosity moment.
     """
     x = spec.x
-    if m_top is None:
-        m_top = series_kmax(x)
+    m_top = series_kmax(x)
     table = cached_table(spec.theta, m_top + n_max)
     logm = log_moments_from_table(table, m_top + n_max)
     if x == 0.0:
-        return logm[: n_max + 1].copy(), logm
+        return logm[: n_max + 1]
     m = np.arange(0, m_top + 1, dtype=float)
     base = m * math.log(x) - gammaln(m + 1.0)
     logS = np.empty(n_max + 1)
     for n in range(n_max + 1):
         logS[n] = logsumexp(base + logm[n : n + m_top + 1])
-    return logS, logm
+    return logS
 
 
-def mgf(spec: SelectionSpec, t: float, kmax: int | None = None) -> float:
+def mgf(spec: SelectionSpec, t: float) -> float:
     """Moment generating function of the homozygosity under the tilted
     measure: e^t * (1 + sum_n ((-t)^n / n!) S_n / S_0).
 
@@ -216,7 +204,7 @@ def mgf(spec: SelectionSpec, t: float, kmax: int | None = None) -> float:
     if t == 0.0:
         return 1.0
     n_max = int(abs(t)) + 60
-    logS, _ = _log_moment_series(spec, n_max, m_top=kmax)
+    logS = _log_moment_series(spec, n_max)
     acc = 1.0
     comp = 0.0
     log_term_n = 0.0  # log of |t|^n / n!
@@ -241,7 +229,7 @@ def mgf(spec: SelectionSpec, t: float, kmax: int | None = None) -> float:
 
 def tilted_mean_heterozygosity(spec: SelectionSpec) -> float:
     """E[1 - H2] under the tilted measure: S_1 / S_0."""
-    logS, _ = _log_moment_series(spec, 1)
+    logS = _log_moment_series(spec, 1)
     return math.exp(logS[1] - logS[0])
 
 

@@ -70,14 +70,14 @@ def suite_bounds(seed: int = 0) -> list[Check]:
     worst = math.inf
     for k in (5, 20, 100):
         for l in range(1, k - 1):
-            ratio = float(coefs.b_term(k, l + 1)) / float(coefs.b_term(k, l))
+            ratio = math.exp(coefs.log_b_term(k, l + 1)) / math.exp(coefs.log_b_term(k, l))
             exact = (k + l) / (2.0 * (l + 1))
             worst = min(worst, 1e-10 - abs(ratio / exact - 1.0))
     checks.append(_check("bounds", "B(k,l+1)/B(k,l) = (k+l)/(2(l+1))", worst))
     worst = math.inf
     for k in (5, 20, 100):
         for p in range(2, k):
-            s = sum(float(coefs.b_term(k, l)) for l in range(p, k))
+            s = sum(math.exp(coefs.log_b_term(k, l)) for l in range(p, k))
             worst = min(worst, 0.5 - s)
     checks.append(_check("bounds", "sum_l B(k,l) < 1/2", worst))
     return checks
@@ -92,7 +92,7 @@ def suite_asym_a(seed: int = 0) -> list[Check]:
     for p in (1, 2, 3):
         devs = []
         for k in (100, 200, 400):
-            ratio = math.exp(table.log_entry(k, p) - coefs.asymptotic_A(k, p).log)
+            ratio = math.exp(table.log_entry(k, p) - coefs.log_asymptotic_A(k, p))
             devs.append(abs(ratio - 1.0))
         checks.append(
             _check("asym-a", f"|A(400,{p})/asym - 1| < 0.1", 0.1 - devs[-1], f"dev={devs[-1]:.4f}")
@@ -114,7 +114,7 @@ def suite_asym_c(seed: int = 0) -> list[Check]:
         devs = []
         for k in (100, 200, 400):
             ratio = math.exp(
-                coefs.c_combined(k, l, lam, table).log - coefs.asymptotic_C(k, l, lam).log
+                coefs.log_c_combined(k, l, lam, table) - coefs.log_asymptotic_C(k, l, lam)
             )
             devs.append(abs(ratio - 1.0))
         checks.append(
@@ -159,8 +159,8 @@ def suite_ratio(seed: int = 0) -> list[Check]:
     a = b + math.log(c)
     for x in (50.0, 100.0, 200.0):
         ratio = math.exp(
-            tilted.exp_series(x, a, start=1, coeff_cap=c * 2.0).log
-            - tilted.exp_series(x, b, start=1, coeff_cap=2.0).log
+            tilted.exp_series(x, a, start=1, coeff_cap=c * 2.0)
+            - tilted.exp_series(x, b, start=1, coeff_cap=2.0)
         )
         checks.append(
             _check("ratio", f"exact-ratio series at x={x}", 1e-10 - abs(ratio - c))
@@ -171,8 +171,8 @@ def suite_ratio(seed: int = 0) -> list[Check]:
     devs = []
     for x in (50.0, 100.0, 200.0):
         ratio = math.exp(
-            tilted.exp_series(x, a2, start=1, coeff_cap=c * 2.0).log
-            - tilted.exp_series(x, b, start=1, coeff_cap=2.0).log
+            tilted.exp_series(x, a2, start=1, coeff_cap=c * 2.0)
+            - tilted.exp_series(x, b, start=1, coeff_cap=2.0)
         )
         devs.append(abs(ratio - c))
     checks.append(
@@ -221,7 +221,7 @@ def perturbed_configs(n_parts: int, count: int, rng: np.random.Generator) -> lis
     return out
 
 
-def suite_inclusion(seed: int = 42, count: int = 10**4) -> list[Check]:
+def suite_inclusion(seed: int = 0, count: int = 10**4) -> list[Check]:
     checks = []
     rng = np.random.Generator(np.random.Philox(key=seed))
     for k in (1, 2, 3):
@@ -296,8 +296,6 @@ SUITES = {
 def run_suite(name: str, seed: int = 0) -> list[Check]:
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; known: {sorted(SUITES)}")
-    if name == "inclusion":
-        return suite_inclusion(seed=seed if seed else 42)
     return SUITES[name](seed=seed)
 
 

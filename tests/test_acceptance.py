@@ -83,7 +83,7 @@ def test_criterion_5_coefficient_asymptotics():
     for p in (1, 2, 3):
         devs = []
         for k in (100, 200, 400):
-            ratio = math.exp(table.log_entry(k, p) - coefs.asymptotic_A(k, p).log)
+            ratio = math.exp(table.log_entry(k, p) - coefs.log_asymptotic_A(k, p))
             devs.append(abs(ratio - 1.0))
         ok &= devs[-1] < 0.1 and devs[0] > devs[1] > devs[2]
         worst = max(worst, devs[-1])

@@ -68,13 +68,13 @@ def test_domain_errors():
     with pytest.raises(DomainError):
         coefs.build_coeff_table(0.5, 0)
     with pytest.raises(DomainError):
-        coefs.b_term(3, 3)
+        coefs.log_b_term(3, 3)
 
 
 def test_b_term_values():
-    assert float(coefs.b_term(5, 3)) == pytest.approx(1.0 / 9.0, rel=1e-12)
-    assert float(coefs.b_term(5, 4)) == pytest.approx(1.0 / 9.0, rel=1e-12)
-    assert float(coefs.b_term(3, 1)) == pytest.approx(0.2, rel=1e-12)
+    assert math.exp(coefs.log_b_term(5, 3)) == pytest.approx(1.0 / 9.0, rel=1e-12)
+    assert math.exp(coefs.log_b_term(5, 4)) == pytest.approx(1.0 / 9.0, rel=1e-12)
+    assert math.exp(coefs.log_b_term(3, 1)) == pytest.approx(0.2, rel=1e-12)
 
 
 def test_c_constant_values():
@@ -86,35 +86,35 @@ def test_c_constant_values():
 
 
 def test_asymptotic_A_evaluation():
-    got = coefs.asymptotic_A(100, 1)
+    got = coefs.log_asymptotic_A(100, 1)
     want = math.log(math.sqrt(math.pi)) - 0.5 * math.log(100.0) - 100.0 * math.log(2.0)
-    assert got.log == pytest.approx(want, rel=1e-12)
-    assert float(coefs.asymptotic_A(1, 1)) == pytest.approx(
+    assert got == pytest.approx(want, rel=1e-12)
+    assert math.exp(coefs.log_asymptotic_A(1, 1)) == pytest.approx(
         math.sqrt(math.pi) / 2.0, rel=1e-12
     )
 
 
 def test_asymptotic_A_accuracy_at_k400():
     table = coefs.cached_limit_table(400)
-    ratio = math.exp(coefs.asymptotic_A(400, 1).log - table.log_entry(400, 1))
+    ratio = math.exp(coefs.log_asymptotic_A(400, 1) - table.log_entry(400, 1))
     assert 0.9 < ratio < 1.1
 
 
 def test_c_combined_two_term():
-    got = float(coefs.c_combined(2, 1, 6.0))
+    got = math.exp(coefs.log_c_combined(2, 1, 6.0))
     # A_{2,1} + 2*(5/6)*A_{1,1} = 1/3 + 5/3 = 2
     assert got == pytest.approx(2.0, rel=1e-12)
 
 
 def test_c_combined_degenerate_k_equals_l():
     table = coefs.cached_limit_table(16)
-    got = coefs.c_combined(3, 3, 7.0, table=table)
-    assert got.log == pytest.approx(table.log_entry(3, 3), abs=1e-12)
+    got = coefs.log_c_combined(3, 3, 7.0, table=table)
+    assert got == pytest.approx(table.log_entry(3, 3), abs=1e-12)
 
 
 def test_c_combined_matches_asymptotic_at_k400():
     ratio = math.exp(
-        coefs.c_combined(400, 1, 6.0).log - coefs.asymptotic_C(400, 1, 6.0).log
+        coefs.log_c_combined(400, 1, 6.0) - coefs.log_asymptotic_C(400, 1, 6.0)
     )
     assert abs(ratio - 1.0) < 0.1
 
@@ -129,9 +129,9 @@ def test_asymptotic_C_growth_base_tie_at_critical():
 
 def test_c_combined_domain_error():
     with pytest.raises(DomainError):
-        coefs.c_combined(4, 2, 2.0)
+        coefs.log_c_combined(4, 2, 2.0)
     with pytest.raises(DomainError):
-        coefs.asymptotic_C(4, 2, 2.0)
+        coefs.log_asymptotic_C(4, 2, 2.0)
 
 
 def test_cached_table_reuse_and_sizing():

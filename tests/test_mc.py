@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pdov import mc, tilted
+from pdov import ldp, mc, tilted
 from pdov.errors import DomainError
 from pdov.ldp import uniform_config
 from pdov.model import SelectionSpec
@@ -71,6 +71,30 @@ def test_tilted_estimate_determinism():
     a = mc.tilted_estimate(spec, mc.H2Statistic(lambda h: h), n=3 * 10**4, seed=17)
     b = mc.tilted_estimate(spec, mc.H2Statistic(lambda h: h), n=3 * 10**4, seed=17)
     assert a.value == b.value and a.std_error == b.std_error
+
+
+@pytest.mark.parametrize("n", [5000, mc._BATCH_WIDE])
+def test_generic_statistic_path_matches_h2_path(n):
+    # phi2 on the sorted configuration is H2; within one batch both paths
+    # draw from stream(seed, 0)
+    spec = SelectionSpec(6.0, 0.3)
+    generic = mc.tilted_estimate(spec, ldp.phi2, n=n, seed=5)
+    h2_path = mc.tilted_estimate(spec, mc.H2Statistic(lambda h: h), n=n, seed=5)
+    assert generic.value == h2_path.value
+    assert generic.std_error == h2_path.std_error
+    assert generic.effective_sample_size == h2_path.effective_sample_size
+
+
+def test_generic_statistic_path_determinism_over_batches():
+    spec = SelectionSpec(6.0, 0.3)
+    n = 2 * mc._BATCH_WIDE + 17
+    stat = lambda config: config.entries[0]
+    a = mc.tilted_estimate(spec, stat, n=n, seed=8)
+    b = mc.tilted_estimate(spec, stat, n=n, seed=8)
+    assert (a.value, a.std_error, a.effective_sample_size) == (
+        b.value, b.std_error, b.effective_sample_size
+    )
+    assert a.n_samples == n
 
 
 def test_ess_warning_fires_when_degenerate():

@@ -22,16 +22,26 @@ share of level 3 decays like x^{-1/2}, while the level-2 ratio sits about
 1/x below 2/3; the second term dies faster, so the gap rises up to
 theta ~ 1e-5 and falls after it.  `test_lambda_12_hump` pins that shape,
 and acceptance criterion 6 checks the lam = 12 approach past it.
+
+`test_exp_series_certified_or_raises` holds `tilted.exp_series` to its
+contract on random inputs: when it returns, even the worst case allowed
+by its coefficient cap stays within DEFAULT_RTOL of the supplied sum.
 """
 
 import functools
 import math
 
+import numpy as np
 import pytest
 
 mpmath = pytest.importorskip("mpmath")
+hypothesis = pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
 
 from pdov import tilted  # noqa: E402  (the function under test, not the oracle)
+from pdov.errors import PrecisionError  # noqa: E402
 from pdov.model import SelectionSpec  # noqa: E402
 
 pytestmark = pytest.mark.slow
@@ -103,3 +113,51 @@ def test_lambda_12_hump():
     assert gap[1e-5] > gap[1e-7]
     # ... but a falling gap past the peak, the grid of acceptance criterion 6
     assert gap[1e-7] > gap[1e-9]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    # a log-float of magnitude L is only resolved to L * 2^-53, so x stays
+    # above 1e-6 (|log S| < ~1000 here) for the 1e-12 comparison to mean anything
+    x=st.just(0.0) | st.floats(min_value=1e-6, max_value=100.0),
+    length=st.integers(min_value=1, max_value=400),
+    start=st.integers(min_value=0, max_value=40),
+    log_cap=st.floats(min_value=-20.0, max_value=20.0),
+    spread=st.floats(min_value=0.0, max_value=40.0),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_exp_series_certified_or_raises(x, length, start, log_cap, spread, seed):
+    # log a_k in [log_cap - spread, log_cap]; spread = 0 puts every a_k at the cap
+    log_coeffs = log_cap - spread * np.random.default_rng(seed).random(length)
+    try:
+        got = tilted.exp_series(x, log_coeffs, start=start, coeff_cap=math.exp(log_cap))
+    except PrecisionError:
+        return
+    with mpmath.workdps(DPS):
+        mx = mpmath.mpf(x)
+        k_last = start + length - 1
+        power = [mpmath.mpf(1)]  # power[k] = x^k / k!
+        for k in range(1, k_last + 1):
+            power.append(power[-1] * mx / k)
+        s_lo = mpmath.fsum(
+            mpmath.exp(mpmath.mpf(float(c))) * power[k]
+            for k, c in zip(range(start, k_last + 1), log_coeffs)
+        )
+        if s_lo == 0:  # x = 0 with start > 0: an empty sum
+            assert got == -math.inf
+            return
+        # worst case: every coefficient past k_last sits at the cap.  The
+        # unseen mass e^x - sum_{k <= k_last} x^k/k! is summed term by term,
+        # free of cancellation; a return implies x < k_last + 2, so it converges.
+        unseen = mpmath.mpf(0)
+        term = power[k_last]
+        k = k_last
+        while True:
+            k += 1
+            term = term * mx / k
+            unseen += term
+            if term <= unseen * mpmath.mpf(10) ** -(DPS + 5) or term == 0:
+                break
+        s_hi = s_lo + mpmath.exp(mpmath.mpf(log_cap)) * unseen
+        assert s_hi / s_lo - 1 <= tilted.DEFAULT_RTOL
+        assert abs(mpmath.exp(mpmath.mpf(got)) / s_lo - 1) <= 1e-12
