@@ -221,15 +221,18 @@ def cmd_verify(args) -> int:
         if args.suite == "all"
         else verify_mod.run_suite(args.suite, seed=args.seed)
     )
-    lines = []
-    all_pass = True
-    for c in checks:
-        status = "PASS" if c.passed else "FAIL"
-        all_pass &= c.passed
-        detail = f"  [{c.detail}]" if c.detail else ""
-        lines.append(f"{status} {c.suite}: {c.name} (margin {c.margin:.3e}){detail}")
-    lines.append(f"{'ALL PASS' if all_pass else 'FAILURES PRESENT'} ({len(checks)} checks)")
-    _emit(args, "\n".join(lines) + "\n")
+    all_pass = all(c.passed for c in checks)
+    if args.format == "json":
+        rows = [[c.suite, c.name, c.passed, c.margin, c.detail] for c in checks]
+        _emit_rows(args, ["suite", "name", "passed", "margin", "detail"], rows)
+    else:
+        lines = []
+        for c in checks:
+            status = "PASS" if c.passed else "FAIL"
+            detail = f"  [{c.detail}]" if c.detail else ""
+            lines.append(f"{status} {c.suite}: {c.name} (margin {c.margin:.3e}){detail}")
+        lines.append(f"{'ALL PASS' if all_pass else 'FAILURES PRESENT'} ({len(checks)} checks)")
+        _emit(args, "\n".join(lines) + "\n")
     return EXIT_OK if all_pass else EXIT_DOMAIN
 
 

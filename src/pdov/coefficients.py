@@ -65,12 +65,6 @@ class CoeffTable:
             raise DomainError(f"index (k={k}, l={l}) outside triangle kmax={self.kmax}")
         return float(self.log_entries[k, l])
 
-    def log_column(self, l: int) -> np.ndarray:
-        """log A(k,l) for k = 1..kmax (vector index k; -inf for k < l)."""
-        if not (1 <= l <= self.kmax):
-            raise DomainError(f"column l={l} outside 1..{self.kmax}")
-        return self.log_entries[1:, l]
-
     @property
     def is_limit(self) -> bool:
         return self.theta == 0.0

@@ -1,9 +1,10 @@
 """GEM stick-breaking sampler for PD(theta) and importance sampling for
 the tilted measure.
 
-Sampling is deterministic per (seed, parameters) and independent of any
-parallel decomposition: sample batches are fixed-size slices, each driven
-by its own Philox stream derived from the root seed by counter offsetting.
+Sampling is deterministic per (seed, parameters): every estimator draws
+through one batch loop whose batches are fixed-size slices, each driven by
+its own Philox stream derived from the root seed by counter offsetting, so
+one seed fixes the same draws for every statistic.
 Beta(1,theta) sticks come from the exact inverse CDF U = 1-(1-V)^{1/theta}.
 """
 
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -24,7 +26,6 @@ __all__ = [
     "TiltedEstimate",
     "stream",
     "sample_gem",
-    "homozygosity",
     "h2_samples",
     "tilted_estimate",
     "homozygosity_histogram",
@@ -35,8 +36,7 @@ __all__ = [
 DEFAULT_EPSILON = 1e-8
 ESS_WARN_THRESHOLD = 50.0
 STICK_CAP = 10**7
-_BATCH = 1 << 16
-_BATCH_WIDE = 1 << 14  # smaller batches when the full weight matrix is kept
+_BATCH = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,6 @@ class GemSample:
     theta: float
     weights: np.ndarray = field(repr=False)  # stick order V_1, V_2, ...
     residual: float
-    seed_lineage: tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -120,63 +119,41 @@ def _gem_batch(
     return h2, prefix, weights
 
 
-def sample_gem(
-    theta: float,
-    epsilon: float = DEFAULT_EPSILON,
-    rng: np.random.Generator | None = None,
-    *,
-    seed: int | None = None,
-    stream_index: int = 0,
-) -> GemSample:
-    """One truncated GEM draw; sticks until the residual mass < epsilon."""
+def _batches(theta: float, n: int, seed: int, keep_weights: bool):
+    """Yield (lo, hi, h2, weights-or-None) for draws lo..hi-1 of n; batch b
+    holds _BATCH draws from stream(seed, b), whatever the statistic."""
+    for b, lo in enumerate(range(0, n, _BATCH)):
+        hi = min(n, lo + _BATCH)
+        h2, _, weights = _gem_batch(
+            theta, hi - lo, DEFAULT_EPSILON, stream(seed, b), keep_weights
+        )
+        yield lo, hi, h2, weights
+
+
+def sample_gem(theta: float, epsilon: float = DEFAULT_EPSILON, *, seed: int) -> GemSample:
+    """One truncated GEM draw from stream(seed); sticks until the residual
+    mass < epsilon."""
     if not (0.0 < theta <= 1.0):
         raise DomainError(f"theta must lie in (0, 1], got {theta}")
     if not (0.0 < epsilon < 1.0):
         raise DomainError(f"epsilon must lie in (0, 1), got {epsilon}")
-    lineage = (-1, -1)
-    if rng is None:
-        if seed is None:
-            raise DomainError("sample_gem needs either rng or seed")
-        rng = stream(seed, stream_index)
-        lineage = (seed, stream_index)
-    _, residual, weights = _gem_batch(theta, 1, epsilon, rng, keep_weights=True)
-    return GemSample(
-        theta=theta,
-        weights=weights[0],
-        residual=float(residual[0]),
-        seed_lineage=lineage,
-    )
+    _, residual, weights = _gem_batch(theta, 1, epsilon, stream(seed), keep_weights=True)
+    return GemSample(theta=theta, weights=weights[0], residual=float(residual[0]))
 
 
-def homozygosity(sample: GemSample) -> tuple[float, float]:
-    """(sum of squared sticks, bound on the unsampled contribution).
-
-    The unseen mass r contributes at most r^2 to the sum of squares, so
-    the true H2 lies in [value, value + residual^2].
-    """
-    value = float(np.dot(sample.weights, sample.weights))
-    return value, sample.residual**2
-
-
-_h2_cache: dict[tuple, np.ndarray] = {}
+@lru_cache(maxsize=8)
+def _h2_draws(theta: float, n: int, seed: int) -> np.ndarray:
+    out = np.empty(n)
+    for lo, hi, h2, _ in _batches(theta, n, seed, keep_weights=False):
+        out[lo:hi] = h2
+    out.setflags(write=False)
+    return out
 
 
 def h2_samples(theta: float, n: int, seed: int) -> np.ndarray:
-    """n homozygosity draws under PD(theta), cached per (theta, n, seed)."""
-    key = (float(theta), int(n), int(seed))
-    cached = _h2_cache.get(key)
-    if cached is not None:
-        return cached
-    out = np.empty(n)
-    for b, lo in enumerate(range(0, n, _BATCH)):
-        hi = min(n, lo + _BATCH)
-        h2, _, _ = _gem_batch(theta, hi - lo, DEFAULT_EPSILON, stream(seed, b), False)
-        out[lo:hi] = h2
-    out.setflags(write=False)
-    if len(_h2_cache) >= 8:
-        _h2_cache.pop(next(iter(_h2_cache)))
-    _h2_cache[key] = out
-    return out
+    """n homozygosity draws under PD(theta), cached per (theta, n, seed);
+    the read-only array is shared between hits."""
+    return _h2_draws(float(theta), int(n), int(seed))
 
 
 def _weighted_estimate(f: np.ndarray, w: np.ndarray) -> TiltedEstimate:
@@ -207,17 +184,13 @@ def _sorted_batch_estimate(
 ) -> TiltedEstimate:
     """Weighted estimate of a statistic of the descending-sorted sticks.
 
-    Draws come in batches of _BATCH_WIDE from stream(seed, b), with the
-    full stick matrix kept; `batch_statistic` maps one batch's sorted
-    matrix (one row per draw, zero-padded) to one value per row.
+    The draws are those of h2_samples, with each batch's stick matrix
+    kept; `batch_statistic` maps one batch's sorted matrix (one row per
+    draw, zero-padded) to one value per row.
     """
     f = np.empty(n)
     h2 = np.empty(n)
-    for b, lo in enumerate(range(0, n, _BATCH_WIDE)):
-        hi = min(n, lo + _BATCH_WIDE)
-        bh2, _, weights = _gem_batch(
-            spec.theta, hi - lo, DEFAULT_EPSILON, stream(seed, b), True
-        )
+    for lo, hi, bh2, weights in _batches(spec.theta, n, seed, keep_weights=True):
         h2[lo:hi] = bh2
         f[lo:hi] = batch_statistic(-np.sort(-weights, axis=1))
     w = np.exp(spec.sigma * h2)

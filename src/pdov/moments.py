@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import gammaln, logsumexp
@@ -61,9 +62,6 @@ def moments_from_table(table: CoeffTable, kmax: int) -> MomentVector:
     return MomentVector(theta=table.theta, values=tuple(np.exp(logm[1:])))
 
 
-_recursion_cache: dict[float, list[float]] = {}
-
-
 def _log_recursion_weight(k: int, l: int, theta: float) -> float:
     return (
         math.log((2.0 * k + theta) / (2.0 * k))
@@ -76,17 +74,23 @@ def _log_recursion_weight(k: int, l: int, theta: float) -> float:
     )
 
 
+@lru_cache(maxsize=16)
+def _recursion_moments(theta: float) -> list[float]:
+    """m_1, m_2, ... computed so far at theta; moment_via_recursion grows it."""
+    return [theta / (1.0 + theta)]
+
+
 def moment_via_recursion(theta: float, k: int) -> float:
     """m_k by direct recursion in m_1..m_{k-1}, independent of the table
     (it shares only the closed form of A(k,1) with the table build).
 
-    Memoized per theta (compared bitwise); O(k^2) total work.
+    Memoized per theta (the 16 most recent); O(k^2) total work.
     """
     if not (0.0 < theta <= 1.0):
         raise DomainError(f"theta must lie in (0, 1], got {theta}")
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
-    ms = _recursion_cache.setdefault(theta, [theta / (1.0 + theta)])
+    ms = _recursion_moments(theta)
     while len(ms) < k:
         j = len(ms) + 1
         acc = 0.0

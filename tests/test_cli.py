@@ -169,3 +169,11 @@ def test_verify_single_suite(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "phase")
     assert code == 0
     assert "ALL PASS" in out
+
+
+def test_verify_json_format(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "phase", "--format", "json")
+    assert code == 0
+    rows = json.loads(out)
+    assert len(rows) == 4
+    assert all(row["passed"] is True for row in rows)

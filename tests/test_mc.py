@@ -73,10 +73,10 @@ def test_tilted_estimate_determinism():
     assert a.value == b.value and a.std_error == b.std_error
 
 
-@pytest.mark.parametrize("n", [5000, mc._BATCH_WIDE])
+@pytest.mark.parametrize("n", [5000, mc._BATCH, 2 * mc._BATCH + 17])
 def test_generic_statistic_path_matches_h2_path(n):
-    # phi2 on the sorted configuration is H2; within one batch both paths
-    # draw from stream(seed, 0)
+    # phi2 on the sorted configuration is H2; both paths draw batch b of
+    # the same size from stream(seed, b)
     spec = SelectionSpec(6.0, 0.3)
     generic = mc.tilted_estimate(spec, ldp.phi2, n=n, seed=5)
     h2_path = mc.tilted_estimate(spec, mc.H2Statistic(lambda h: h), n=n, seed=5)
@@ -87,7 +87,7 @@ def test_generic_statistic_path_matches_h2_path(n):
 
 def test_generic_statistic_path_determinism_over_batches():
     spec = SelectionSpec(6.0, 0.3)
-    n = 2 * mc._BATCH_WIDE + 17
+    n = 2 * mc._BATCH + 17
     stat = lambda config: config.entries[0]
     a = mc.tilted_estimate(spec, stat, n=n, seed=8)
     b = mc.tilted_estimate(spec, stat, n=n, seed=8)
