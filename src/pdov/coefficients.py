@@ -50,10 +50,10 @@ _LN2 = math.log(2.0)
 
 @dataclass(frozen=True)
 class CoeffTable:
-    """Triangular table of log A(k,l), 1 <= l <= k <= kmax.
+    """Triangular table of log A(k,l), 1 <= l <= min(k, cols), k <= kmax.
 
     theta == 0 marks the limit table.  Entries outside the triangle are
-    -inf in the backing array.
+    -inf in the backing array, whose shape is (kmax+1, cols+1).
     """
 
     theta: float
@@ -63,7 +63,14 @@ class CoeffTable:
     def log_entry(self, k: int, l: int) -> float:
         if not (1 <= l <= k <= self.kmax):
             raise DomainError(f"index (k={k}, l={l}) outside triangle kmax={self.kmax}")
+        if l > self.cols:
+            raise DomainError(f"column l={l} not built (table holds columns 1..{self.cols})")
         return float(self.log_entries[k, l])
+
+    @property
+    def cols(self) -> int:
+        """Columns built: 1..cols (cols == kmax for a full table)."""
+        return self.log_entries.shape[1] - 1
 
     @property
     def is_limit(self) -> bool:
@@ -79,23 +86,8 @@ def log_a1(k, theta: float):
     return (k - 1.0) * _LN2 + gammaln(k) + gammaln(k + theta) - gammaln(2.0 * k + theta)
 
 
-def build_coeff_table(theta: float, kmax: int) -> CoeffTable:
-    """Build the table of A(k,l)(theta) up to kmax.
-
-    theta = 0 yields the limit coefficients.
-    """
-    if kmax < 1:
-        raise DomainError(f"kmax must be >= 1, got {kmax}")
-    if not (0.0 <= theta <= 1.0):
-        raise DomainError(f"theta must lie in [0, 1], got {theta}")
-
-    k = np.arange(1, kmax + 1, dtype=float)
-    log_entries = np.full((kmax + 1, kmax + 1), -np.inf)
-    log_entries[1:, 1] = log_a1(k, theta)
-    if kmax == 1:
-        return CoeffTable(theta=float(theta), kmax=kmax, log_entries=log_entries)
-
-    # recursion weights w(k,l), independent of p; valid for l <= k-1
+def _log_weights(k: np.ndarray, theta: float) -> np.ndarray:
+    """log w(k,l) for k, l = 1..kmax, independent of p; -inf where l > k-1."""
     K = k[:, None]
     L = k[None, :]
     logw = (
@@ -108,13 +100,36 @@ def build_coeff_table(theta: float, kmax: int) -> CoeffTable:
         - gammaln(2.0 * K + 1.0 + theta)
     )
     logw[L > K - 1] = -np.inf
+    return logw
 
-    for p in range(2, kmax + 1):
-        prev = log_entries[1:, p - 1]  # -inf below l = p-1, so the sum self-restricts
-        with np.errstate(invalid="ignore"):
-            col = logsumexp(logw + prev[None, :], axis=1)
-        col[: p - 1] = -np.inf  # entries with k < p are outside the triangle
-        log_entries[1:, p] = col
+
+def build_coeff_table(theta: float, kmax: int, cols: int | None = None) -> CoeffTable:
+    """Build the table of A(k,l)(theta) up to kmax, columns l = 1..cols
+    (all kmax columns by default).
+
+    theta = 0 yields the limit coefficients.  Column p is computed from
+    column p-1 alone, so each built column equals, bit for bit, the same
+    column of the full table; the cost is O(kmax^2 cols).
+    """
+    if kmax < 1:
+        raise DomainError(f"kmax must be >= 1, got {kmax}")
+    if not (0.0 <= theta <= 1.0):
+        raise DomainError(f"theta must lie in [0, 1], got {theta}")
+    cols = kmax if cols is None else cols
+    if not (1 <= cols <= kmax):
+        raise DomainError(f"cols must lie in 1..kmax={kmax}, got {cols}")
+
+    k = np.arange(1, kmax + 1, dtype=float)
+    log_entries = np.full((kmax + 1, cols + 1), -np.inf)
+    log_entries[1:, 1] = log_a1(k, theta)
+    if cols > 1:
+        logw = _log_weights(k, theta)
+        for p in range(2, cols + 1):
+            prev = log_entries[1:, p - 1]  # -inf below l = p-1, so the sum self-restricts
+            with np.errstate(invalid="ignore"):
+                col = logsumexp(logw + prev[None, :], axis=1)
+            col[: p - 1] = -np.inf  # entries with k < p are outside the triangle
+            log_entries[1:, p] = col
 
     log_entries.setflags(write=False)
     return CoeffTable(theta=float(theta), kmax=kmax, log_entries=log_entries)
@@ -182,13 +197,16 @@ def _bucket(kmax: int) -> int:
 
 
 @lru_cache(maxsize=16)
-def _cached_table(theta: float, kmax_bucket: int) -> CoeffTable:
-    return build_coeff_table(theta, kmax_bucket)
+def _cached_table(theta: float, kmax_bucket: int, cols: int) -> CoeffTable:
+    return build_coeff_table(theta, kmax_bucket, cols)
 
 
-def cached_table(theta: float, kmax: int) -> CoeffTable:
-    """Memoized table build (kmax rounded up to a shared bucket)."""
-    return _cached_table(float(theta), _bucket(kmax))
+def cached_table(theta: float, kmax: int, cols: int | None = None) -> CoeffTable:
+    """Memoized table build (kmax rounded up to a shared bucket), columns
+    1..cols capped at the bucket (all of them by default)."""
+    bucket = _bucket(kmax)
+    cols = bucket if cols is None else min(int(cols), bucket)
+    return _cached_table(float(theta), bucket, cols)
 
 
 def cached_limit_table(kmax: int) -> CoeffTable:
@@ -206,9 +224,9 @@ def log_c_combined(k: int, l: int, lam: float, table: CoeffTable | None = None) 
     if lam <= l:
         raise DomainError(f"need lam > l, got (lam={lam}, l={l})")
     if table is None:
-        table = cached_limit_table(k)
-    elif not table.is_limit or table.kmax < k:
-        raise DomainError("log_c_combined needs a limit table with kmax >= k")
+        table = cached_table(0.0, k, cols=l)
+    elif not table.is_limit or table.kmax < k or table.cols < l:
+        raise DomainError("log_c_combined needs a limit table with kmax >= k and cols >= l")
 
     s = np.arange(0, k - l + 1, dtype=float)
     log_binom = gammaln(k + 1.0) - gammaln(s + 1.0) - gammaln(k - s + 1.0)

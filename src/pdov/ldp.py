@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import DomainError
 
@@ -88,14 +89,10 @@ def j_rate(x: Configuration) -> float:
     return float(x.n_positive - 1)
 
 
-def inf_term(lam: float) -> tuple[float, frozenset]:
-    """min over integers n >= 1 of lam/n + n - 1, with all minimizers.
-
-    Ties (the critical lam = k(k+1)) are detected exactly: lam is taken
-    at its binary-float value and compared in rational arithmetic.
-    """
-    if not lam > 0.0:
-        raise DomainError(f"lam must be > 0, got {lam}")
+@lru_cache(maxsize=64)
+def _inf_exact(lam: float) -> tuple[Fraction, frozenset]:
+    """Exact min over integers n >= 1 of lam/n + n - 1 and its minimizers,
+    with lam taken at its binary-float value (memoized per lam)."""
     lam_q = Fraction(lam)
     # the objective is convex in n with minimum near sqrt(lam)
     n_hi = int(math.isqrt(int(lam_q)) + 3)
@@ -108,12 +105,19 @@ def inf_term(lam: float) -> tuple[float, frozenset]:
             argmin = [n]
         elif val == best:
             argmin.append(n)
-    return float(best), frozenset(argmin)
+    return best, frozenset(argmin)
 
 
-def _inf_term_exact(lam_q: Fraction) -> Fraction:
-    n_hi = int(math.isqrt(int(lam_q)) + 3)
-    return min(lam_q / n + n - 1 for n in range(1, n_hi + 1))
+def inf_term(lam: float) -> tuple[float, frozenset]:
+    """min over integers n >= 1 of lam/n + n - 1, with all minimizers.
+
+    Ties (the critical lam = k(k+1)) are detected exactly: lam is taken
+    at its binary-float value and compared in rational arithmetic.
+    """
+    if not lam > 0.0:
+        raise DomainError(f"lam must be > 0, got {lam}")
+    best, argmin = _inf_exact(float(lam))
+    return float(best), argmin
 
 
 def s_rate(x: Configuration, lam: float) -> float | Fraction:
@@ -127,8 +131,7 @@ def s_rate(x: Configuration, lam: float) -> float | Fraction:
         raise DomainError(f"lam must be > 0, got {lam}")
     if x.uniform_k is not None:
         k = x.uniform_k
-        lam_q = Fraction(lam)
-        return (k - 1) + lam_q * Fraction(1, k) - _inf_term_exact(lam_q)
+        return (k - 1) + Fraction(lam) * Fraction(1, k) - _inf_exact(float(lam))[0]
     j = j_rate(x)
     if math.isinf(j):
         return math.inf

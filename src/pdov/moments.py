@@ -47,6 +47,10 @@ def log_moments_from_table(table: CoeffTable, kmax: int) -> np.ndarray:
         raise DomainError("moments need a table with theta > 0")
     if kmax > table.kmax:
         raise DomainError(f"kmax={kmax} exceeds table kmax={table.kmax}")
+    if table.cols < table.kmax:
+        raise DomainError(
+            f"moments need every column; table holds 1..{table.cols} of {table.kmax}"
+        )
     log_theta = math.log(table.theta)
     logm = np.empty(kmax + 1)
     logm[0] = 0.0

@@ -112,9 +112,14 @@ def _log_num_den(spec: SelectionSpec, n: int, table: CoeffTable) -> float:
     return float(logsumexp(parts))
 
 
-def _series_table(spec: SelectionSpec, n: int, limit: bool) -> CoeffTable:
+def _series_table(
+    spec: SelectionSpec, n: int, limit: bool, cols: int | None = None
+) -> CoeffTable:
+    """The cached table for the series at spec, shifted by n, holding
+    columns 1..cols (default: the [lam] columns that K_n reads)."""
     kmax = series_kmax(spec.x) + n
-    return cached_table(0.0 if limit else spec.theta, kmax)
+    cols = _floor_lam(spec.lam) if cols is None else cols
+    return cached_table(0.0 if limit else spec.theta, kmax, cols=cols)
 
 
 def k_ratio(spec: SelectionSpec, n: int, use_limit_coeffs: bool = False) -> float:
@@ -151,14 +156,18 @@ def tail_bound(spec: SelectionSpec) -> tuple[float, float]:
     """(computed tail over l > [lam], closed-form bound).
 
     computed = sum_{l=[lam]+1} theta^l sum_k (x^k/k!) A(k,l)(theta),
-    summed until numerically exhausted; the bound is
+    summed until numerically exhausted over a table whose column count
+    starts at 2([lam]+1) and doubles whenever the sum reaches past it; the
+    bound is
     4 theta^{[lam]-lam+1} / 2^{[lam]+1} * 2/(2-theta).
     """
     lf = _floor_lam(spec.lam)
-    table = _series_table(spec, 0, limit=False)
+    table = _series_table(spec, 0, limit=False, cols=2 * (lf + 1))
     log_theta = math.log(spec.theta)
     total = 0.0
     for l in range(lf + 1, table.kmax + 1):
+        if l > table.cols:  # doubling keeps the rebuilds O(kmax^2 l) in all
+            table = _series_table(spec, 0, limit=False, cols=2 * table.cols)
         term = math.exp(l * log_theta + _log_series(table, l, spec.x))
         total += term
         if term < 1e-18 * max(total, 1e-300):

@@ -88,7 +88,7 @@ def suite_bounds(seed: int = 0) -> list[Check]:
 
 def suite_asym_a(seed: int = 0) -> list[Check]:
     checks = []
-    table = coefs.cached_limit_table(400)
+    table = coefs.cached_table(0.0, 400, cols=3)
     for p in (1, 2, 3):
         devs = []
         for k in (100, 200, 400):
@@ -109,7 +109,7 @@ def suite_asym_a(seed: int = 0) -> list[Check]:
 
 def suite_asym_c(seed: int = 0) -> list[Check]:
     checks = []
-    table = coefs.cached_limit_table(400)
+    table = coefs.cached_table(0.0, 400, cols=3)
     for l, lam in ((1, 6.0), (2, 6.0), (1, 4.0)):
         devs = []
         for k in (100, 200, 400):
@@ -153,7 +153,7 @@ def suite_tail(seed: int = 0) -> list[Check]:
 def suite_ratio(seed: int = 0) -> list[Check]:
     checks = []
     kmax = coefs.series_kmax(200.0)
-    table = coefs.cached_limit_table(kmax)
+    table = coefs.cached_table(0.0, kmax, cols=1)
     b = table.log_entries[1 : kmax + 1, 1]
     c = 3.5
     a = b + math.log(c)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from pdov import coefficients as coefs
+from pdov import moments
 from pdov.errors import DomainError
 
 
@@ -92,6 +93,35 @@ def test_asymptotic_A_evaluation():
     assert math.exp(coefs.log_asymptotic_A(1, 1)) == pytest.approx(
         math.sqrt(math.pi) / 2.0, rel=1e-12
     )
+
+
+@pytest.mark.parametrize("kmax", (64, 192))
+@pytest.mark.parametrize("theta", (0.0, 1e-5, 0.5, 1.0))
+def test_column_truncated_table_matches_full_build(theta, kmax):
+    full = coefs.build_coeff_table(theta, kmax)
+    assert full.cols == kmax
+    for cols in (1, 2, 12, kmax):
+        table = coefs.build_coeff_table(theta, kmax, cols=cols)
+        assert table.cols == cols
+        assert table.log_entries.shape == (kmax + 1, cols + 1)
+        assert np.array_equal(table.log_entries, full.log_entries[:, : cols + 1])
+
+
+def test_column_truncated_table_domain_errors():
+    table = coefs.build_coeff_table(0.5, 20, cols=3)
+    assert math.isfinite(table.log_entry(20, 3))
+    with pytest.raises(DomainError):
+        table.log_entry(20, 4)  # inside the triangle, but the column was not built
+    for cols in (0, 21):
+        with pytest.raises(DomainError):
+            coefs.build_coeff_table(0.5, 20, cols=cols)
+    assert coefs.cached_table(0.5, 20, cols=1000).cols == coefs.cached_table(0.5, 20).kmax
+    with pytest.raises(DomainError):
+        moments.log_moments_from_table(table, 20)  # moments need every column
+    limit = coefs.build_coeff_table(0.0, 16, cols=2)
+    assert coefs.log_c_combined(8, 2, 6.0, table=limit) == coefs.log_c_combined(8, 2, 6.0)
+    with pytest.raises(DomainError):
+        coefs.log_c_combined(8, 3, 6.0, table=limit)  # column 3 not built
 
 
 def test_asymptotic_A_accuracy_at_k400():

@@ -103,6 +103,39 @@ def test_tail_bound_holds():
     assert b2 < b1
 
 
+def test_tail_bound_doubles_columns_and_matches_full_table(monkeypatch):
+    spec = SelectionSpec(1.0, 0.125)
+    asked = []
+
+    def recording_table(theta, kmax, cols=None):
+        asked.append(cols)
+        return coefs.cached_table(theta, kmax, cols=cols)
+
+    monkeypatch.setattr(tilted, "cached_table", recording_table)
+    computed, _ = tilted.tail_bound(spec)
+    assert asked == [4, 8, 16]  # 2([lam]+1) columns, then two doublings
+
+    # reference: the same stopping rule and summation order on a full table
+    full = coefs.cached_table(spec.theta, coefs.series_kmax(spec.x))
+    assert full.cols == full.kmax
+    total = 0.0
+    for l in range(2, full.kmax + 1):
+        term = math.exp(l * math.log(spec.theta) + tilted._log_series(full, l, spec.x))
+        total += term
+        if term < 1e-18 * max(total, 1e-300):
+            break
+    assert computed == total
+
+
+def test_k_ratio_matches_full_table():
+    spec = SelectionSpec(12.0, 1e-5)
+    full = coefs.cached_table(spec.theta, coefs.series_kmax(spec.x) + 1)
+    assert full.cols == full.kmax
+    log_num, log_den = (tilted._log_num_den(spec, n, full) for n in (1, 0))
+    expected = math.exp(log_num - log_den)
+    assert tilted.k_ratio(spec, 1) == expected
+
+
 def test_mgf_normalization_and_trend():
     assert tilted.mgf(SelectionSpec(6.0, 1e-4), 0.0) == 1.0
     vals = [tilted.mgf(SelectionSpec(6.0, th), 1.0) for th in (1e-2, 1e-4, 1e-6)]
