@@ -32,6 +32,8 @@ EXIT_DOMAIN = 2
 EXIT_PRECISION = 3
 EXIT_DEGENERATE = 4
 
+MAX_PHASE_ROWS = 10**6
+
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors; the documented usage exit code is 1
@@ -105,11 +107,7 @@ def _floats(text: str) -> list[float]:
 
 
 def cmd_coeffs(args) -> int:
-    table = (
-        coefs.build_limit_table(args.kmax)
-        if args.limit
-        else coefs.build_coeff_table(args.theta, args.kmax)
-    )
+    table = coefs.build_coeff_table(0.0 if args.limit else args.theta, args.kmax)
     if args.format == "json":
         _emit(args, json.dumps(coefs.table_to_json(table), indent=2) + "\n")
     else:
@@ -153,12 +151,16 @@ def cmd_mgf(args) -> int:
 
 
 def cmd_phase(args) -> int:
+    if not (args.step > 0.0 and (args.lambda_max - args.lambda_min) / args.step < MAX_PHASE_ROWS):
+        raise DomainError(f"step {args.step} is <= 0 or makes more than {MAX_PHASE_ROWS} rows")
     rows = []
     lam = args.lambda_min
     while lam <= args.lambda_max + 1e-12:
         result = tilted.classify_phase(lam)
         rows.append([lam, result.u, float(result.limit_homozygosity)])
-        lam = round(lam + args.step, 12)
+        lam, prev = round(lam + args.step, 12), lam
+        if lam <= prev:  # a step below the 1e-12 grid or lam's resolution
+            raise DomainError(f"step {args.step} does not advance lambda past {prev}")
     _emit_rows(args, ["lambda", "u", "h_limit"], rows)
     return EXIT_OK
 

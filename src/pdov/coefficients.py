@@ -33,6 +33,7 @@ __all__ = [
     "build_coeff_table",
     "build_limit_table",
     "log_a1",
+    "log_w",
     "log_b_term",
     "c_constant",
     "log_asymptotic_A",
@@ -40,12 +41,13 @@ __all__ = [
     "log_asymptotic_C",
     "series_kmax",
     "cached_table",
-    "cached_limit_table",
     "table_to_csv",
     "table_to_json",
 ]
 
 _LN2 = math.log(2.0)
+# a build's kmax x kmax weight matrix; its peak memory is a few times this
+MAX_WEIGHT_BYTES = 1 << 29
 
 
 @dataclass(frozen=True)
@@ -86,21 +88,19 @@ def log_a1(k, theta: float):
     return (k - 1.0) * _LN2 + gammaln(k) + gammaln(k + theta) - gammaln(2.0 * k + theta)
 
 
-def _log_weights(k: np.ndarray, theta: float) -> np.ndarray:
-    """log w(k,l) for k, l = 1..kmax, independent of p; -inf where l > k-1."""
-    K = k[:, None]
-    L = k[None, :]
-    logw = (
-        np.log((2.0 * K + theta) / (2.0 * K))
-        + K * _LN2
-        + gammaln(K + 1.0)
-        - L * _LN2
-        - gammaln(L + 1.0)
-        + gammaln(K + L + theta)
-        - gammaln(2.0 * K + 1.0 + theta)
+def log_w(k, l, theta: float):
+    """log w(k,l) = log of ((2k+theta)/2k) 2^k k! Gamma(k+l+theta)
+    / (2^l l! Gamma(2k+1+theta)), the weight of both the table recursion
+    and the moment recursion; k and l may be scalars or broadcast arrays."""
+    return (
+        np.log((2.0 * k + theta) / (2.0 * k))
+        + k * _LN2
+        + gammaln(k + 1.0)
+        - l * _LN2
+        - gammaln(l + 1.0)
+        + gammaln(k + l + theta)
+        - gammaln(2.0 * k + 1.0 + theta)
     )
-    logw[L > K - 1] = -np.inf
-    return logw
 
 
 def build_coeff_table(theta: float, kmax: int, cols: int | None = None) -> CoeffTable:
@@ -109,7 +109,8 @@ def build_coeff_table(theta: float, kmax: int, cols: int | None = None) -> Coeff
 
     theta = 0 yields the limit coefficients.  Column p is computed from
     column p-1 alone, so each built column equals, bit for bit, the same
-    column of the full table; the cost is O(kmax^2 cols).
+    column of the full table; the cost is O(kmax^2 cols).  Builds whose
+    weight matrix would pass MAX_WEIGHT_BYTES are refused up front.
     """
     if kmax < 1:
         raise DomainError(f"kmax must be >= 1, got {kmax}")
@@ -118,12 +119,16 @@ def build_coeff_table(theta: float, kmax: int, cols: int | None = None) -> Coeff
     cols = kmax if cols is None else cols
     if not (1 <= cols <= kmax):
         raise DomainError(f"cols must lie in 1..kmax={kmax}, got {cols}")
+    if cols > 1 and 8 * kmax**2 > MAX_WEIGHT_BYTES:
+        limit = f"{MAX_WEIGHT_BYTES / 1e9:.3g} GB: kmax <= {math.isqrt(MAX_WEIGHT_BYTES // 8)}"
+        raise DomainError(f"kmax={kmax} needs a {8 * kmax**2 / 1e9:.3g} GB weight matrix ({limit})")
 
     k = np.arange(1, kmax + 1, dtype=float)
     log_entries = np.full((kmax + 1, cols + 1), -np.inf)
     log_entries[1:, 1] = log_a1(k, theta)
     if cols > 1:
-        logw = _log_weights(k, theta)
+        logw = log_w(k[:, None], k[None, :], theta)  # independent of p
+        logw[k[None, :] > k[:, None] - 1] = -np.inf  # the recursion reads l <= k-1 only
         for p in range(2, cols + 1):
             prev = log_entries[1:, p - 1]  # -inf below l = p-1, so the sum self-restricts
             with np.errstate(invalid="ignore"):
@@ -141,18 +146,10 @@ def build_limit_table(kmax: int) -> CoeffTable:
 
 
 def log_b_term(k: int, l: int) -> float:
-    """log B(k,l), B(k,l) = 2^k k! Gamma(k+l) / (2^l l! Gamma(2k+1)), 1 <= l <= k-1."""
+    """log B(k,l) = log w(k,l) at theta = 0: 2^k k! Gamma(k+l) / (2^l l! Gamma(2k+1)), l < k."""
     if not (1 <= l <= k - 1):
         raise DomainError(f"log_b_term needs 1 <= l <= k-1, got (k={k}, l={l})")
-    log = (
-        k * _LN2
-        + gammaln(k + 1.0)
-        + gammaln(k + l)
-        - l * _LN2
-        - gammaln(l + 1.0)
-        - gammaln(2.0 * k + 1.0)
-    )
-    return float(log)
+    return float(log_w(k, l, 0.0))
 
 
 def c_constant(p: int) -> float:
@@ -207,10 +204,6 @@ def cached_table(theta: float, kmax: int, cols: int | None = None) -> CoeffTable
     bucket = _bucket(kmax)
     cols = bucket if cols is None else min(int(cols), bucket)
     return _cached_table(float(theta), bucket, cols)
-
-
-def cached_limit_table(kmax: int) -> CoeffTable:
-    return cached_table(0.0, kmax)
 
 
 def log_c_combined(k: int, l: int, lam: float, table: CoeffTable | None = None) -> float:

@@ -37,6 +37,7 @@ DEFAULT_EPSILON = 1e-8
 ESS_WARN_THRESHOLD = 50.0
 STICK_CAP = 10**7
 _BATCH = 1 << 14
+MAX_DRAWS = 10**8  # an estimate holds a few n-long float arrays
 
 
 @dataclass(frozen=True)
@@ -120,14 +121,19 @@ def _gem_batch(
 
 
 def _batches(theta: float, n: int, seed: int, keep_weights: bool):
-    """Yield (lo, hi, h2, weights-or-None) for draws lo..hi-1 of n; batch b
-    holds _BATCH draws from stream(seed, b), whatever the statistic."""
-    for b, lo in enumerate(range(0, n, _BATCH)):
-        hi = min(n, lo + _BATCH)
-        h2, _, weights = _gem_batch(
-            theta, hi - lo, DEFAULT_EPSILON, stream(seed, b), keep_weights
-        )
-        yield lo, hi, h2, weights
+    """Refuse n > MAX_DRAWS, then iterate (lo, hi, h2, weights-or-None) for
+    draws lo..hi-1 of n; batch b holds _BATCH draws from stream(seed, b),
+    whatever the statistic."""
+    if n > MAX_DRAWS:
+        raise DomainError(f"{n} draws need {8 * n / 1e9:.3g} GB per array (limit {MAX_DRAWS})")
+    def batches():  # a generator of its own, so the check runs before callers allocate
+        for b, lo in enumerate(range(0, n, _BATCH)):
+            hi = min(n, lo + _BATCH)
+            h2, _, weights = _gem_batch(
+                theta, hi - lo, DEFAULT_EPSILON, stream(seed, b), keep_weights
+            )
+            yield lo, hi, h2, weights
+    return batches()
 
 
 def sample_gem(theta: float, epsilon: float = DEFAULT_EPSILON, *, seed: int) -> GemSample:
@@ -143,8 +149,9 @@ def sample_gem(theta: float, epsilon: float = DEFAULT_EPSILON, *, seed: int) -> 
 
 @lru_cache(maxsize=8)
 def _h2_draws(theta: float, n: int, seed: int) -> np.ndarray:
+    batches = _batches(theta, n, seed, keep_weights=False)
     out = np.empty(n)
-    for lo, hi, h2, _ in _batches(theta, n, seed, keep_weights=False):
+    for lo, hi, h2, _ in batches:
         out[lo:hi] = h2
     out.setflags(write=False)
     return out
@@ -188,9 +195,10 @@ def _sorted_batch_estimate(
     kept; `batch_statistic` maps one batch's sorted matrix (one row per
     draw, zero-padded) to one value per row.
     """
+    batches = _batches(spec.theta, n, seed, keep_weights=True)
     f = np.empty(n)
     h2 = np.empty(n)
-    for lo, hi, bh2, weights in _batches(spec.theta, n, seed, keep_weights=True):
+    for lo, hi, bh2, weights in batches:
         h2[lo:hi] = bh2
         f[lo:hi] = batch_statistic(-np.sort(-weights, axis=1))
     w = np.exp(spec.sigma * h2)

@@ -1,8 +1,10 @@
 """Heterozygosity moments m_k = E(1-H2)^k under PD(theta).
 
-Three independent routes: the coefficient-table expansion, the direct
-recursion, and a Monte Carlo oracle over GEM draws.  The beta_factor is
-the Beta(1,theta) integral kernel the recursion is built from.
+Three routes: the coefficient-table expansion, the moment recursion (the
+same expansion summed over its columns, sharing w(k,l) and A(k,1) with the
+table but no arithmetic past them), and a Monte Carlo oracle over GEM
+draws.  The beta_factor is the Beta(1,theta) integral kernel the recursion
+is built from.
 """
 
 from __future__ import annotations
@@ -15,19 +17,22 @@ import numpy as np
 from scipy.special import gammaln, logsumexp
 
 from . import mc
-from .coefficients import CoeffTable, log_a1
+from .coefficients import CoeffTable, log_a1, log_w
 from .errors import DomainError
 
 __all__ = [
     "MomentVector",
     "moments_from_table",
     "moment_via_recursion",
+    "log_moments",
     "beta_factor",
     "mc_moment_oracle",
     "log_moments_from_table",
 ]
 
 _LN2 = math.log(2.0)
+# ~MAX_MOMENTS^2 / 2 = 2e8 weight evaluations, ~20 s on one core
+MAX_MOMENTS = 20_000
 
 
 @dataclass(frozen=True)
@@ -66,43 +71,39 @@ def moments_from_table(table: CoeffTable, kmax: int) -> MomentVector:
     return MomentVector(theta=table.theta, values=tuple(np.exp(logm[1:])))
 
 
-def _log_recursion_weight(k: int, l: int, theta: float) -> float:
-    return (
-        math.log((2.0 * k + theta) / (2.0 * k))
-        + k * _LN2
-        + gammaln(k + 1.0)
-        - l * _LN2
-        - gammaln(l + 1.0)
-        + gammaln(k + l + theta)
-        - gammaln(2.0 * k + 1.0 + theta)
-    )
-
-
 @lru_cache(maxsize=16)
-def _recursion_moments(theta: float) -> list[float]:
-    """m_1, m_2, ... computed so far at theta; moment_via_recursion grows it."""
-    return [theta / (1.0 + theta)]
+def _log_moment_memo(theta: float) -> list[np.ndarray]:
+    """One slot: the read-only log m_0..log m_k computed so far at theta."""
+    return [np.zeros(1)]
 
 
-def moment_via_recursion(theta: float, k: int) -> float:
-    """m_k by direct recursion in m_1..m_{k-1}, independent of the table
-    (it shares only the closed form of A(k,1) with the table build).
+def log_moments(theta: float, k: int) -> np.ndarray:
+    """log m_j for j = 0..k (m_0 = 1, k >= 1) by the moment recursion
 
-    Memoized per theta (the 16 most recent); O(k^2) total work.
+        m_j = theta (sum_{l<j} w(j,l) m_l + A(j,1)),
+
+    one logsumexp per row, O(k^2) in all, memoized per theta (the 16 most
+    recent); more than MAX_MOMENTS moments are refused up front.
     """
     if not (0.0 < theta <= 1.0):
         raise DomainError(f"theta must lie in (0, 1], got {theta}")
-    if k < 1:
-        raise DomainError(f"k must be >= 1, got {k}")
-    ms = _recursion_moments(theta)
-    while len(ms) < k:
-        j = len(ms) + 1
-        acc = 0.0
-        for l in range(1, j):
-            acc += math.exp(_log_recursion_weight(j, l, theta)) * ms[l - 1]
-        # free term: A(j,1)(theta) * theta
-        ms.append(theta * acc + math.exp(log_a1(j, theta)) * theta)
-    return ms[k - 1]
+    if not 1 <= k <= MAX_MOMENTS:
+        cost = f"{k} moments need ~{k * k / 2:.3g} weight evaluations"
+        raise DomainError(f"k={k} outside 1..{MAX_MOMENTS} ({cost})")
+    memo = _log_moment_memo(theta)
+    if len(memo[0]) <= k:
+        logm = np.concatenate([memo[0], np.empty(k + 1 - len(memo[0]))])
+        for j in range(len(memo[0]), k + 1):
+            terms = np.append(log_w(j, np.arange(1.0, j), theta) + logm[1:j], log_a1(j, theta))
+            logm[j] = math.log(theta) + logsumexp(terms)
+        logm.setflags(write=False)
+        memo[0] = logm
+    return memo[0][: k + 1]
+
+
+def moment_via_recursion(theta: float, k: int) -> float:
+    """m_k from the moment recursion (see log_moments), no table built."""
+    return math.exp(log_moments(theta, k)[k])
 
 
 def beta_factor(k: int, l: int, theta: float) -> float:

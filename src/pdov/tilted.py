@@ -2,7 +2,8 @@
 
 Everything here is a ratio of exponential generating series
 sum_k (x^k / k!) a_k with x = lam * log(1/theta) and positive
-coefficients a_k drawn from the triangular tables.  Inner sums are
+coefficients a_k drawn from the triangular tables (K_n and its
+diagnostics) or from the moment recursion (the MGF).  Inner sums are
 accumulated in log space; the one alternating series (the outer MGF sum
 over n) is summed in linear space with Kahan compensation.
 """
@@ -20,7 +21,7 @@ from . import ldp
 from .coefficients import CoeffTable, cached_table, series_kmax
 from .errors import DomainError, PrecisionError
 from .model import SelectionSpec
-from .moments import log_moments_from_table
+from .moments import log_moments, log_moments_from_table  # noqa: F401  (perfbench wraps the latter)
 
 __all__ = [
     "SelectionSpec",
@@ -48,12 +49,12 @@ class PhaseResult:
 
 
 def exp_series(
-    x: float, log_coeffs: np.ndarray, start: int = 0, *, coeff_cap: float
+    x: float, log_coeffs: np.ndarray, start: int = 0, *, log_coeff_cap: float
 ) -> float:
     """log of sum_{k>=start} a_k x^k / k! over the supplied coefficients
     (log a_k, indexed from `start`).
 
-    Every a_k past the supplied ones is assumed <= coeff_cap, so the
+    Every a_k past the supplied ones is assumed <= exp(log_coeff_cap), so the
     truncated tail is bounded geometrically (terms past the Poisson mode
     shrink by x/(k+1) < 1); if the bound exceeds DEFAULT_RTOL times the
     sum, PrecisionError is raised rather than silently truncating.
@@ -75,7 +76,7 @@ def exp_series(
             f"bulk (x={x}); enlarge the table"
         )
     log_tail = (
-        math.log(coeff_cap)
+        log_coeff_cap
         + (k_last + 1) * math.log(x)
         - gammaln(k_last + 2.0)
         - math.log1p(-x / (k_last + 2.0))
@@ -94,7 +95,7 @@ def _log_series(table: CoeffTable, l: int, x: float, shift: int = 0) -> float:
     if hi < l:
         raise PrecisionError(f"table kmax={table.kmax} too small for l={l}, shift={shift}")
     log_coeffs = table.log_entries[l + shift : table.kmax + 1, l]
-    return exp_series(x, log_coeffs, start=l, coeff_cap=2.0 ** (2 - l))
+    return exp_series(x, log_coeffs, start=l, log_coeff_cap=(2 - l) * math.log(2.0))
 
 
 def _floor_lam(lam: float) -> int:
@@ -185,20 +186,14 @@ def tail_bound(spec: SelectionSpec) -> tuple[float, float]:
 def _log_moment_series(spec: SelectionSpec, n_max: int) -> np.ndarray:
     """log S_n for n = 0..n_max, where S_n = sum_m (x^m/m!) m_{n+m}.
 
-    S_n / S_0 is the tilted n-th heterozygosity moment.
+    S_n / S_0 is the tilted n-th heterozygosity moment.  The moments come
+    from the moment recursion, with no table built; m_k = E(1-H2)^k falls
+    in k, so the last moment supplied to each series caps every one past it.
     """
-    x = spec.x
-    m_top = series_kmax(x)
-    table = cached_table(spec.theta, m_top + n_max)
-    logm = log_moments_from_table(table, m_top + n_max)
-    if x == 0.0:
-        return logm[: n_max + 1]
-    m = np.arange(0, m_top + 1, dtype=float)
-    base = m * math.log(x) - gammaln(m + 1.0)
-    logS = np.empty(n_max + 1)
-    for n in range(n_max + 1):
-        logS[n] = logsumexp(base + logm[n : n + m_top + 1])
-    return logS
+    m_top = series_kmax(spec.x)
+    logm = log_moments(spec.theta, m_top + n_max)
+    series = (logm[n : n + m_top + 1] for n in range(n_max + 1))
+    return np.array([exp_series(spec.x, s, log_coeff_cap=s[-1]) for s in series])
 
 
 def mgf(spec: SelectionSpec, t: float) -> float:

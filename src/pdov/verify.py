@@ -42,7 +42,7 @@ BOUNDS_KMAX = 200
 
 def suite_bounds(seed: int = 0) -> list[Check]:
     checks: list[Check] = []
-    limit = coefs.cached_limit_table(BOUNDS_KMAX)
+    limit = coefs.cached_table(0.0, BOUNDS_KMAX)
     la = limit.log_entries[1 : BOUNDS_KMAX + 1, 1 : BOUNDS_KMAX + 1]
     k_idx, p_idx = np.tril_indices(BOUNDS_KMAX)
     p_arr = (p_idx + 1).astype(float)
@@ -159,8 +159,8 @@ def suite_ratio(seed: int = 0) -> list[Check]:
     a = b + math.log(c)
     for x in (50.0, 100.0, 200.0):
         ratio = math.exp(
-            tilted.exp_series(x, a, start=1, coeff_cap=c * 2.0)
-            - tilted.exp_series(x, b, start=1, coeff_cap=2.0)
+            tilted.exp_series(x, a, start=1, log_coeff_cap=math.log(c * 2.0))
+            - tilted.exp_series(x, b, start=1, log_coeff_cap=math.log(2.0))
         )
         checks.append(
             _check("ratio", f"exact-ratio series at x={x}", 1e-10 - abs(ratio - c))
@@ -171,8 +171,8 @@ def suite_ratio(seed: int = 0) -> list[Check]:
     devs = []
     for x in (50.0, 100.0, 200.0):
         ratio = math.exp(
-            tilted.exp_series(x, a2, start=1, coeff_cap=c * 2.0)
-            - tilted.exp_series(x, b, start=1, coeff_cap=2.0)
+            tilted.exp_series(x, a2, start=1, log_coeff_cap=math.log(c * 2.0))
+            - tilted.exp_series(x, b, start=1, log_coeff_cap=math.log(2.0))
         )
         devs.append(abs(ratio - c))
     checks.append(

@@ -77,7 +77,7 @@ def test_criterion_4_tail_bounds():
 
 def test_criterion_5_coefficient_asymptotics():
     t0 = time.perf_counter()
-    table = coefs.cached_limit_table(400)
+    table = coefs.cached_table(0.0, 400)
     ok = True
     worst = 0.0
     for p in (1, 2, 3):

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import time
 
 import pytest
 
@@ -177,3 +178,33 @@ def test_verify_json_format(capsys):
     rows = json.loads(out)
     assert len(rows) == 4
     assert all(row["passed"] is True for row in rows)
+
+
+@pytest.mark.parametrize(
+    "lo, hi, step",
+    [("0.5", "13", "0"), ("0.5", "13", "-0.5"), ("0.5", "13", "1e-9"), ("1", "1", "1e-13")],
+)
+def test_phase_refuses_steps_that_never_end(capsys, lo, hi, step):
+    # step <= 0 or one below the 1e-12 grid never advances lambda; 1e-9
+    # over [0.5, 13] asks for ~1.25e10 rows
+    code, out, err = run(
+        capsys, "phase", "--lambda-min", lo, "--lambda-max", hi, "--step", step
+    )
+    assert code == 2
+    assert "domain error" in err and out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, estimate",
+    [
+        (("coeffs", "--kmax", "100000"), "80 GB weight matrix"),
+        (("mgf", "--lambda", "1e6", "--theta", "0.5", "--t", "1"), "weight evaluations"),
+        (("sample", "--lambda", "6", "--theta", "0.5", "--samples", "1000000000"), "8 GB"),
+    ],
+)
+def test_resource_guards_refuse_up_front(capsys, argv, estimate):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert estimate in err and out == ""

@@ -125,7 +125,7 @@ def test_column_truncated_table_domain_errors():
 
 
 def test_asymptotic_A_accuracy_at_k400():
-    table = coefs.cached_limit_table(400)
+    table = coefs.cached_table(0.0, 400)
     ratio = math.exp(coefs.log_asymptotic_A(400, 1) - table.log_entry(400, 1))
     assert 0.9 < ratio < 1.1
 
@@ -137,7 +137,7 @@ def test_c_combined_two_term():
 
 
 def test_c_combined_degenerate_k_equals_l():
-    table = coefs.cached_limit_table(16)
+    table = coefs.cached_table(0.0, 16)
     got = coefs.log_c_combined(3, 3, 7.0, table=table)
     assert got == pytest.approx(table.log_entry(3, 3), abs=1e-12)
 

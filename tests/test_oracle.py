@@ -1,7 +1,8 @@
-"""Independent arbitrary-precision oracle for the series ratio K_1.
+"""Independent arbitrary-precision oracles for the series ratio K_1, the
+moments and the tilted MGF.
 
-The oracle works in mpmath at 40 digits and uses nothing of pdov's
-numerics.  Its columns A(k,l), l <= [lam], come straight from the recursion
+The oracles work in mpmath at 40 digits and use nothing of pdov's
+numerics.  K_1's columns A(k,l), l <= [lam], come straight from the recursion
 in the `pdov.coefficients` docstring,
 
     A(k,1) = 2^{k-1} (k-1)! Gamma(k+theta) / Gamma(2k+theta)
@@ -23,6 +24,16 @@ share of level 3 decays like x^{-1/2}, while the level-2 ratio sits about
 theta ~ 1e-5 and falls after it.  `test_lambda_12_hump` pins that shape,
 and acceptance criterion 6 checks the lam = 12 approach past it.
 
+The moments m_k = E(1-H2)^k come from the recursion in the
+`pdov.moments.log_moments` docstring, m_j = theta (sum_{l<j} w(j,l) m_l + A(j,1)), m_0 = 1, the table
+expansion m_k = sum_l theta^l A(k,l) summed over its columns.  Both of
+pdov's moment routes (table and recursion) and the tilted MGF
+
+    mgf(t) = e^t sum_n ((-t)^n/n!) S_n / S_0,   S_n = sum_m (x^m/m!) m_{n+m},
+
+are checked against it; both series stop where the rest is certified below
+1e-32, using only that m_k falls in k (asserted on every moment built).
+
 `test_exp_series_certified_or_raises` holds `tilted.exp_series` to its
 contract on random inputs: when it returns, even the worst case allowed
 by its coefficient cap stays within DEFAULT_RTOL of the supplied sum.
@@ -40,7 +51,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from pdov import tilted  # noqa: E402  (the function under test, not the oracle)
+from pdov import coefficients, moments, tilted  # noqa: E402  (under test, not the oracle)
 from pdov.errors import PrecisionError  # noqa: E402
 from pdov.model import SelectionSpec  # noqa: E402
 
@@ -95,6 +106,71 @@ def oracle_k1(lam: float, theta: float) -> mpmath.mpf:
                     return num / den
 
 
+@functools.cache
+def oracle_moments(theta: float, kmax: int) -> list:
+    """m_0..m_kmax at DPS digits, with m_k <= m_{k-1} checked."""
+    with mpmath.workdps(DPS):
+        th = mpmath.mpf(theta)
+        gam = [None, mpmath.gamma(1 + th)]  # gam[m] = Gamma(m + theta)
+        while len(gam) <= 2 * kmax + 1:
+            gam.append(gam[-1] * (len(gam) - 1 + th))
+        m = [mpmath.mpf(1)]
+        scaled = [None]  # scaled[l] = m_l / (2^l l!), the part of w(j,l) m_l free of j
+        for j in range(1, kmax + 1):
+            fact_j = mpmath.factorial(j)
+            a1 = 2 ** (j - 1) * mpmath.factorial(j - 1) * gam[j] / gam[2 * j]
+            w_j = ((2 * j + th) / (2 * j)) * 2**j * fact_j / gam[2 * j + 1]
+            m.append(th * (w_j * mpmath.fdot(gam[j + 1 : 2 * j], scaled[1:j]) + a1))
+            assert m[j] <= m[j - 1], f"m_k not falling at k={j}"
+            scaled.append(m[j] / (2**j * fact_j))
+        return m
+
+
+def oracle_mgf(lam: float, theta: float, t: float) -> mpmath.mpf:
+    with mpmath.workdps(DPS):
+        rtol = mpmath.mpf(10) ** -32
+        x = lam * mpmath.log(1 / mpmath.mpf(theta))
+        # inner cut M: with m falling, sum_{m>M} (x^m/m!) m_{n+m} is at most
+        # m_{n+M} times the Poisson tail, and S_n at least m_{n+M} times the rest
+        power = [mpmath.mpf(1)]  # power[m] = x^m / m!
+        while True:
+            power.append(power[-1] * x / len(power))
+            M = len(power) - 1
+            if M > x and power[M] * x / (M + 1) / (1 - x / (M + 2)) < rtol * mpmath.fsum(power):
+                break
+        # outer cut N: S_n / S_0 <= 1, so the rest is below |t|^N / N!
+        N = next(n for n in range(1, 200) if abs(t) ** n / mpmath.factorial(n) < rtol)
+        m = oracle_moments(theta, M + N)
+        s = [mpmath.fdot(power, m[n : n + M + 1]) for n in range(N)]
+        outer = mpmath.fsum((-t) ** n / mpmath.factorial(n) * s[n] / s[0] for n in range(N))
+        return mpmath.exp(t) * outer
+
+
+@pytest.mark.parametrize("theta", [1e-5, 0.5, 1.0])
+def test_moment_routes_match_oracle(theta):
+    kmax = 200
+    want = oracle_moments(theta, kmax)
+    from_table = moments.moments_from_table(coefficients.cached_table(theta, kmax), kmax)
+    for k in range(1, kmax + 1):
+        assert abs(moments.moment_via_recursion(theta, k) / want[k] - 1) <= 1e-11
+        assert abs(from_table.m(k) / want[k] - 1) <= 1e-11
+
+
+@pytest.mark.parametrize("lam, theta", [(6.0, 1e-2), (12.0, 1e-3)])
+def test_mgf_matches_oracle(lam, theta):
+    spec = SelectionSpec(lam, theta)
+    for t in (-1.0, 0.5, 1.0):
+        assert abs(tilted.mgf(spec, t) / oracle_mgf(lam, theta, t) - 1) <= 1e-12
+
+
+def test_mgf_builds_no_table():
+    spec = SelectionSpec(6.0, 1e-2)
+    before = coefficients._cached_table.cache_info()
+    tilted.mgf(spec, 1.0)
+    tilted.tilted_mean_heterozygosity(spec)
+    assert coefficients._cached_table.cache_info() == before
+
+
 @pytest.mark.parametrize(
     "lam, theta",
     [(6.0, th) for th in (1e-3, 1e-5, 1e-7)]
@@ -130,7 +206,7 @@ def test_exp_series_certified_or_raises(x, length, start, log_cap, spread, seed)
     # log a_k in [log_cap - spread, log_cap]; spread = 0 puts every a_k at the cap
     log_coeffs = log_cap - spread * np.random.default_rng(seed).random(length)
     try:
-        got = tilted.exp_series(x, log_coeffs, start=start, coeff_cap=math.exp(log_cap))
+        got = tilted.exp_series(x, log_coeffs, start=start, log_coeff_cap=log_cap)
     except PrecisionError:
         return
     with mpmath.workdps(DPS):

@@ -14,31 +14,31 @@ from pdov.model import SelectionSpec
 def test_exp_series_identity():
     # a_k = 1 gives sum x^k/k! = e^x, stable far past float overflow of e^x
     coeff = np.zeros(coefs.series_kmax(300.0))
-    got = tilted.exp_series(300.0, coeff, start=0, coeff_cap=1.0)
+    got = tilted.exp_series(300.0, coeff, start=0, log_coeff_cap=0.0)
     assert got == pytest.approx(300.0, abs=1e-10)
 
 
 def test_exp_series_constant_ratio():
-    b = coefs.cached_limit_table(coefs.series_kmax(40.0)).log_entries[1:, 1]
+    b = coefs.cached_table(0.0, coefs.series_kmax(40.0)).log_entries[1:, 1]
     a = b + math.log(3.5)
     r = math.exp(
-        tilted.exp_series(40.0, a, start=1, coeff_cap=7.0)
-        - tilted.exp_series(40.0, b, start=1, coeff_cap=2.0)
+        tilted.exp_series(40.0, a, start=1, log_coeff_cap=math.log(7.0))
+        - tilted.exp_series(40.0, b, start=1, log_coeff_cap=math.log(2.0))
     )
     assert r == pytest.approx(3.5, rel=1e-11)
 
 
 def test_exp_series_bounded_by_cap():
     kmax = coefs.series_kmax(25.0)
-    b = coefs.cached_limit_table(kmax).log_entries[1:, 1]
-    got = tilted.exp_series(25.0, b, start=1, coeff_cap=2.0)
+    b = coefs.cached_table(0.0, kmax).log_entries[1:, 1]
+    got = tilted.exp_series(25.0, b, start=1, log_coeff_cap=math.log(2.0))
     assert got <= math.log(2.0) + 25.0
 
 
 def test_exp_series_truncation_raises():
     short = np.zeros(20)  # far too short for x = 100
     with pytest.raises(PrecisionError):
-        tilted.exp_series(100.0, short, start=0, coeff_cap=1.0)
+        tilted.exp_series(100.0, short, start=0, log_coeff_cap=0.0)
 
 
 def test_k0_is_one():
