@@ -17,6 +17,7 @@ import hashlib
 import io
 import json
 import math
+import re
 import sys
 from datetime import datetime, timezone
 
@@ -317,6 +318,10 @@ def build_parser() -> _Parser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse reads a --t list like -1,1 as an option: join it to --t=-1,1
+    for i in reversed(range(1, len(argv))):
+        if argv[i - 1] == "--t" and re.match(r"-[\d.]", argv[i]):
+            argv[i - 1 : i + 1] = [f"--t={argv[i]}"]
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -46,8 +46,7 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
-# a build's kmax x kmax weight matrix; its peak memory is a few times this
-MAX_WEIGHT_BYTES = 1 << 29
+MAX_TABLE_WORK = 1e10  # bounds a build's kmax^2 cols: its work and O(kmax cols) memory
 
 
 @dataclass(frozen=True)
@@ -107,11 +106,12 @@ def build_coeff_table(theta: float, kmax: int, cols: int | None = None) -> Coeff
     """Build the table of A(k,l)(theta) up to kmax, columns l = 1..cols
     (all kmax columns by default).
 
-    theta = 0 yields the limit coefficients.  Column p is computed from
-    column p-1 alone, so each built column equals, bit for bit, the same
-    column of the full table; the cost is O(kmax^2 cols).  Builds whose
-    weight matrix would pass MAX_WEIGHT_BYTES are refused up front.
-    """
+    theta = 0 yields the limit coefficients.  Each row comes from the rows
+    below it, its columns 2..min(k, cols) in one max-shifted exp-sum over
+    l < k, at a cost of ~kmax^2 cols / 2 terms (kmax^2 cols > MAX_TABLE_WORK
+    is refused up front).  Entry (k,p) is a sum of length k-1 over column
+    p-1 whatever cols is, so a truncated build is bit-identical to the full
+    one's columns."""
     if kmax < 1:
         raise DomainError(f"kmax must be >= 1, got {kmax}")
     if not (0.0 <= theta <= 1.0):
@@ -119,25 +119,19 @@ def build_coeff_table(theta: float, kmax: int, cols: int | None = None) -> Coeff
     cols = kmax if cols is None else cols
     if not (1 <= cols <= kmax):
         raise DomainError(f"cols must lie in 1..kmax={kmax}, got {cols}")
-    if cols > 1 and 8 * kmax**2 > MAX_WEIGHT_BYTES:
-        limit = f"{MAX_WEIGHT_BYTES / 1e9:.3g} GB: kmax <= {math.isqrt(MAX_WEIGHT_BYTES // 8)}"
-        raise DomainError(f"kmax={kmax} needs a {8 * kmax**2 / 1e9:.3g} GB weight matrix ({limit})")
+    if (work := kmax**2 * cols) > MAX_TABLE_WORK:
+        raise DomainError(f"kmax^2 cols = {work:.3g} > {MAX_TABLE_WORK:.3g} ({kmax=}, {cols=})")
 
     k = np.arange(1, kmax + 1, dtype=float)
-    log_entries = np.full((kmax + 1, cols + 1), -np.inf)
-    log_entries[1:, 1] = log_a1(k, theta)
-    if cols > 1:
-        logw = log_w(k[:, None], k[None, :], theta)  # independent of p
-        logw[k[None, :] > k[:, None] - 1] = -np.inf  # the recursion reads l <= k-1 only
-        for p in range(2, cols + 1):
-            prev = log_entries[1:, p - 1]  # -inf below l = p-1, so the sum self-restricts
-            with np.errstate(invalid="ignore"):
-                col = logsumexp(logw + prev[None, :], axis=1)
-            col[: p - 1] = -np.inf  # entries with k < p are outside the triangle
-            log_entries[1:, p] = col
-
-    log_entries.setflags(write=False)
-    return CoeffTable(theta=float(theta), kmax=kmax, log_entries=log_entries)
+    by_col = np.full((cols + 1, kmax + 1), -np.inf)  # by_col[l, k] = log A(k,l)
+    by_col[1, 1:] = log_a1(k, theta)
+    for j in range(2, kmax + 1) if cols > 1 else ():
+        # row p-1 holds w(j,l) A(l,p-1), l < j; its -inf at l < p-1 adds 0
+        terms = log_w(j, k[: j - 1], theta) + by_col[1 : min(j, cols), 1:j]
+        peak = terms.max(axis=1)
+        by_col[2 : min(j, cols) + 1, j] = peak + np.log(np.exp(terms - peak[:, None]).sum(axis=1))
+    by_col.setflags(write=False)
+    return CoeffTable(theta=float(theta), kmax=kmax, log_entries=by_col.T)
 
 
 def build_limit_table(kmax: int) -> CoeffTable:

@@ -82,8 +82,8 @@ def log_moments(theta: float, k: int) -> np.ndarray:
 
         m_j = theta (sum_{l<j} w(j,l) m_l + A(j,1)),
 
-    one logsumexp per row, O(k^2) in all, memoized per theta (the 16 most
-    recent); more than MAX_MOMENTS moments are refused up front.
+    one max-shifted exp-sum per row, O(k^2) in all, memoized per theta (the
+    16 most recent); more than MAX_MOMENTS moments are refused up front.
     """
     if not (0.0 < theta <= 1.0):
         raise DomainError(f"theta must lie in (0, 1], got {theta}")
@@ -95,7 +95,8 @@ def log_moments(theta: float, k: int) -> np.ndarray:
         logm = np.concatenate([memo[0], np.empty(k + 1 - len(memo[0]))])
         for j in range(len(memo[0]), k + 1):
             terms = np.append(log_w(j, np.arange(1.0, j), theta) + logm[1:j], log_a1(j, theta))
-            logm[j] = math.log(theta) + logsumexp(terms)
+            peak = terms.max()
+            logm[j] = math.log(theta) + peak + math.log(np.exp(terms - peak).sum())
         logm.setflags(write=False)
         memo[0] = logm
     return memo[0][: k + 1]

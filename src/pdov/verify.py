@@ -55,7 +55,7 @@ def suite_bounds(seed: int = 0) -> list[Check]:
         ta = table.log_entries[1 : BOUNDS_KMAX + 1, 1 : BOUNDS_KMAX + 1]
         tri_t = ta[k_idx, p_idx]
         m_upper = float(np.min(tri - tri_t))
-        # 1e-9 log-space slack: the tables carry ~1e-13 logsumexp rounding
+        # 1e-9 log-space slack: the tables carry ~1e-13 exp-sum rounding
         m_lower = float(np.min(tri_t - (tri - p_arr * math.log(2.0)))) + 1e-9
         diff = np.exp(tri) - np.exp(tri_t)  # A - A(theta) >= 0 entrywise
         m_pert = float(np.min(theta * p_arr * np.exp(tri) - np.abs(diff)))

@@ -59,6 +59,14 @@ def test_mgf_t_zero(capsys):
     assert float(parse_csv(out)[0]["mgf"]) == 1.0
 
 
+def test_mgf_t_list_starting_negative(capsys):
+    # argparse alone reads "-1,1" as an option; both spellings must parse
+    code, out, _ = run(capsys, "mgf", "--lambda", "6", "--theta", "1e-2", "--t", "-1,1")
+    assert code == 0
+    assert [float(r["t"]) for r in parse_csv(out)] == [-1.0, 1.0]
+    assert run(capsys, "mgf", "--lambda", "6", "--theta", "1e-2", "--t=-1,1")[1] == out
+
+
 def test_kn_command(capsys):
     code, out, _ = run(capsys, "kn", "--lambda", "6", "--n", "0", "--theta", "1e-3,1e-4")
     assert code == 0
@@ -197,9 +205,11 @@ def test_phase_refuses_steps_that_never_end(capsys, lo, hi, step):
 @pytest.mark.parametrize(
     "argv, estimate",
     [
-        (("coeffs", "--kmax", "100000"), "80 GB weight matrix"),
+        (("coeffs", "--kmax", "100000"), "kmax^2 cols = 1e+15"),
         (("mgf", "--lambda", "1e6", "--theta", "0.5", "--t", "1"), "weight evaluations"),
         (("sample", "--lambda", "6", "--theta", "0.5", "--samples", "1000000000"), "8 GB"),
+        # fits any memory bound, but the full triangle would run for hours
+        (("coeffs", "--kmax", "8000"), "kmax^2 cols = 5.12e+11"),
     ],
 )
 def test_resource_guards_refuse_up_front(capsys, argv, estimate):

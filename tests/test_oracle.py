@@ -1,5 +1,5 @@
-"""Independent arbitrary-precision oracles for the series ratio K_1, the
-moments and the tilted MGF.
+"""Independent arbitrary-precision oracles for the series ratio K_1, whole
+coefficient tables, the moments and the tilted MGF.
 
 The oracles work in mpmath at 40 digits and use nothing of pdov's
 numerics.  K_1's columns A(k,l), l <= [lam], come straight from the recursion
@@ -23,6 +23,12 @@ share of level 3 decays like x^{-1/2}, while the level-2 ratio sits about
 1/x below 2/3; the second term dies faster, so the gap rises up to
 theta ~ 1e-5 and falls after it.  `test_lambda_12_hump` pins that shape,
 and acceptance criterion 6 checks the lam = 12 approach past it.
+
+`test_table_matches_oracle` rebuilds every A(k,l), k <= 150, from the same
+recursion at 50 digits and holds log A to 5e-14 max(1, |log A|).  A bound
+of 1e-12 relative in A itself would not hold: the log-gamma terms of pdov's
+log w(k,l), up to ~1e3 each and mostly cancelling, put ~1.4e-12 into A at
+theta = 0.
 
 The moments m_k = E(1-H2)^k come from the recursion in the
 `pdov.moments.log_moments` docstring, m_j = theta (sum_{l<j} w(j,l) m_l + A(j,1)), m_0 = 1, the table
@@ -60,6 +66,8 @@ pytestmark = pytest.mark.slow
 DPS = 40
 SERIES_RTOL = 1e-30
 REL_TOL = 1e-10
+TABLE_DPS = 50
+TABLE_TOL = 5e-14  # in log A, relative to max(1, |log A|)
 
 
 @functools.cache
@@ -126,6 +134,30 @@ def oracle_moments(theta: float, kmax: int) -> list:
         return m
 
 
+@functools.cache
+def oracle_table(theta: float, kmax: int) -> list:
+    """log A(k,l) for 1 <= l <= k <= kmax at TABLE_DPS digits, as rows
+    table[k][l] (index 0 unused), by the recursion above in full."""
+    with mpmath.workdps(TABLE_DPS):
+        th = mpmath.mpf(theta)
+        gam = [None, mpmath.gamma(1 + th)]  # gam[m] = Gamma(m + theta)
+        while len(gam) <= 2 * kmax + 1:
+            gam.append(gam[-1] * (len(gam) - 1 + th))
+        # scaled[p][l] = A(l,p) / (2^l l!), the part of w(k,l) A(l,p) free of k
+        scaled = [[None] * p for p in range(kmax + 1)]  # l < p: outside the triangle
+        table = [None]
+        for k in range(1, kmax + 1):
+            fact_k = mpmath.factorial(k)
+            row = [None, 2 ** (k - 1) * mpmath.factorial(k - 1) * gam[k] / gam[2 * k]]
+            w_k = ((2 * k + th) / (2 * k)) * 2**k * fact_k / gam[2 * k + 1]
+            for p in range(2, k + 1):
+                row.append(w_k * mpmath.fdot(gam[k + p - 1 : 2 * k], scaled[p - 1][p - 1 : k]))
+            for p in range(1, k + 1):
+                scaled[p].append(row[p] / (2**k * fact_k))
+            table.append([None] + [mpmath.log(a) for a in row[1:]])
+        return table
+
+
 def oracle_mgf(lam: float, theta: float, t: float) -> mpmath.mpf:
     with mpmath.workdps(DPS):
         rtol = mpmath.mpf(10) ** -32
@@ -144,6 +176,17 @@ def oracle_mgf(lam: float, theta: float, t: float) -> mpmath.mpf:
         s = [mpmath.fdot(power, m[n : n + M + 1]) for n in range(N)]
         outer = mpmath.fsum((-t) ** n / mpmath.factorial(n) * s[n] / s[0] for n in range(N))
         return mpmath.exp(t) * outer
+
+
+@pytest.mark.parametrize("theta", [0.0, 1e-5, 0.5, 1.0])
+def test_table_matches_oracle(theta):
+    kmax = 150
+    want = oracle_table(theta, kmax)
+    got = coefficients.build_coeff_table(theta, kmax).log_entries
+    for k in range(1, kmax + 1):
+        for l in range(1, k + 1):
+            assert abs(got[k, l] - want[k][l]) <= TABLE_TOL * max(1, abs(want[k][l])), (k, l)
+        assert np.all(got[k, k + 1 :] == -np.inf)
 
 
 @pytest.mark.parametrize("theta", [1e-5, 0.5, 1.0])
