@@ -4,15 +4,22 @@ the tilted measure.
 Sampling is deterministic per (seed, parameters): every estimator draws
 through one batch loop whose batches are fixed-size slices, each driven by
 its own Philox stream derived from the root seed by counter offsetting, so
-one seed fixes the same draws for every statistic.
+one seed fixes the same draws for every statistic.  Batches are drawn
+concurrently on the CPUs this process may use and handed to the statistic
+in batch order, so the draws are the same for any CPU count.
 Beta(1,theta) sticks come from the exact inverse CDF U = 1-(1-V)^{1/theta}.
 """
 
 from __future__ import annotations
 
+import concurrent.futures  # loads its thread pool module on first use, not with pdov
 import math
+import os
+import threading
+from collections import OrderedDict, deque
+from contextlib import closing
 from dataclasses import dataclass, field
-from functools import lru_cache
+from itertools import islice
 from typing import Callable
 
 import numpy as np
@@ -38,6 +45,9 @@ ESS_WARN_THRESHOLD = 50.0
 STICK_CAP = 10**7
 _BATCH = 1 << 14
 MAX_DRAWS = 10**8  # an estimate holds a few n-long float arrays
+H2_CACHE_BYTES = 256 << 20  # total bytes of the cached h2 arrays
+# batches drawn at once: the CPUs this process may use
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -98,11 +108,18 @@ def _gem_batch(
     first_width = max(16, int(4.0 * theta * math.log(1.0 / epsilon)) + 16)
     width = first_width
     while True:
-        v = rng.random((size, width))
-        u = 1.0 - (1.0 - v) ** inv_theta
-        cum = np.cumprod(1.0 - u, axis=1)
-        shifted = np.concatenate([np.ones((size, 1)), cum[:, :-1]], axis=1)
-        w = prefix[:, None] * shifted * u
+        # u = 1 - (1 - v)^(1/theta), then w = prefix * shifted * u, in place
+        u = rng.random((size, width))
+        np.subtract(1.0, u, out=u)
+        u **= inv_theta
+        np.subtract(1.0, u, out=u)
+        cum = np.empty((size, width + 1))  # column j: prod of (1 - u) before stick j
+        cum[:, 0] = 1.0
+        np.subtract(1.0, u, out=cum[:, 1:])
+        np.cumprod(cum, axis=1, out=cum)
+        shifted = cum[:, :-1]
+        np.multiply(prefix[:, None], shifted, out=shifted)
+        w = np.multiply(shifted, u, out=u)
         h2 += np.einsum("ij,ij->i", w, w)
         if chunks is not None:
             chunks.append(w)
@@ -116,23 +133,44 @@ def _gem_batch(
                 "pathological (theta, epsilon) combination"
             )
         width = 32
-    weights = np.concatenate(chunks, axis=1) if chunks is not None else None
-    return h2, prefix, weights
+    if chunks is None:
+        return h2, prefix, None
+    return h2, prefix, chunks[0] if len(chunks) == 1 else np.concatenate(chunks, axis=1)
 
 
 def _batches(theta: float, n: int, seed: int, keep_weights: bool):
-    """Refuse n > MAX_DRAWS, then iterate (lo, hi, h2, weights-or-None) for
-    draws lo..hi-1 of n; batch b holds _BATCH draws from stream(seed, b),
-    whatever the statistic."""
+    """Refuse n > MAX_DRAWS, then iterate (lo, hi, h2, sorted-weights-or-None)
+    for draws lo..hi-1 of n; batch b holds _BATCH draws from stream(seed, b),
+    whatever the statistic, and its stick matrix comes sorted descending
+    along each row.
+
+    Up to _WORKERS batches are drawn at once on a thread pool of this call's
+    own, and yielded in batch order; the pool is shut down when the
+    iteration ends, is closed or raises, so callers close it on error.
+    """
     if n > MAX_DRAWS:
         raise DomainError(f"{n} draws need {8 * n / 1e9:.3g} GB per array (limit {MAX_DRAWS})")
+
+    def draw(b: int, lo: int):
+        hi = min(n, lo + _BATCH)
+        h2, _, weights = _gem_batch(theta, hi - lo, DEFAULT_EPSILON, stream(seed, b), keep_weights)
+        if weights is not None:
+            weights.sort(axis=1)
+            weights = weights[:, ::-1]
+        return lo, hi, h2, weights
+
     def batches():  # a generator of its own, so the check runs before callers allocate
-        for b, lo in enumerate(range(0, n, _BATCH)):
-            hi = min(n, lo + _BATCH)
-            h2, _, weights = _gem_batch(
-                theta, hi - lo, DEFAULT_EPSILON, stream(seed, b), keep_weights
-            )
-            yield lo, hi, h2, weights
+        todo = enumerate(range(0, n, _BATCH))
+        pool = concurrent.futures.ThreadPoolExecutor(max_workers=_WORKERS)
+        try:
+            pending = deque(pool.submit(draw, b, lo) for b, lo in islice(todo, _WORKERS))
+            while pending:
+                batch = pending.popleft().result()
+                pending.extend(pool.submit(draw, b, lo) for b, lo in islice(todo, 1))
+                yield batch
+        finally:
+            pool.shutdown(cancel_futures=True)
+
     return batches()
 
 
@@ -147,20 +185,32 @@ def sample_gem(theta: float, epsilon: float = DEFAULT_EPSILON, *, seed: int) -> 
     return GemSample(theta=theta, weights=weights[0], residual=float(residual[0]))
 
 
-@lru_cache(maxsize=8)
-def _h2_draws(theta: float, n: int, seed: int) -> np.ndarray:
-    batches = _batches(theta, n, seed, keep_weights=False)
-    out = np.empty(n)
-    for lo, hi, h2, _ in batches:
-        out[lo:hi] = h2
-    out.setflags(write=False)
-    return out
+_h2_cache: OrderedDict[tuple[float, int, int], np.ndarray] = OrderedDict()
+_h2_lock = threading.Lock()  # callers on several threads share the cache
 
 
 def h2_samples(theta: float, n: int, seed: int) -> np.ndarray:
     """n homozygosity draws under PD(theta), cached per (theta, n, seed);
-    the read-only array is shared between hits."""
-    return _h2_draws(float(theta), int(n), int(seed))
+    the read-only array is shared between hits.  The cache keeps the most
+    recently used arrays up to H2_CACHE_BYTES in all, and none larger."""
+    key = (float(theta), int(n), int(seed))
+    with _h2_lock:
+        out = _h2_cache.get(key)
+        if out is not None:
+            _h2_cache.move_to_end(key)
+            return out
+    batches = _batches(*key, keep_weights=False)
+    out = np.empty(key[1])
+    with closing(batches):
+        for lo, hi, h2, _ in batches:
+            out[lo:hi] = h2
+    out.setflags(write=False)
+    if out.nbytes <= H2_CACHE_BYTES:
+        with _h2_lock:
+            _h2_cache[key] = out
+            while sum(a.nbytes for a in _h2_cache.values()) > H2_CACHE_BYTES:
+                _h2_cache.popitem(last=False)
+    return out
 
 
 def _weighted_estimate(f: np.ndarray, w: np.ndarray) -> TiltedEstimate:
@@ -198,9 +248,10 @@ def _sorted_batch_estimate(
     batches = _batches(spec.theta, n, seed, keep_weights=True)
     f = np.empty(n)
     h2 = np.empty(n)
-    for lo, hi, bh2, weights in batches:
-        h2[lo:hi] = bh2
-        f[lo:hi] = batch_statistic(-np.sort(-weights, axis=1))
+    with closing(batches):  # a raising statistic still shuts the pool down
+        for lo, hi, bh2, weights in batches:
+            h2[lo:hi] = bh2
+            f[lo:hi] = batch_statistic(weights)
     w = np.exp(spec.sigma * h2)
     return _weighted_estimate(f, w)
 
@@ -216,7 +267,7 @@ def tilted_estimate(
     Proposal PD(theta), weight w = exp(sigma * H2) = theta^(lam * H2),
     bounded in [theta^lam, 1].  Statistics wrapped as H2Statistic use the
     vectorized H2 path; arbitrary Configuration statistics are evaluated
-    sample by sample.
+    sample by sample, on the positive sorted sticks as Python floats.
     """
     if n < 1000:
         raise DomainError(f"n must be >= 1000, got {n}")
@@ -227,9 +278,12 @@ def tilted_estimate(
         return _weighted_estimate(f, w)
 
     def per_draw(ordered: np.ndarray) -> np.ndarray:
+        # sorted descending, so each row's positive sticks lead it
+        counts = np.count_nonzero(ordered > 0.0, axis=1)
         out = np.empty(len(ordered))
-        for i, row in enumerate(ordered):
-            out[i] = statistic(Configuration(entries=tuple(row[row > 0.0]), validate=False))
+        for i, m in enumerate(counts):
+            entries = tuple(ordered[i, :m].tolist())
+            out[i] = statistic(Configuration(entries=entries, validate=False))
         return out
 
     return _sorted_batch_estimate(spec, n, seed, per_draw)

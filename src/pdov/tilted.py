@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
 from . import ldp
 from .coefficients import CoeffTable, cached_table, series_kmax
@@ -38,6 +38,7 @@ __all__ = [
 
 DEFAULT_RTOL = 1e-13
 MAX_ABS_T = 50.0
+MGF_RTOL = 1e-12  # largest relative rounding admitted in the MGF's alternating sum
 
 
 @dataclass(frozen=True)
@@ -46,6 +47,21 @@ class PhaseResult:
     u: int
     limit_homozygosity: Fraction
     limit_configuration: ldp.Configuration
+
+
+def _logsumexp(a) -> float:
+    """scipy.special.logsumexp of a 1-D real sequence with scipy 1.17's
+    arithmetic, bit for bit, without its per-call overhead: the maxima are
+    masked out, s = sum exp(a - max) / count, and the result is
+    log1p(s) + log(count) + max."""
+    a = np.asarray(a, dtype=float)
+    a_max = a.max(keepdims=True)
+    if not np.isfinite(a_max[0]):  # all -inf, or a +inf entry
+        return float(a_max[0])
+    is_max = a == a_max
+    count = np.count_nonzero(is_max, keepdims=True).astype(float)
+    s = np.sum(np.exp(np.where(is_max, -np.inf, a) - a_max), keepdims=True) / count
+    return float((np.log1p(s) + np.log(count) + a_max)[0])
 
 
 def exp_series(
@@ -68,7 +84,7 @@ def exp_series(
         return float(log_coeffs[0]) if start == 0 else -math.inf
     k = np.arange(start, start + log_coeffs.size, dtype=float)
     log_terms = log_coeffs + k * math.log(x) - gammaln(k + 1.0)
-    total = float(logsumexp(log_terms))
+    total = _logsumexp(log_terms)
     k_last = start + log_coeffs.size - 1
     if x >= k_last + 2:
         raise PrecisionError(
@@ -110,7 +126,7 @@ def _log_num_den(spec: SelectionSpec, n: int, table: CoeffTable) -> float:
     lf = _floor_lam(spec.lam)
     log_theta = math.log(spec.theta)
     parts = [l * log_theta + _log_series(table, l, spec.x, shift=n) for l in range(1, lf + 1)]
-    return float(logsumexp(parts))
+    return _logsumexp(parts)
 
 
 def _series_table(
@@ -202,6 +218,8 @@ def mgf(spec: SelectionSpec, t: float) -> float:
 
     The outer alternating sum runs in linear space with Kahan
     compensation; the inner S_n are log-space series of positive terms.
+    PrecisionError is raised when the sum cancels so far that its rounding,
+    bounded by sum |term| * 2^-52, exceeds MGF_RTOL of the result.
     """
     if abs(t) > MAX_ABS_T:
         raise DomainError(f"|t| must be <= {MAX_ABS_T}, got {t}")
@@ -211,12 +229,14 @@ def mgf(spec: SelectionSpec, t: float) -> float:
     logS = _log_moment_series(spec, n_max)
     acc = 1.0
     comp = 0.0
+    abs_sum = 1.0  # sum of |term|: the scale of the rounding left in acc
     log_term_n = 0.0  # log of |t|^n / n!
     converged = False
     for n in range(1, n_max + 1):
         log_term_n += math.log(abs(t)) - math.log(n)
         ratio = math.exp(logS[n] - logS[0])
         term = (-1.0 if (t > 0 and n % 2) else 1.0) * math.exp(log_term_n) * ratio
+        abs_sum += abs(term)
         y = term - comp
         s = acc + y
         comp = (s - acc) - y
@@ -227,6 +247,11 @@ def mgf(spec: SelectionSpec, t: float) -> float:
     if not converged:
         raise PrecisionError(
             f"outer MGF series did not converge within n={n_max} terms at t={t}"
+        )
+    if abs_sum * 2.0**-52 > MGF_RTOL * abs(acc):
+        raise PrecisionError(
+            f"outer MGF series cancels too far at t={t}: terms sum to {abs_sum:.3e} "
+            f"in absolute value against {acc:.3e}, so rounding exceeds {MGF_RTOL:g}"
         )
     return math.exp(t) * acc
 

@@ -146,6 +146,12 @@ def test_exit_precision(capsys):
     assert code == 2  # t cap is a domain check
 
 
+def test_mgf_cancelling_sum_exits_precision(capsys):
+    code, out, err = run(capsys, "mgf", "--lambda", "6", "--theta", "1e-2", "--t", "20")
+    assert code == 3
+    assert out == "" and "cancels" in err
+
+
 def test_strict_degenerate_exit(capsys):
     code, out, _ = run(
         capsys, "sample", "--lambda", "80", "--theta", "0.05", "--samples", "1000",

@@ -1,5 +1,9 @@
 """GEM sampling and self-normalized importance sampling under the tilt."""
 
+import threading
+from collections import OrderedDict
+from contextlib import closing
+
 import numpy as np
 import pytest
 
@@ -156,3 +160,88 @@ def test_domain_errors():
         mc.ball_probability(SelectionSpec(2.0, 0.5), k=0, delta=0.2, n=10**4, seed=1)
     with pytest.raises(DomainError):
         mc.homozygosity_histogram(SelectionSpec(2.0, 0.5), n=100, bins=5, seed=1)
+
+
+# -- concurrent batches: the same draws for any worker count -----------------
+
+POOL_N = 3 * mc._BATCH + 5
+
+
+def _serial_sorted_batches(theta, n, seed):
+    """Batch b drawn from stream(seed, b) one after another, sorted descending."""
+    for b, lo in enumerate(range(0, n, mc._BATCH)):
+        size = min(n, lo + mc._BATCH) - lo
+        h2, _, w = mc._gem_batch(theta, size, mc.DEFAULT_EPSILON, mc.stream(seed, b), True)
+        yield h2, -np.sort(-w, axis=1)
+
+
+def _pool_stat(config):
+    return config.entries[-1] * len(config.entries) + config.entries[0]
+
+
+@pytest.fixture(scope="module", params=[0.1, 1.0])
+def serial_reference(request):
+    theta = request.param
+    spec = SelectionSpec(2.0, theta)
+    h2_parts, balls, stats = [], [], []
+    for h2, ordered in _serial_sorted_batches(theta, POOL_N, seed=5):
+        h2_parts.append(h2)
+        cols = ordered.shape[1]
+        target = np.zeros(cols)
+        target[0] = 1.0  # the 1-uniform configuration
+        d = np.abs(ordered - target[None, :]) @ np.exp2(-np.arange(1, cols + 1, dtype=float))
+        balls.append((d < 0.2).astype(float))
+        stats.append([_pool_stat(ldp.Configuration(tuple(row[row > 0.0]), validate=False))
+                      for row in ordered])
+    h2 = np.concatenate(h2_parts)
+    w = np.exp(spec.sigma * h2)
+    ball = mc._weighted_estimate(np.concatenate(balls), w)
+    generic = mc._weighted_estimate(np.concatenate(stats), w)
+    return spec, h2, ball, generic
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_pool_draws_match_serial_reference(serial_reference, workers, monkeypatch):
+    spec, h2, ball, generic = serial_reference
+    monkeypatch.setattr(mc, "_WORKERS", workers)
+    monkeypatch.setattr(mc, "_h2_cache", OrderedDict())  # draw afresh, not from the cache
+    assert np.array_equal(mc.h2_samples(spec.theta, POOL_N, seed=5), h2)
+    assert mc.ball_probability(spec, k=1, delta=0.2, n=POOL_N, seed=5) == ball
+    assert mc.tilted_estimate(spec, _pool_stat, n=POOL_N, seed=5) == generic
+    with closing(mc._batches(spec.theta, POOL_N, 5, keep_weights=False)) as batches:
+        assert [lo for lo, *_ in batches] == list(range(0, POOL_N, mc._BATCH))  # in order
+
+
+def test_raising_statistic_propagates_and_stops_the_pool(monkeypatch):
+    monkeypatch.setattr(mc, "_WORKERS", 2)
+    calls = []
+
+    def stat(config):
+        calls.append(1)
+        if len(calls) > mc._BATCH + 100:  # inside the second batch
+            raise RuntimeError("statistic failed")
+        return config.entries[0]
+
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="statistic failed") as caught:
+        mc.tilted_estimate(SelectionSpec(6.0, 0.3), stat, n=POOL_N, seed=3)
+    assert threading.active_count() == before  # while the traceback is still held
+    del caught
+    mc.h2_samples(0.3, 2 * mc._BATCH + 1, seed=3)  # and after an estimate that returns
+    assert threading.active_count() == before
+
+
+def test_h2_cache_bounded_by_bytes(monkeypatch):
+    monkeypatch.setattr(mc, "_h2_cache", OrderedDict())
+    monkeypatch.setattr(mc, "H2_CACHE_BYTES", 2 * 8 * 1000)  # two arrays of 1000 draws
+    a = mc.h2_samples(0.5, 1000, seed=1)
+    b = mc.h2_samples(0.5, 1000, seed=2)
+    assert mc.h2_samples(0.5, 1000, seed=1) is a  # hit; seed 1 is now the most recent
+    mc.h2_samples(0.5, 1000, seed=3)  # evicts seed 2, the least recently used
+    assert mc.h2_samples(0.5, 1000, seed=1) is a
+    b2 = mc.h2_samples(0.5, 1000, seed=2)
+    assert b2 is not b and np.array_equal(b2, b)
+    big = mc.h2_samples(0.5, 2001, seed=1)  # larger than the whole bound: returned, not kept
+    again = mc.h2_samples(0.5, 2001, seed=1)
+    assert again is not big and np.array_equal(again, big)
+    assert sum(x.nbytes for x in mc._h2_cache.values()) <= mc.H2_CACHE_BYTES

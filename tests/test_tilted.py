@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from pdov import coefficients as coefs
 from pdov import tilted
@@ -146,6 +147,33 @@ def test_mgf_normalization_and_trend():
 def test_mgf_negative_argument():
     spec = SelectionSpec(6.0, 1e-3)
     assert 0.0 < tilted.mgf(spec, -2.0) < 1.0
+
+
+def test_mgf_raises_where_the_alternating_sum_cancels():
+    # at t = 20 the outer terms reach ~2e5 against a sum near 2e-4: ~1e-7
+    # relative rounding (the 40-digit oracle differs by 1.5e-7)
+    spec = SelectionSpec(6.0, 1e-2)
+    with pytest.raises(PrecisionError, match="cancels"):
+        tilted.mgf(spec, 20.0)
+    assert tilted.mgf(spec, 5.0) > 1.0
+
+
+def test_logsumexp_matches_scipy_bit_for_bit():
+    rng = np.random.default_rng(20)
+    cases = [np.array([-np.inf]), np.array([-np.inf, -np.inf]), np.array([3.0]),
+             np.array([1.0, 1.0]), np.array([0.0, -np.inf, 0.0, -1e300])]
+    for i in range(3000):
+        a = rng.normal(0.0, 10.0 ** rng.uniform(-3, 3), int(rng.integers(1, 800)))
+        if i % 4 == 1:
+            a[rng.random(a.size) < 0.3] = -np.inf
+        elif i % 4 == 2:
+            a[rng.integers(0, a.size, 3)] = a.max()  # tied maxima
+        elif i % 4 == 3:
+            a = np.round(a)  # many ties
+        cases.append(a)
+    for a in cases:
+        got, want = tilted._logsumexp(a), float(logsumexp(a))
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), a
 
 
 def test_mgf_rejects_huge_t():
