@@ -40,7 +40,7 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors; the documented usage exit code is 1
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
 def _fmt(v) -> str:
@@ -101,7 +101,15 @@ def _emit_obj(args, obj: dict) -> None:
 
 
 def _floats(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok]
+    values = [float(tok) for tok in text.split(",") if tok]
+    if not values:
+        raise ValueError("empty list")
+    return values
+
+
+def _ball(text: str) -> tuple[int, float]:
+    k_text, delta_text = text.split(",")
+    return int(k_text), float(delta_text)
 
 
 # -- commands -----------------------------------------------------------------
@@ -137,7 +145,7 @@ def cmd_moments(args) -> int:
 
 def cmd_kn(args) -> int:
     rows = []
-    for theta in _floats(args.theta):
+    for theta in args.theta:
         spec = SelectionSpec(lam=args.lam, theta=theta)
         rows.append([theta, tilted.k_ratio(spec, args.n, args.limit_coeffs)])
     _emit_rows(args, ["theta", "K"], rows)
@@ -146,7 +154,7 @@ def cmd_kn(args) -> int:
 
 def cmd_mgf(args) -> int:
     spec = SelectionSpec(lam=args.lam, theta=args.theta)
-    rows = [[t, tilted.mgf(spec, t)] for t in _floats(args.t)]
+    rows = [[t, tilted.mgf(spec, t)] for t in args.t]
     _emit_rows(args, ["t", "mgf"], rows)
     return EXIT_OK
 
@@ -179,7 +187,7 @@ def cmd_rate(args) -> int:
     if args.uniform is not None:
         config = ldp.uniform_config(args.uniform)
     else:
-        config = ldp.Configuration(entries=tuple(sorted(_floats(args.config), reverse=True)))
+        config = ldp.Configuration(entries=tuple(sorted(args.config, reverse=True)))
     _emit_obj(
         args,
         {
@@ -200,8 +208,7 @@ def cmd_sample(args) -> int:
         _emit_rows(args, ["bin_lo", "bin_hi", "mass"], rows)
         return EXIT_OK
     if args.ball:
-        k_text, delta_text = args.ball.split(",")
-        est = mc.ball_probability(spec, int(k_text), float(delta_text), args.samples, args.seed)
+        est = mc.ball_probability(spec, *args.ball, args.samples, args.seed)
     else:
         est = mc.tilted_estimate(spec, mc.H2Statistic(lambda h2: h2), args.samples, args.seed)
     payload = {
@@ -268,14 +275,14 @@ def build_parser() -> _Parser:
     p = sub.add_parser("kn", help="series ratio K_n over a theta list")
     p.add_argument("--lambda", type=float, required=True, dest="lam")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--theta", required=True, help="comma-separated theta values")
+    p.add_argument("--theta", type=_floats, required=True, help="comma-separated theta values")
     p.add_argument("--limit-coeffs", action="store_true", dest="limit_coeffs")
     p.set_defaults(func=cmd_kn)
 
     p = sub.add_parser("mgf", help="tilted homozygosity MGF")
     p.add_argument("--lambda", type=float, required=True, dest="lam")
     p.add_argument("--theta", type=float, required=True)
-    p.add_argument("--t", required=True, help="comma-separated t values")
+    p.add_argument("--t", type=_floats, required=True, help="comma-separated t values")
     p.set_defaults(func=cmd_mgf)
 
     p = sub.add_parser("phase", help="phase diagram sweep")
@@ -291,7 +298,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("rate", help="rate-function evaluation")
     p.add_argument("--lambda", type=float, required=True, dest="lam")
-    p.add_argument("--config", default=None, help="comma-separated entries")
+    p.add_argument("--config", type=_floats, default=None, help="comma-separated entries")
     p.add_argument("--uniform", type=int, default=None, help="k-uniform configuration")
     p.set_defaults(func=cmd_rate)
 
@@ -300,7 +307,7 @@ def build_parser() -> _Parser:
     p.add_argument("--theta", type=float, required=True)
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--hist-bins", type=int, default=0, dest="hist_bins")
-    p.add_argument("--ball", default=None, help="K,DELTA ball probability")
+    p.add_argument("--ball", type=_ball, default=None, help="K,DELTA ball probability")
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("verify", help="bound-by-bound property suites")

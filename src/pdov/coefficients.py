@@ -1,18 +1,19 @@
 """Triangular coefficient tables for the heterozygosity moment expansion.
 
 The table holds the coefficients of m_k = sum_l A(k,l) theta^l, built by
-the triangular recursion
+the one triangular recursion
 
-    A(k,1) = 2^{k-1} (k-1)! / ((2k-1+theta) ... (k+theta))
-    A(k,p) = sum_{l=p-1}^{k-1} w(k,l) A(l,p-1),     p >= 2
+    A(k,p) = sum_{l<k} w(k,l) A(l,p-1),     p >= 1,  A(l,0) = [l = 0],
 
 with w(k,l) = ((2k+theta)/2k) * 2^k k! Gamma(k+l+theta)
-              / (2^l l! Gamma(2k+1+theta)).
+              / (2^l l! Gamma(2k+1+theta)).  Its first column is the single
+term A(k,1) = w(k,0) = 2^{k-1} (k-1)! Gamma(k+theta) / Gamma(2k+theta).
 
 theta = 0 gives the limit table (the recursion specializes verbatim).
 All entries are kept in log scale; gamma ratios are differences of
 log-gamma, never ratios of raw gamma values, since Gamma(2k+1) overflows
-doubles near k = 85.
+doubles near k = 85.  Every log-space sum in pdov goes through
+log_sum_exp.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
 from .errors import DomainError
 
@@ -32,8 +33,8 @@ __all__ = [
     "CoeffTable",
     "build_coeff_table",
     "build_limit_table",
-    "log_a1",
     "log_w",
+    "log_sum_exp",
     "log_b_term",
     "c_constant",
     "log_asymptotic_A",
@@ -78,15 +79,6 @@ class CoeffTable:
         return self.theta == 0.0
 
 
-def log_a1(k, theta: float):
-    """log A(k,1)(theta) = log of 2^{k-1} (k-1)! Gamma(k+theta) / Gamma(2k+theta).
-
-    k may be a scalar or an array; both take the same gammaln path, so the
-    table's first column and the moment recursion agree bit for bit.
-    """
-    return (k - 1.0) * _LN2 + gammaln(k) + gammaln(k + theta) - gammaln(2.0 * k + theta)
-
-
 def log_w(k, l, theta: float):
     """log w(k,l) = log of ((2k+theta)/2k) 2^k k! Gamma(k+l+theta)
     / (2^l l! Gamma(2k+1+theta)), the weight of both the table recursion
@@ -102,14 +94,22 @@ def log_w(k, l, theta: float):
     )
 
 
+def log_sum_exp(a: np.ndarray, axis=None):
+    """log of sum(exp(a)) along axis (all of a by default), shifted by the
+    maximum, which must be finite: every caller sums at least one finite
+    term and no +inf or NaN."""
+    peak = a.max(axis=axis, keepdims=True)
+    return peak.squeeze(axis) + np.log(np.exp(a - peak).sum(axis=axis))
+
+
 def build_coeff_table(theta: float, kmax: int, cols: int | None = None) -> CoeffTable:
     """Build the table of A(k,l)(theta) up to kmax, columns l = 1..cols
     (all kmax columns by default).
 
-    theta = 0 yields the limit coefficients.  Each row comes from the rows
-    below it, its columns 2..min(k, cols) in one max-shifted exp-sum over
-    l < k, at a cost of ~kmax^2 cols / 2 terms (kmax^2 cols > MAX_TABLE_WORK
-    is refused up front).  Entry (k,p) is a sum of length k-1 over column
+    theta = 0 yields the limit coefficients.  Column 1 is w(k,0); each row
+    comes from the rows below it, its columns 2..min(k, cols) in one
+    log_sum_exp over l < k, at a cost of ~kmax^2 cols / 2 terms (kmax^2
+    cols > MAX_TABLE_WORK is refused up front).  Entry (k,p) is a sum of length k-1 over column
     p-1 whatever cols is, so a truncated build is bit-identical to the full
     one's columns."""
     if kmax < 1:
@@ -124,12 +124,11 @@ def build_coeff_table(theta: float, kmax: int, cols: int | None = None) -> Coeff
 
     k = np.arange(1, kmax + 1, dtype=float)
     by_col = np.full((cols + 1, kmax + 1), -np.inf)  # by_col[l, k] = log A(k,l)
-    by_col[1, 1:] = log_a1(k, theta)
+    by_col[1, 1:] = log_w(k, 0.0, theta)  # A(k,1) = w(k,0) A(0,0)
     for j in range(2, kmax + 1) if cols > 1 else ():
         # row p-1 holds w(j,l) A(l,p-1), l < j; its -inf at l < p-1 adds 0
         terms = log_w(j, k[: j - 1], theta) + by_col[1 : min(j, cols), 1:j]
-        peak = terms.max(axis=1)
-        by_col[2 : min(j, cols) + 1, j] = peak + np.log(np.exp(terms - peak[:, None]).sum(axis=1))
+        by_col[2 : min(j, cols) + 1, j] = log_sum_exp(terms, axis=1)
     by_col.setflags(write=False)
     return CoeffTable(theta=float(theta), kmax=kmax, log_entries=by_col.T)
 
@@ -220,7 +219,7 @@ def log_c_combined(k: int, l: int, lam: float, table: CoeffTable | None = None) 
     log_ratio = s * math.log((lam - l) / lam)
     ks = (k - s).astype(int)
     log_a = table.log_entries[ks, l]
-    return float(logsumexp(log_binom + log_ratio + log_a))
+    return float(log_sum_exp(log_binom + log_ratio + log_a))
 
 
 def log_asymptotic_C(k: int, l: int, lam: float) -> float:

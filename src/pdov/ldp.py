@@ -47,7 +47,7 @@ class Configuration:
     def __post_init__(self):
         if self.validate:
             e = self.entries
-            if any(v < 0.0 for v in e):
+            if any(not v >= 0.0 for v in e):  # NaN fails too
                 raise DomainError("configuration entries must be nonnegative")
             if any(e[i] < e[i + 1] for i in range(len(e) - 1)):
                 raise DomainError("configuration entries must be descending")

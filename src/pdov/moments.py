@@ -1,10 +1,13 @@
 """Heterozygosity moments m_k = E(1-H2)^k under PD(theta).
 
-Three routes: the coefficient-table expansion, the moment recursion (the
-same expansion summed over its columns, sharing w(k,l) and A(k,1) with the
-table but no arithmetic past them), and a Monte Carlo oracle over GEM
-draws.  The beta_factor is the Beta(1,theta) integral kernel the recursion
-is built from.
+Three routes: the coefficient-table expansion, the moment recursion
+
+    m_j = theta sum_{l<j} w(j,l) m_l,     m_0 = 1
+
+(the table's recursion summed over its columns, sharing w(k,l) and
+log_sum_exp with the table but no arithmetic past them), and a Monte
+Carlo oracle over GEM draws.  The beta_factor is the Beta(1,theta)
+integral kernel the recursion is built from.
 """
 
 from __future__ import annotations
@@ -14,10 +17,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
 from . import mc
-from .coefficients import CoeffTable, log_a1, log_w
+from .coefficients import CoeffTable, log_sum_exp, log_w
 from .errors import DomainError
 
 __all__ = [
@@ -61,7 +64,7 @@ def log_moments_from_table(table: CoeffTable, kmax: int) -> np.ndarray:
     logm[0] = 0.0
     l = np.arange(1, table.kmax + 1, dtype=float)
     weighted = table.log_entries[1 : kmax + 1, 1:] + l[None, :] * log_theta
-    logm[1:] = logsumexp(weighted, axis=1)
+    logm[1:] = log_sum_exp(weighted, axis=1)
     return logm
 
 
@@ -80,9 +83,9 @@ def _log_moment_memo(theta: float) -> list[np.ndarray]:
 def log_moments(theta: float, k: int) -> np.ndarray:
     """log m_j for j = 0..k (m_0 = 1, k >= 1) by the moment recursion
 
-        m_j = theta (sum_{l<j} w(j,l) m_l + A(j,1)),
+        m_j = theta sum_{l<j} w(j,l) m_l,
 
-    one max-shifted exp-sum per row, O(k^2) in all, memoized per theta (the
+    one log_sum_exp per row, O(k^2) in all, memoized per theta (the
     16 most recent); more than MAX_MOMENTS moments are refused up front.
     """
     if not (0.0 < theta <= 1.0):
@@ -93,10 +96,9 @@ def log_moments(theta: float, k: int) -> np.ndarray:
     memo = _log_moment_memo(theta)
     if len(memo[0]) <= k:
         logm = np.concatenate([memo[0], np.empty(k + 1 - len(memo[0]))])
+        l = np.arange(float(k))
         for j in range(len(memo[0]), k + 1):
-            terms = np.append(log_w(j, np.arange(1.0, j), theta) + logm[1:j], log_a1(j, theta))
-            peak = terms.max()
-            logm[j] = math.log(theta) + peak + math.log(np.exp(terms - peak).sum())
+            logm[j] = math.log(theta) + log_sum_exp(log_w(j, l[:j], theta) + logm[:j])
         logm.setflags(write=False)
         memo[0] = logm
     return memo[0][: k + 1]

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from . import ldp
-from .coefficients import CoeffTable, cached_table, series_kmax
+from .coefficients import CoeffTable, cached_table, log_sum_exp, series_kmax
 from .errors import DomainError, PrecisionError
 from .model import SelectionSpec
 from .moments import log_moments, log_moments_from_table  # noqa: F401  (perfbench wraps the latter)
@@ -49,21 +49,6 @@ class PhaseResult:
     limit_configuration: ldp.Configuration
 
 
-def _logsumexp(a) -> float:
-    """scipy.special.logsumexp of a 1-D real sequence with scipy 1.17's
-    arithmetic, bit for bit, without its per-call overhead: the maxima are
-    masked out, s = sum exp(a - max) / count, and the result is
-    log1p(s) + log(count) + max."""
-    a = np.asarray(a, dtype=float)
-    a_max = a.max(keepdims=True)
-    if not np.isfinite(a_max[0]):  # all -inf, or a +inf entry
-        return float(a_max[0])
-    is_max = a == a_max
-    count = np.count_nonzero(is_max, keepdims=True).astype(float)
-    s = np.sum(np.exp(np.where(is_max, -np.inf, a) - a_max), keepdims=True) / count
-    return float((np.log1p(s) + np.log(count) + a_max)[0])
-
-
 def exp_series(
     x: float, log_coeffs: np.ndarray, start: int = 0, *, log_coeff_cap: float
 ) -> float:
@@ -73,18 +58,19 @@ def exp_series(
     Every a_k past the supplied ones is assumed <= exp(log_coeff_cap), so the
     truncated tail is bounded geometrically (terms past the Poisson mode
     shrink by x/(k+1) < 1); if the bound exceeds DEFAULT_RTOL times the
-    sum, PrecisionError is raised rather than silently truncating.
+    sum, PrecisionError is raised rather than silently truncating.  The
+    coefficients must hold no NaN or +inf and at least one finite log a_k.
     """
-    if x < 0.0:
-        raise DomainError(f"x must be >= 0, got {x}")
+    if not 0.0 <= x < math.inf:
+        raise DomainError(f"x must be finite and >= 0, got {x}")
     log_coeffs = np.asarray(log_coeffs, dtype=float)
-    if log_coeffs.size == 0:
-        raise DomainError("empty coefficient sequence")
+    if log_coeffs.size == 0 or not np.isfinite(log_coeffs.max()):
+        raise DomainError("coefficients must be non-empty, free of NaN and +inf, and not all 0")
     if x == 0.0:
         return float(log_coeffs[0]) if start == 0 else -math.inf
     k = np.arange(start, start + log_coeffs.size, dtype=float)
     log_terms = log_coeffs + k * math.log(x) - gammaln(k + 1.0)
-    total = _logsumexp(log_terms)
+    total = float(log_sum_exp(log_terms))
     k_last = start + log_coeffs.size - 1
     if x >= k_last + 2:
         raise PrecisionError(
@@ -97,7 +83,7 @@ def exp_series(
         - gammaln(k_last + 2.0)
         - math.log1p(-x / (k_last + 2.0))
     )
-    if log_tail > math.log(DEFAULT_RTOL) + total:
+    if not log_tail <= math.log(DEFAULT_RTOL) + total:
         raise PrecisionError(
             f"series tail bound {log_tail:.3f} (log) above tolerance at "
             f"k={k_last}, x={x}"
@@ -124,9 +110,11 @@ def _floor_lam(lam: float) -> int:
 def _log_num_den(spec: SelectionSpec, n: int, table: CoeffTable) -> float:
     """log of sum_{l=1}^{[lam]} theta^l sum_k (x^k/k!) A(k+n, l)."""
     lf = _floor_lam(spec.lam)
+    if spec.x == 0.0:  # every inner series starts at x^l, l >= 1
+        raise DomainError("the series vanish at theta = 1 (x = 0): K_n is 0/0 there")
     log_theta = math.log(spec.theta)
     parts = [l * log_theta + _log_series(table, l, spec.x, shift=n) for l in range(1, lf + 1)]
-    return _logsumexp(parts)
+    return float(log_sum_exp(np.array(parts)))
 
 
 def _series_table(
@@ -221,7 +209,7 @@ def mgf(spec: SelectionSpec, t: float) -> float:
     PrecisionError is raised when the sum cancels so far that its rounding,
     bounded by sum |term| * 2^-52, exceeds MGF_RTOL of the result.
     """
-    if abs(t) > MAX_ABS_T:
+    if not abs(t) <= MAX_ABS_T:
         raise DomainError(f"|t| must be <= {MAX_ABS_T}, got {t}")
     if t == 0.0:
         return 1.0

@@ -133,10 +133,34 @@ def test_exit_usage(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sample", "--lambda", "2", "--theta", "0.1", "--samples", "1000", "--ball", "1"),
+        ("sample", "--lambda", "2", "--theta", "0.1", "--samples", "1000", "--ball", "1,x"),
+        ("kn", "--lambda", "6", "--n", "1", "--theta", "abc"),
+        ("kn", "--lambda", "6", "--n", "1", "--theta", ","),
+        ("mgf", "--lambda", "6", "--theta", "0.1", "--t", ","),
+        ("rate", "--lambda", "6", "--config", ""),
+    ],
+    ids=["ball-one-field", "ball-text", "theta-text", "theta-empty", "t-empty", "config-empty"],
+)
+def test_malformed_values_exit_usage(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == "" and "error: argument" in err and "Traceback" not in err
+
+
 def test_exit_domain(capsys):
-    code, _, err = run(capsys, "moments", "--theta", "1.5", "--kmax", "2")
-    assert code == 2
-    assert "domain error" in err
+    for argv in (
+        ("moments", "--theta", "1.5", "--kmax", "2"),
+        ("mgf", "--lambda", "6", "--theta", "0.1", "--t", "nan"),
+        ("rate", "--lambda", "6", "--config", "nan,0.5"),
+        ("kn", "--lambda", "6", "--n", "1", "--theta", "1"),  # K_n is 0/0 at x = 0
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == "" and "domain error" in err
 
 
 def test_exit_precision(capsys):

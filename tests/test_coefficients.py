@@ -28,6 +28,35 @@ def test_first_column_closed_form():
             assert math.exp(table.log_entry(k, 1)) == pytest.approx(
                 closed_form_A1(k, theta), rel=1e-12
             )
+            # the first column is the l = 0 term of the recursion: A(k,1) = w(k,0)
+            assert math.exp(coefs.log_w(k, 0, theta)) == pytest.approx(
+                closed_form_A1(k, theta), rel=1e-12
+            )
+
+
+def test_log_sum_exp_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(20)
+    rows = [np.array([3.0]), np.array([1.0, 1.0]), np.array([0.0, -np.inf, 0.0, -1e300])]
+    for i in range(600):
+        a = rng.normal(0.0, 10.0 ** rng.uniform(-3, 3), int(rng.integers(1, 400)))
+        if i % 4 == 1:
+            a[rng.random(a.size) < 0.3] = -np.inf
+            a[rng.integers(0, a.size)] = 0.5  # keeps one term finite
+        elif i % 4 == 2:
+            a[rng.integers(0, a.size, 3)] = a.max()  # tied maxima
+        elif i % 4 == 3:
+            a = np.round(a)  # many ties
+        rows.append(a)
+    with mpmath.workdps(30):
+        for a in rows:
+            want = mpmath.log(mpmath.fsum(mpmath.exp(mpmath.mpf(v)) for v in a if v > -np.inf))
+            got = coefs.log_sum_exp(a)
+            assert abs(got - want) <= 1e-15 * max(1.0, abs(got)), a
+    # along an axis, each row as on its own
+    matrix = np.vstack([np.resize(a, 50) for a in rows[3:]])
+    assert np.array_equal(coefs.log_sum_exp(matrix, axis=1), [coefs.log_sum_exp(r) for r in matrix])
+    assert np.array_equal(coefs.log_sum_exp(matrix.T, axis=0), coefs.log_sum_exp(matrix, axis=1))
 
 
 def test_small_theta_one_values():

@@ -148,3 +148,5 @@ def test_configuration_validation():
         cfg(-0.1, 0.5)
     with pytest.raises(DomainError):
         cfg(0.3, 0.5)  # not sorted descending
+    with pytest.raises(DomainError):
+        cfg(math.nan, 0.5)

@@ -31,7 +31,8 @@ log w(k,l), up to ~1e3 each and mostly cancelling, put ~1.4e-12 into A at
 theta = 0.
 
 The moments m_k = E(1-H2)^k come from the recursion in the
-`pdov.moments.log_moments` docstring, m_j = theta (sum_{l<j} w(j,l) m_l + A(j,1)), m_0 = 1, the table
+`pdov.moments.log_moments` docstring, m_j = theta sum_{l<j} w(j,l) m_l,
+m_0 = 1 (the oracle writes its l = 0 term as A(j,1) = w(j,0)), the table
 expansion m_k = sum_l theta^l A(k,l) summed over its columns.  Both of
 pdov's moment routes (table and recursion) and the tilted MGF
 
