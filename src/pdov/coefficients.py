@@ -19,7 +19,6 @@ log_sum_exp.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -112,11 +111,17 @@ def build_coeff_table(theta: float, kmax: int, cols: int | None = None) -> Coeff
     cols > MAX_TABLE_WORK is refused up front).  Entry (k,p) is a sum of length k-1 over column
     p-1 whatever cols is, so a truncated build is bit-identical to the full
     one's columns."""
+    return _extend(None, theta, kmax, kmax if cols is None else cols)
+
+
+def _extend(held: CoeffTable | None, theta: float, kmax: int, cols: int) -> CoeffTable:
+    """The table to kmax, columns 1..cols, whose rows up to held.kmax are
+    copied from held (held.cols == min(held.kmax, cols)) and the rows above
+    come from the rows below them: bit-identical to a fresh build."""
     if kmax < 1:
         raise DomainError(f"kmax must be >= 1, got {kmax}")
     if not (0.0 <= theta <= 1.0):
         raise DomainError(f"theta must lie in [0, 1], got {theta}")
-    cols = kmax if cols is None else cols
     if not (1 <= cols <= kmax):
         raise DomainError(f"cols must lie in 1..kmax={kmax}, got {cols}")
     if (work := kmax**2 * cols) > MAX_TABLE_WORK:
@@ -124,8 +129,12 @@ def build_coeff_table(theta: float, kmax: int, cols: int | None = None) -> Coeff
 
     k = np.arange(1, kmax + 1, dtype=float)
     by_col = np.full((cols + 1, kmax + 1), -np.inf)  # by_col[l, k] = log A(k,l)
-    by_col[1, 1:] = log_w(k, 0.0, theta)  # A(k,1) = w(k,0) A(0,0)
-    for j in range(2, kmax + 1) if cols > 1 else ():
+    low = 1
+    if held is not None:
+        low = held.kmax + 1
+        by_col[: held.cols + 1, :low] = held.log_entries.T
+    by_col[1, low:] = log_w(k[low - 1 :], 0.0, theta)  # A(k,1) = w(k,0) A(0,0)
+    for j in range(max(low, 2), kmax + 1) if cols > 1 else ():
         # row p-1 holds w(j,l) A(l,p-1), l < j; its -inf at l < p-1 adds 0
         terms = log_w(j, k[: j - 1], theta) + by_col[1 : min(j, cols), 1:j]
         by_col[2 : min(j, cols) + 1, j] = log_sum_exp(terms, axis=1)
@@ -181,22 +190,30 @@ def series_kmax(x: float) -> int:
     return int(math.ceil(2.3 * x + 14.0 * math.sqrt(max(x, 0.0)) + 60.0))
 
 
-def _bucket(kmax: int) -> int:
-    # round up so nearby requests share one cached build
-    return ((kmax + 63) // 64) * 64
-
-
 @lru_cache(maxsize=16)
-def _cached_table(theta: float, kmax_bucket: int, cols: int) -> CoeffTable:
-    return build_coeff_table(theta, kmax_bucket, cols)
+def _table_slot(theta: float, cols: int | None) -> list[CoeffTable | None]:
+    """One slot: the table held for (theta, cols), replaced when grown."""
+    return [None]
 
 
 def cached_table(theta: float, kmax: int, cols: int | None = None) -> CoeffTable:
-    """Memoized table build (kmax rounded up to a shared bucket), columns
-    1..cols capped at the bucket (all of them by default)."""
-    bucket = _bucket(kmax)
-    cols = bucket if cols is None else min(int(cols), bucket)
-    return _cached_table(float(theta), bucket, cols)
+    """The table held for (theta, cols), grown by rows to at least kmax,
+    with columns 1..min(cols, kmax) (all of them by default).
+
+    One table per (theta, cols) is held, for the 16 most recent pairs; a
+    request past its kmax extends it by rows, each from the rows below it
+    (bit-identical to a fresh build), and a smaller request is served the
+    held table as it is.
+    """
+    slot = _table_slot(float(theta), None if cols is None else int(cols))
+    held = slot[0]
+    if held is None or held.kmax < kmax:
+        width = kmax if cols is None else min(int(cols), kmax)
+        if held is None:
+            slot[0] = build_coeff_table(theta, kmax, width)
+        else:
+            slot[0] = _extend(held, theta, kmax, width)
+    return slot[0]
 
 
 def log_c_combined(k: int, l: int, lam: float, table: CoeffTable | None = None) -> float:

@@ -114,8 +114,8 @@ def inf_term(lam: float) -> tuple[float, frozenset]:
     Ties (the critical lam = k(k+1)) are detected exactly: lam is taken
     at its binary-float value and compared in rational arithmetic.
     """
-    if not lam > 0.0:
-        raise DomainError(f"lam must be > 0, got {lam}")
+    if not 0.0 < lam < math.inf:
+        raise DomainError(f"lam must be finite and > 0, got {lam}")
     best, argmin = _inf_exact(float(lam))
     return float(best), argmin
 
@@ -127,8 +127,8 @@ def s_rate(x: Configuration, lam: float) -> float | Fraction:
     at its exact binary-float value) and return a Fraction, so the two-zero
     structure at critical lam is exact; +inf off the simplex.
     """
-    if not lam > 0.0:
-        raise DomainError(f"lam must be > 0, got {lam}")
+    if not 0.0 < lam < math.inf:
+        raise DomainError(f"lam must be finite and > 0, got {lam}")
     if x.uniform_k is not None:
         k = x.uniform_k
         return (k - 1) + Fraction(lam) * Fraction(1, k) - _inf_exact(float(lam))[0]

@@ -213,6 +213,17 @@ def h2_samples(theta: float, n: int, seed: int) -> np.ndarray:
     return out
 
 
+def _weights(spec: SelectionSpec, h2: np.ndarray) -> np.ndarray:
+    """Importance weights exp(sigma * H2) of the draws, refused when every
+    one underflows to 0 (no estimate can be normalized by them)."""
+    w = np.exp(spec.sigma * h2)
+    if not np.sum(w) > 0.0:
+        raise DomainError(
+            f"every importance weight exp(sigma H2) underflows to 0 at sigma={spec.sigma:.6g}"
+        )
+    return w
+
+
 def _weighted_estimate(f: np.ndarray, w: np.ndarray) -> TiltedEstimate:
     n = len(f)
     wsum = float(np.sum(w))
@@ -252,8 +263,7 @@ def _sorted_batch_estimate(
         for lo, hi, bh2, weights in batches:
             h2[lo:hi] = bh2
             f[lo:hi] = batch_statistic(weights)
-    w = np.exp(spec.sigma * h2)
-    return _weighted_estimate(f, w)
+    return _weighted_estimate(f, _weights(spec, h2))
 
 
 def tilted_estimate(
@@ -274,8 +284,7 @@ def tilted_estimate(
     if isinstance(statistic, H2Statistic):
         h2 = h2_samples(spec.theta, n, seed)
         f = np.asarray(statistic.fn(h2), dtype=float)
-        w = np.exp(spec.sigma * h2)
-        return _weighted_estimate(f, w)
+        return _weighted_estimate(f, _weights(spec, h2))
 
     def per_draw(ordered: np.ndarray) -> np.ndarray:
         # sorted descending, so each row's positive sticks lead it
@@ -301,7 +310,7 @@ def homozygosity_histogram(
     if bins < 1:
         raise DomainError(f"bins must be >= 1, got {bins}")
     h2 = h2_samples(spec.theta, n, seed)
-    w = np.exp(spec.sigma * h2)
+    w = _weights(spec, h2)
     masses, edges = np.histogram(h2, bins=bins, range=(0.0, 1.0), weights=w)
     masses = masses / np.sum(w)
     return edges, masses

@@ -22,8 +22,8 @@ class SelectionSpec:
     theta: float
 
     def __post_init__(self):
-        if not self.lam > 0.0:
-            raise DomainError(f"lam must be > 0, got {self.lam}")
+        if not 0.0 < self.lam < math.inf:
+            raise DomainError(f"lam must be finite and > 0, got {self.lam}")
         if not (0.0 < self.theta <= 1.0):
             raise DomainError(f"theta must lie in (0, 1], got {self.theta}")
 

@@ -10,15 +10,17 @@ over n) is summed in linear space with Kahan compensation.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import gammaln
 
 from . import ldp
-from .coefficients import CoeffTable, cached_table, log_sum_exp, series_kmax
+from .coefficients import CoeffTable, cached_table, log_sum_exp
 from .errors import DomainError, PrecisionError
 from .model import SelectionSpec
 from .moments import log_moments, log_moments_from_table  # noqa: F401  (perfbench wraps the latter)
@@ -53,51 +55,124 @@ def exp_series(
     x: float, log_coeffs: np.ndarray, start: int = 0, *, log_coeff_cap: float
 ) -> float:
     """log of sum_{k>=start} a_k x^k / k! over the supplied coefficients
-    (log a_k, indexed from `start`).
+    (log a_k, indexed from `start`), cut where its tail is certified.
 
-    Every a_k past the supplied ones is assumed <= exp(log_coeff_cap), so the
-    truncated tail is bounded geometrically (terms past the Poisson mode
-    shrink by x/(k+1) < 1); if the bound exceeds DEFAULT_RTOL times the
-    sum, PrecisionError is raised rather than silently truncating.  The
-    coefficients must hold no NaN or +inf and at least one finite log a_k.
+    Past the Poisson mode (k + 2 > x) the terms after k shrink by at most
+    x/(k+2) each, so they sum to at most cap x^{k+1}/(k+1)! / (1 - x/(k+2)),
+    where cap bounds every dropped a_j: the largest supplied a_j past k, and
+    exp(log_coeff_cap), which must bound every a_j past the supplied ones.
+    The sum stops at the first such k whose bound is within DEFAULT_RTOL of
+    the largest term up to k, so it depends on a_start..a_k alone, not on
+    how many coefficients are supplied.  If the bound at the last supplied
+    k is not within DEFAULT_RTOL, PrecisionError is raised rather than
+    silently truncating.  The coefficients must hold no NaN or +inf and at
+    least one finite log a_k.
     """
     if not 0.0 <= x < math.inf:
         raise DomainError(f"x must be finite and >= 0, got {x}")
     log_coeffs = np.asarray(log_coeffs, dtype=float)
-    if log_coeffs.size == 0 or not np.isfinite(log_coeffs.max()):
+    if log_coeffs.size == 0 or not np.isfinite(top := log_coeffs.max()):
         raise DomainError("coefficients must be non-empty, free of NaN and +inf, and not all 0")
     if x == 0.0:
         return float(log_coeffs[0]) if start == 0 else -math.inf
-    k = np.arange(start, start + log_coeffs.size, dtype=float)
-    log_terms = log_coeffs + k * math.log(x) - gammaln(k + 1.0)
-    total = float(log_sum_exp(log_terms))
+    log_terms = _log_terms(x, log_coeffs, start)
     k_last = start + log_coeffs.size - 1
     if x >= k_last + 2:
         raise PrecisionError(
             f"coefficient sequence ends at k={k_last} inside the series "
             f"bulk (x={x}); enlarge the table"
         )
-    log_tail = (
-        log_coeff_cap
-        + (k_last + 1) * math.log(x)
-        - gammaln(k_last + 2.0)
-        - math.log1p(-x / (k_last + 2.0))
-    )
-    if not log_tail <= math.log(DEFAULT_RTOL) + total:
+    first = max(0, math.floor(x) - 1 - start)  # k + 2 > x from here on
+    caps = log_coeff_cap
+    if top > log_coeff_cap:  # caps[i]: the largest a_j past k = start + first + i
+        caps = np.maximum.accumulate(np.append(log_coeff_cap, log_coeffs[:first:-1]))[::-1]
+    log_tail = _log_tail(x, np.arange(start + first, k_last + 1, dtype=float), caps)
+    ok = log_tail <= math.log(DEFAULT_RTOL) + np.maximum.accumulate(log_terms)[first:]
+    if not ok[-1]:
         raise PrecisionError(
-            f"series tail bound {log_tail:.3f} (log) above tolerance at "
+            f"series tail bound {log_tail[-1]:.3f} (log) above tolerance at "
             f"k={k_last}, x={x}"
         )
-    return total
+    return float(log_sum_exp(log_terms[: first + int(ok.argmax()) + 1]))
+
+
+def _log_terms(x: float, log_coeffs: np.ndarray, start: int = 0) -> np.ndarray:
+    """log (a_k x^k / k!), k = start, start+1, ... along the first axis of
+    log_coeffs (log a_k)."""
+    k = np.arange(start, start + len(log_coeffs), dtype=float)
+    if log_coeffs.ndim == 2:
+        k = k[:, None]
+    return log_coeffs + k * math.log(x) - gammaln(k + 1.0)
+
+
+def _log_tail(x: float, k, log_cap):
+    """log of cap x^{k+1}/(k+1)! / (1 - x/(k+2)), which bounds
+    sum_{j>k} a_j x^j/j! when every a_j <= cap and k + 2 > x."""
+    k2 = k + 2.0
+    return log_cap + (k2 - 1.0) * math.log(x) - gammaln(k2) - np.log1p(-x / k2)
+
+
+def _more_terms(x: float, k_last: int, log_peaks: np.ndarray, log_caps: np.ndarray) -> int:
+    """How many terms past k_last some series need before exp_series
+    certifies each: 0 if it would at k_last, else the fewest that bring
+    every tail bound within DEFAULT_RTOL / 2 of its series' largest term so
+    far (log_peaks), each with the cap on its coefficients past k_last
+    (log_caps); at most 2 k_last + 2 more terms past the Poisson mode.
+
+    The half tolerance leaves room for exp_series's own check, which rounds
+    differently.  A series' largest term only grows with more terms and its
+    cap does not, so the count never overshoots once the terms held include
+    each series' largest.
+    """
+    lo = max(k_last, math.floor(x) - 1)  # k + 2 > x from here on: the bound falls in k
+    k = np.arange(lo, lo + 2 * k_last + 3, dtype=float)
+    allowance = math.log(DEFAULT_RTOL / 2) + log_peaks - log_caps
+    need = np.searchsorted(-_log_tail(x, k, 0.0), -allowance).max()
+    return int(k[min(need, len(k) - 1)]) - k_last
+
+
+def _bulk_terms(x: float) -> int:
+    """Terms to size a series at x from at first: past the Poisson bulk
+    around x.  A moment series' largest term lies below x, that of
+    sum_k (x^k/k!) A(k,l) below x + l (seen up to x = 83, l = 58), so
+    callers add l; a start short of a series' largest term only makes its
+    first growth step overshoot."""
+    return math.ceil(x + 3.0 * math.sqrt(x) + 4.0)
+
+
+def _log_a_cap(l):
+    """log 2^{2-l}, which bounds every A(k,l)(theta)."""
+    return (2 - l) * math.log(2.0)
 
 
 def _log_series(table: CoeffTable, l: int, x: float, shift: int = 0) -> float:
-    """log of sum_{k=l}^{kmax-shift} (x^k/k!) A(k+shift, l)."""
-    hi = table.kmax - shift
-    if hi < l:
-        raise PrecisionError(f"table kmax={table.kmax} too small for l={l}, shift={shift}")
-    log_coeffs = table.log_entries[l + shift : table.kmax + 1, l]
-    return exp_series(x, log_coeffs, start=l, log_coeff_cap=(2 - l) * math.log(2.0))
+    """log of sum_{k>=l} (x^k/k!) A(k+shift, l) over the rows held."""
+    return exp_series(x, table.log_entries[l + shift :, l], start=l, log_coeff_cap=_log_a_cap(l))
+
+
+def _log_peaks(x: float, table: CoeffTable, ls: range, shift: int) -> np.ndarray:
+    """The largest log term held of sum_{k>=l} (x^k/k!) A(k+shift, l), for
+    each column l in ls."""
+    terms = _log_terms(x, table.log_entries[shift:, ls.start : ls.stop])
+    k = np.arange(len(terms))[:, None]
+    return np.where(k >= ls, terms, -np.inf).max(axis=0)
+
+
+def _certified_table(theta: float, x: float, cols: int, ls: range, shifts) -> CoeffTable:
+    """The cached table at theta with columns 1..cols, grown by rows from
+    the Poisson bulk of x until exp_series certifies _log_series for every
+    column l in ls at every shift in shifts."""
+    rows = _bulk_terms(x) + ls[-1] + max(shifts)
+    log_caps = _log_a_cap(np.array(ls))
+    while True:
+        table = cached_table(theta, rows, cols=cols)
+        if x == 0.0:  # each series is its first term
+            return table
+        more = max(_more_terms(x, table.kmax - s, _log_peaks(x, table, ls, s), log_caps)
+                   for s in shifts)
+        if more == 0:
+            return table
+        rows = table.kmax + more
 
 
 def _floor_lam(lam: float) -> int:
@@ -117,14 +192,12 @@ def _log_num_den(spec: SelectionSpec, n: int, table: CoeffTable) -> float:
     return float(log_sum_exp(np.array(parts)))
 
 
-def _series_table(
-    spec: SelectionSpec, n: int, limit: bool, cols: int | None = None
-) -> CoeffTable:
-    """The cached table for the series at spec, shifted by n, holding
-    columns 1..cols (default: the [lam] columns that K_n reads)."""
-    kmax = series_kmax(spec.x) + n
-    cols = _floor_lam(spec.lam) if cols is None else cols
-    return cached_table(0.0 if limit else spec.theta, kmax, cols=cols)
+def _series_table(spec: SelectionSpec, n: int, limit: bool) -> CoeffTable:
+    """The cached table for the series of K_n at spec: columns 1..[lam],
+    rows enough to certify them unshifted and shifted by n."""
+    lf = _floor_lam(spec.lam)
+    theta = 0.0 if limit else spec.theta
+    return _certified_table(theta, spec.x, lf, range(1, lf + 1), (0, n))
 
 
 def k_ratio(spec: SelectionSpec, n: int, use_limit_coeffs: bool = False) -> float:
@@ -162,17 +235,18 @@ def tail_bound(spec: SelectionSpec) -> tuple[float, float]:
 
     computed = sum_{l=[lam]+1} theta^l sum_k (x^k/k!) A(k,l)(theta),
     summed until numerically exhausted over a table whose column count
-    starts at 2([lam]+1) and doubles whenever the sum reaches past it; the
-    bound is
+    starts at 2([lam]+1) and doubles whenever the sum reaches past it, each
+    new block of columns certified at once; the bound is
     4 theta^{[lam]-lam+1} / 2^{[lam]+1} * 2/(2-theta).
     """
     lf = _floor_lam(spec.lam)
-    table = _series_table(spec, 0, limit=False, cols=2 * (lf + 1))
     log_theta = math.log(spec.theta)
+    cols, table = lf + 1, None
     total = 0.0
-    for l in range(lf + 1, table.kmax + 1):
-        if l > table.cols:  # doubling keeps the rebuilds O(kmax^2 l) in all
-            table = _series_table(spec, 0, limit=False, cols=2 * table.cols)
+    for l in itertools.count(lf + 1):
+        if table is None or l > cols:  # the next block of columns, certified at once
+            cols *= 2  # doubling keeps the builds O(kmax^2 l) in all
+            table = _certified_table(spec.theta, spec.x, cols, range(l, cols + 1), (0,))
         term = math.exp(l * log_theta + _log_series(table, l, spec.x))
         total += term
         if term < 1e-18 * max(total, 1e-300):
@@ -191,12 +265,21 @@ def _log_moment_series(spec: SelectionSpec, n_max: int) -> np.ndarray:
     """log S_n for n = 0..n_max, where S_n = sum_m (x^m/m!) m_{n+m}.
 
     S_n / S_0 is the tilted n-th heterozygosity moment.  The moments come
-    from the moment recursion, with no table built; m_k = E(1-H2)^k falls
-    in k, so the last moment supplied to each series caps every one past it.
+    from the moment recursion, with no table built, grown from the Poisson
+    bulk until every S_n is certified; m_k = E(1-H2)^k falls in k, so the
+    last moment supplied to each series caps every one past it.
     """
-    m_top = series_kmax(spec.x)
-    logm = log_moments(spec.theta, m_top + n_max)
-    series = (logm[n : n + m_top + 1] for n in range(n_max + 1))
+    m_top = _bulk_terms(spec.x)
+    while True:
+        logm = log_moments(spec.theta, m_top + n_max)
+        series = sliding_window_view(logm, m_top + 1)  # row n: log m_n..m_{n+m_top}
+        if spec.x == 0.0:  # each series is its first term
+            break
+        peaks = _log_terms(spec.x, series.T).max(axis=0)
+        more = _more_terms(spec.x, m_top, peaks, series[:, -1])
+        if more == 0:
+            break
+        m_top += more
     return np.array([exp_series(spec.x, s, log_coeff_cap=s[-1]) for s in series])
 
 

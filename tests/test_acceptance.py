@@ -10,7 +10,6 @@ import time
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
 from pdov import coefficients as coefs
 from pdov import ldp, mc, moments, tilted, verify

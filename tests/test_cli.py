@@ -157,6 +157,12 @@ def test_exit_domain(capsys):
         ("mgf", "--lambda", "6", "--theta", "0.1", "--t", "nan"),
         ("rate", "--lambda", "6", "--config", "nan,0.5"),
         ("kn", "--lambda", "6", "--n", "1", "--theta", "1"),  # K_n is 0/0 at x = 0
+        ("kn", "--lambda", "inf", "--n", "1", "--theta", "0.1"),
+        ("mgf", "--lambda", "inf", "--theta", "0.1", "--t", "1"),
+        ("tails", "--lambda", "inf", "--theta", "0.1"),
+        ("rate", "--lambda", "inf", "--uniform", "2"),
+        # every importance weight theta^(lam H2) underflows to 0
+        ("sample", "--lambda", "6", "--theta", "1e-300", "--samples", "1000"),
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2

@@ -193,14 +193,33 @@ def test_c_combined_domain_error():
         coefs.log_asymptotic_C(4, 2, 2.0)
 
 
-def test_cached_table_reuse_and_sizing():
-    t1 = coefs.cached_table(0.5, 100)
-    t2 = coefs.cached_table(0.5, 70)
-    assert t2.kmax >= 70
-    assert t1 is coefs.cached_table(0.5, 100)
-    assert math.exp(t2.log_entry(50, 2)) == pytest.approx(
-        math.exp(coefs.build_coeff_table(0.5, 50).log_entry(50, 2)), rel=1e-12
-    )
+@pytest.fixture
+def fresh_tables():
+    coefs._table_slot.cache_clear()
+    yield
+    coefs._table_slot.cache_clear()
+
+
+def test_cached_table_grows_by_rows_and_serves_smaller_requests(fresh_tables):
+    t1 = coefs.cached_table(0.5, 70)
+    t2 = coefs.cached_table(0.5, 100)
+    assert (t2.kmax, t2.cols) == (100, 100)
+    assert coefs.cached_table(0.5, 80) is t2  # the held table, not a smaller one
+    assert np.array_equal(t2.log_entries[:71, :71], t1.log_entries)
+    assert coefs.cached_table(0.5, 90, cols=3).cols == 3  # one table per (theta, cols)
+
+
+@pytest.mark.parametrize("theta", [0.0, 1e-5, 0.5, 1.0])
+@pytest.mark.parametrize("cols", [1, 3, 12, None])
+def test_grown_table_equals_fresh_build(fresh_tables, theta, cols):
+    for kmax in (2, 9, 40, 41, 130):
+        grown = coefs.cached_table(theta, kmax, cols=cols)
+        width = kmax if cols is None else min(cols, kmax)
+        fresh = coefs.build_coeff_table(theta, kmax, cols=width)
+        assert (grown.kmax, grown.cols) == (kmax, width)
+        # bit-identical, the -inf outside the triangle included
+        assert np.array_equal(grown.log_entries, fresh.log_entries)
+    assert not grown.log_entries.flags.writeable
 
 
 def test_series_kmax_covers_peak():

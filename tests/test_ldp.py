@@ -132,6 +132,13 @@ def test_rates_convex_on_grid():
         assert np.all(np.diff(v2, 2) >= -1e-9)
 
 
+def test_infinite_lambda_refused():
+    with pytest.raises(DomainError):
+        ldp.inf_term(math.inf)
+    with pytest.raises(DomainError):
+        ldp.s_rate(ldp.uniform_config(2), math.inf)
+
+
 def test_rate_domain_errors():
     with pytest.raises(DomainError):
         ldp.rate_I1(-0.5, 0.5)

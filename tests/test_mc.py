@@ -162,6 +162,16 @@ def test_domain_errors():
         mc.homozygosity_histogram(SelectionSpec(2.0, 0.5), n=100, bins=5, seed=1)
 
 
+def test_weights_that_all_underflow_are_refused():
+    spec = SelectionSpec(6.0, 1e-300)  # sigma = -4145: exp(sigma H2) is 0 for every draw
+    with pytest.raises(DomainError, match="sigma=-4144"):
+        mc.tilted_estimate(spec, mc.H2Statistic(lambda h2: h2), 1000, seed=1)
+    with pytest.raises(DomainError, match="sigma"):
+        mc.tilted_estimate(spec, lambda config: config.entries[0], 1000, seed=1)
+    with pytest.raises(DomainError, match="sigma"):
+        mc.homozygosity_histogram(spec, n=10**4, bins=5, seed=1)
+
+
 # -- concurrent batches: the same draws for any worker count -----------------
 
 POOL_N = 3 * mc._BATCH + 5

@@ -1,13 +1,11 @@
 """Heterozygosity moments: table route, recursion route, quadrature and MC oracles."""
 
-import math
-
 import numpy as np
 import pytest
 from scipy import integrate
 
 from pdov import coefficients as coefs
-from pdov import mc, moments
+from pdov import moments
 from pdov.errors import DomainError
 
 

@@ -1,0 +1,27 @@
+"""The benchmark's own output checks (perfbench/ops.py), run on one seed
+of the workloads that reach the coefficient tables and the series: every
+op must complete and pass its check, e.g. K_1 = (K~_1 + F)/(1 + G) to
+1e-12, the computed tail within its bound, and the MGF within Jensen's
+bounds."""
+
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.mark.parametrize("workload", ["series", "table"])
+def test_benchmark_ops_pass_their_checks(monkeypatch, tmp_path, workload):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import ops
+    import workloads
+
+    op_list = workloads.generate(workload, 1)
+    outs, errors = {}, {}
+    for op in op_list:
+        try:
+            outs[op["id"]] = ops.RUN[op["kind"]](op, str(tmp_path))
+        except Exception as exc:  # reported below, with the op that raised
+            errors[op["id"]] = f"{type(exc).__name__}: {exc}"
+    assert ops.failures(op_list, outs, errors, str(tmp_path)) == {}

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pdov import coefficients as coefs
-from pdov import tilted
+from pdov import moments, tilted
 from pdov.errors import DomainError, PrecisionError
 from pdov.model import SelectionSpec
 
@@ -33,6 +33,25 @@ def test_exp_series_bounded_by_cap():
     b = coefs.cached_table(0.0, kmax).log_entries[1:, 1]
     got = tilted.exp_series(25.0, b, start=1, log_coeff_cap=math.log(2.0))
     assert got <= math.log(2.0) + 25.0
+
+
+def test_exp_series_caps_each_cut_by_the_coefficients_past_it():
+    # a_k = 1 up to k = 50, then 1e-30: log_coeff_cap bounds only the
+    # coefficients past the supplied ones, so cutting where it alone
+    # certifies the tail (at k = 19) would drop most of the sum
+    x = 20.0
+    log_coeffs = np.where(np.arange(61) <= 50, 0.0, math.log(1e-30))
+    got = tilted.exp_series(x, log_coeffs, log_coeff_cap=log_coeffs[-1])
+    exact = math.log(math.fsum(math.exp(a) * x**k / math.factorial(k)
+                               for k, a in enumerate(log_coeffs)))
+    assert abs(got - exact) <= 1e-13 * exact
+
+
+def test_exp_series_cut_does_not_depend_on_the_coefficients_past_it():
+    # a_k = 1, capped by 1: the terms past the cut are large enough to move
+    # the rounded sum, so only a cut made from a_0..a_k keeps it fixed
+    results = {tilted.exp_series(25.0, np.zeros(n), log_coeff_cap=0.0) for n in (73, 80, 150)}
+    assert len(results) == 1
 
 
 def test_exp_series_truncation_raises():
@@ -129,7 +148,8 @@ def test_tail_bound_doubles_columns_and_matches_full_table(monkeypatch):
 
     monkeypatch.setattr(tilted, "cached_table", recording_table)
     computed, _ = tilted.tail_bound(spec)
-    assert asked == [4, 8, 16]  # 2([lam]+1) columns, then two doublings
+    # 2([lam]+1) columns, then two doublings, each asked again as its rows grow
+    assert asked == sorted(asked) and list(dict.fromkeys(asked)) == [4, 8, 16]
 
     # reference: the same stopping rule and summation order on a full table
     full = coefs.cached_table(spec.theta, coefs.series_kmax(spec.x))
@@ -141,6 +161,40 @@ def test_tail_bound_doubles_columns_and_matches_full_table(monkeypatch):
         if term < 1e-18 * max(total, 1e-300):
             break
     assert computed == total
+
+
+def _small_x_results():
+    spec = SelectionSpec(6.0, 1e-2)
+    return (
+        tilted.k_ratio(spec, 1),
+        tilted.k_ratio(spec, 2, use_limit_coeffs=True),
+        tilted.proof_diagnostics(spec, 1),
+        tilted.tail_bound(spec),
+        tilted.mgf(spec, 1.0),
+        tilted.mgf(spec, -0.5),
+        tilted.tilted_mean_heterozygosity(spec),
+    )
+
+
+def test_series_do_not_depend_on_the_rows_held():
+    def clear():
+        coefs._table_slot.cache_clear()
+        moments._log_moment_memo.cache_clear()
+
+    clear()
+    try:
+        fresh = _small_x_results()
+        clear()
+        # larger-x calls first grow the tables and moments the small-x calls read:
+        # the limit table is shared across theta, tail_bound at lam 6.9 holds the
+        # same columns as at lam 6, and mgf at t = 20 reads 80 moments more
+        tilted.k_ratio(SelectionSpec(6.0, 1e-9), 2, use_limit_coeffs=True)
+        tilted.tail_bound(SelectionSpec(6.9, 1e-2))
+        tilted.mgf(SelectionSpec(6.0, 1e-2), -20.0)
+        coefs.cached_table(1e-2, 500, cols=6)
+        assert _small_x_results() == fresh
+    finally:
+        clear()
 
 
 def test_k_ratio_matches_full_table():
@@ -224,3 +278,5 @@ def test_domain_errors():
         SelectionSpec(6.0, 0.0)
     with pytest.raises(DomainError):
         SelectionSpec(-1.0, 0.5)
+    with pytest.raises(DomainError):
+        SelectionSpec(math.inf, 0.5)
