@@ -39,7 +39,6 @@ __all__ = [
     "log_asymptotic_A",
     "log_c_combined",
     "log_asymptotic_C",
-    "series_kmax",
     "cached_table",
     "table_to_csv",
     "table_to_json",
@@ -177,17 +176,6 @@ def log_asymptotic_A(k: int, p: int) -> float:
         + k * math.log(p / (p + 1.0))
     )
     return float(log)
-
-
-def series_kmax(x: float) -> int:
-    """Table size that keeps the truncated Poisson-weight tail below the
-    series tolerance even against the crude constant-cap tail bound.
-
-    The series sum_k (x^k/k!) a_k peaks near k = x, but with a_k decaying
-    like 2^-k the total is only ~e^{x/2}, so the relative tail check needs
-    the cut past ~2.2 x (where x^K/K! drops below e^{x/2} * 1e-13).
-    """
-    return int(math.ceil(2.3 * x + 14.0 * math.sqrt(max(x, 0.0)) + 60.0))
 
 
 @lru_cache(maxsize=16)

@@ -3,9 +3,9 @@
 Everything here is a ratio of exponential generating series
 sum_k (x^k / k!) a_k with x = lam * log(1/theta) and positive
 coefficients a_k drawn from the triangular tables (K_n and its
-diagnostics) or from the moment recursion (the MGF).  Inner sums are
-accumulated in log space; the one alternating series (the outer MGF sum
-over n) is summed in linear space with Kahan compensation.
+diagnostics) or from the moment recursion (the MGF).  They are summed in
+log space; the one alternating series, the MGF's S(x - t) where t > x,
+is summed in linear space.
 """
 
 from __future__ import annotations
@@ -16,8 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
-from scipy.special import gammaln
+from scipy.special import gammaln, xlog1py
 
 from . import ldp
 from .coefficients import CoeffTable, cached_table, log_sum_exp
@@ -40,7 +39,7 @@ __all__ = [
 
 DEFAULT_RTOL = 1e-13
 MAX_ABS_T = 50.0
-MGF_RTOL = 1e-12  # largest relative rounding admitted in the MGF's alternating sum
+MGF_RTOL = 1e-12  # largest relative rounding admitted in the MGF's alternating series
 
 
 @dataclass(frozen=True)
@@ -261,76 +260,84 @@ def tail_bound(spec: SelectionSpec) -> tuple[float, float]:
     return total, analytic
 
 
-def _log_moment_series(spec: SelectionSpec, n_max: int) -> np.ndarray:
-    """log S_n for n = 0..n_max, where S_n = sum_m (x^m/m!) m_{n+m}.
+def _log_moment_series(theta: float, x: float, series: list[tuple[int, float]]) -> list[float]:
+    """log sum_k (x^k/k!) m_{n+k} (1+d)^k, the series sum_k (y^k/k!) m_{n+k}
+    at y = x (1+d), for each (n, d) in series, -1 <= d <= 0.
 
-    S_n / S_0 is the tilted n-th heterozygosity moment.  The moments come
-    from the moment recursion, with no table built, grown from the Poisson
-    bulk until every S_n is certified; m_k = E(1-H2)^k falls in k, so the
-    last moment supplied to each series caps every one past it.
+    The moments come from the moment recursion, with no table built, grown
+    from the Poisson bulk of x until every series is certified; m_k =
+    E(1-H2)^k falls in k, and so does each coefficient, so the last one
+    supplied caps every one past it.
     """
-    m_top = _bulk_terms(spec.x)
+    n_max = max(n for n, _ in series)
+    m_top = _bulk_terms(x)
     while True:
-        logm = log_moments(spec.theta, m_top + n_max)
-        series = sliding_window_view(logm, m_top + 1)  # row n: log m_n..m_{n+m_top}
-        if spec.x == 0.0:  # each series is its first term
+        logm = log_moments(theta, m_top + n_max)
+        k = np.arange(m_top + 1.0)
+        coeffs = np.array([logm[n : n + m_top + 1] + xlog1py(k, d) for n, d in series])
+        if x == 0.0:  # each series is its first term
             break
-        peaks = _log_terms(spec.x, series.T).max(axis=0)
-        more = _more_terms(spec.x, m_top, peaks, series[:, -1])
+        peaks = _log_terms(x, coeffs.T).max(axis=0)
+        more = _more_terms(x, m_top, peaks, coeffs[:, -1])
         if more == 0:
             break
         m_top += more
-    return np.array([exp_series(spec.x, s, log_coeff_cap=s[-1]) for s in series])
+    return [exp_series(x, c, log_coeff_cap=c[-1]) for c in coeffs]
+
+
+def _alternating_moment_series(theta: float, y: float) -> float:
+    """sum_k (y^k/k!) m_k for -MAX_ABS_T <= y < 0, in linear space.
+
+    It stops past -y where the rest, below |y|^{k+1}/(k+1)!/(1-|y|/(k+2))
+    as m_k <= 1, is under 2^-53 of its first term m_0 = 1 (by k = 166 at
+    y = -50).  Each term carries its moment's rounding, which grows about
+    linearly in k, so PrecisionError is raised where the sum cancels so far
+    that sum_k |term_k| (k+1) 2^-52 passes MGF_RTOL of it.
+    """
+    k = np.arange(math.floor(-y) + 1, 5 * MAX_ABS_T)
+    top = int(k[np.argmax(_log_tail(-y, k, 0.0) < -53.0 * math.log(2.0))])
+    terms = np.exp(_log_terms(-y, log_moments(theta, top)))
+    terms[1::2] *= -1.0
+    total = math.fsum(terms)
+    rounding = math.fsum(np.abs(terms) * np.arange(1.0, top + 2.0)) * 2.0**-52
+    if rounding > MGF_RTOL * abs(total):
+        raise PrecisionError(
+            f"alternating MGF series cancels at x - t = {y}: its rounding "
+            f"{rounding:.3e} passes {MGF_RTOL:g} of its sum {total:.3e}"
+        )
+    return total
 
 
 def mgf(spec: SelectionSpec, t: float) -> float:
     """Moment generating function of the homozygosity under the tilted
-    measure: e^t * (1 + sum_n ((-t)^n / n!) S_n / S_0).
+    measure: e^t S(x - t) / S(x), where S(y) = sum_k (y^k/k!) m_k is
+    E e^{y(1-H2)} under PD(theta).
 
-    The outer alternating sum runs in linear space with Kahan
-    compensation; the inner S_n are log-space series of positive terms.
-    PrecisionError is raised when the sum cancels so far that its rounding,
-    bounded by sum |term| * 2^-52, exceeds MGF_RTOL of the result.
+    Where x >= t both series have positive terms.  They are summed at the
+    one argument max(x, x - t), the other's coefficients scaled by
+    (1 - |t|/max)^k, so the roundings of the factors they share (x^k/k!,
+    and x itself) cancel in the ratio.  Where x < t <= MAX_ABS_T, S(x - t)
+    alternates: it is summed in linear space, or refused where it cancels.
     """
     if not abs(t) <= MAX_ABS_T:
         raise DomainError(f"|t| must be <= {MAX_ABS_T}, got {t}")
     if t == 0.0:
         return 1.0
-    n_max = int(abs(t)) + 60
-    logS = _log_moment_series(spec, n_max)
-    acc = 1.0
-    comp = 0.0
-    abs_sum = 1.0  # sum of |term|: the scale of the rounding left in acc
-    log_term_n = 0.0  # log of |t|^n / n!
-    converged = False
-    for n in range(1, n_max + 1):
-        log_term_n += math.log(abs(t)) - math.log(n)
-        ratio = math.exp(logS[n] - logS[0])
-        term = (-1.0 if (t > 0 and n % 2) else 1.0) * math.exp(log_term_n) * ratio
-        abs_sum += abs(term)
-        y = term - comp
-        s = acc + y
-        comp = (s - acc) - y
-        acc = s
-        if n > abs(t) and abs(term) < 1e-15 * max(1.0, abs(acc)):
-            converged = True
-            break
-    if not converged:
-        raise PrecisionError(
-            f"outer MGF series did not converge within n={n_max} terms at t={t}"
-        )
-    if abs_sum * 2.0**-52 > MGF_RTOL * abs(acc):
-        raise PrecisionError(
-            f"outer MGF series cancels too far at t={t}: terms sum to {abs_sum:.3e} "
-            f"in absolute value against {acc:.3e}, so rounding exceeds {MGF_RTOL:g}"
-        )
-    return math.exp(t) * acc
+    x = spec.x
+    if x < t:
+        (log_den,) = _log_moment_series(spec.theta, x, [(0, 0.0)])
+        return math.exp(t - log_den) * _alternating_moment_series(spec.theta, x - t)
+    scale = max(x, x - t)
+    log_num, log_den = _log_moment_series(
+        spec.theta, scale, [(0, min(0.0, -t) / scale), (0, min(0.0, t) / scale)]
+    )
+    return math.exp(t + log_num - log_den)
 
 
 def tilted_mean_heterozygosity(spec: SelectionSpec) -> float:
-    """E[1 - H2] under the tilted measure: S_1 / S_0."""
-    logS = _log_moment_series(spec, 1)
-    return math.exp(logS[1] - logS[0])
+    """E[1 - H2] under the tilted measure: S_1 / S_0, S_n = sum_k (x^k/k!) m_{n+k}."""
+    log_s0, log_s1 = _log_moment_series(spec.theta, spec.x, [(0, 0.0), (1, 0.0)])
+    return math.exp(log_s1 - log_s0)
 
 
 def classify_phase(lam: float) -> PhaseResult:

@@ -177,7 +177,7 @@ def test_exit_precision(capsys):
 
 
 def test_mgf_cancelling_sum_exits_precision(capsys):
-    code, out, err = run(capsys, "mgf", "--lambda", "6", "--theta", "1e-2", "--t", "20")
+    code, out, err = run(capsys, "mgf", "--lambda", "2.5", "--theta", "0.18", "--t", "20")
     assert code == 3
     assert out == "" and "cancels" in err
 

@@ -222,12 +222,6 @@ def test_grown_table_equals_fresh_build(fresh_tables, theta, cols):
     assert not grown.log_entries.flags.writeable
 
 
-def test_series_kmax_covers_peak():
-    # the series over k peaks near k = x; the truncation point must sit far beyond it
-    for x in (1.0, 50.0, 200.0):
-        assert coefs.series_kmax(x) > 2 * x + 50
-
-
 def test_csv_json_roundtrip(tmp_path):
     import csv as csvmod
     import io

@@ -34,12 +34,17 @@ The moments m_k = E(1-H2)^k come from the recursion in the
 `pdov.moments.log_moments` docstring, m_j = theta sum_{l<j} w(j,l) m_l,
 m_0 = 1 (the oracle writes its l = 0 term as A(j,1) = w(j,0)), the table
 expansion m_k = sum_l theta^l A(k,l) summed over its columns.  Both of
-pdov's moment routes (table and recursion) and the tilted MGF
+pdov's moment routes (table and recursion) and the tilted MGF are checked
+against it.  pdov takes the MGF as e^t S(x-t)/S(x), S(y) = sum_k (y^k/k!) m_k;
+the oracle sums it the other way, expanding (x-t)^k by the binomial theorem:
 
     mgf(t) = e^t sum_n ((-t)^n/n!) S_n / S_0,   S_n = sum_m (x^m/m!) m_{n+m},
 
-are checked against it; both series stop where the rest is certified below
-1e-32, using only that m_k falls in k (asserted on every moment built).
+every power of t taken in mpmath.  Both series stop where the rest is
+certified below 1e-32, using only that m_k falls in k (asserted on every
+moment built).  The outer sum alternates and loses the digits of
+sum |term| / |sum| (~36 at lam = 30.5, theta = 1e-5, t = 50), so the points
+checked keep |t| <= 20.
 
 `test_exp_series_certified_or_raises` holds `tilted.exp_series` to its
 contract on random inputs: when it returns, even the worst case allowed
@@ -163,6 +168,7 @@ def oracle_mgf(lam: float, theta: float, t: float) -> mpmath.mpf:
     with mpmath.workdps(DPS):
         rtol = mpmath.mpf(10) ** -32
         x = lam * mpmath.log(1 / mpmath.mpf(theta))
+        t = mpmath.mpf(t)  # every power of t in mpmath, not rounded to a double first
         # inner cut M: with m falling, sum_{m>M} (x^m/m!) m_{n+m} is at most
         # m_{n+M} times the Poisson tail, and S_n at least m_{n+M} times the rest
         power = [mpmath.mpf(1)]  # power[m] = x^m / m!
@@ -172,7 +178,7 @@ def oracle_mgf(lam: float, theta: float, t: float) -> mpmath.mpf:
             if M > x and power[M] * x / (M + 1) / (1 - x / (M + 2)) < rtol * mpmath.fsum(power):
                 break
         # outer cut N: S_n / S_0 <= 1, so the rest is below |t|^N / N!
-        N = next(n for n in range(1, 200) if abs(t) ** n / mpmath.factorial(n) < rtol)
+        N = next(n for n in range(1, 400) if abs(t) ** n / mpmath.factorial(n) < rtol)
         m = oracle_moments(theta, M + N)
         s = [mpmath.fdot(power, m[n : n + M + 1]) for n in range(N)]
         outer = mpmath.fsum((-t) ** n / mpmath.factorial(n) * s[n] / s[0] for n in range(N))
@@ -200,10 +206,24 @@ def test_moment_routes_match_oracle(theta):
         assert abs(from_table.m(k) / want[k] - 1) <= 1e-11
 
 
-@pytest.mark.parametrize("lam, theta", [(6.0, 1e-2), (12.0, 1e-3)])
+# past |t| = 1: points where an alternating sum over shifted series missed
+# 1e-12 silently (by 1.4e-11 at (30.5, 1e-5, 5)) or could not certify 1e-12
+# (t = 10, 20 at (6, 1e-2)); (2.5, 0.5, 10) and (30.5, 0.999, 5) have x < t,
+# so S(x - t) alternates
+MGF_POINTS = {
+    (6.0, 1e-2): (-1.0, 0.5, 1.0, 10.0, 20.0),
+    (12.0, 1e-3): (-1.0, 0.5, 1.0),
+    (12.0, 1e-30): (5.0,),
+    (30.5, 1e-5): (5.0,),
+    (2.5, 0.5): (10.0,),
+    (30.5, 0.999): (5.0,),
+}
+
+
+@pytest.mark.parametrize("lam, theta", list(MGF_POINTS))
 def test_mgf_matches_oracle(lam, theta):
     spec = SelectionSpec(lam, theta)
-    for t in (-1.0, 0.5, 1.0):
+    for t in MGF_POINTS[lam, theta]:
         assert abs(tilted.mgf(spec, t) / oracle_mgf(lam, theta, t) - 1) <= 1e-12
 
 

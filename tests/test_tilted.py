@@ -6,20 +6,20 @@ import numpy as np
 import pytest
 
 from pdov import coefficients as coefs
-from pdov import moments, tilted
+from pdov import ldp, moments, tilted
 from pdov.errors import DomainError, PrecisionError
 from pdov.model import SelectionSpec
 
 
 def test_exp_series_identity():
     # a_k = 1 gives sum x^k/k! = e^x, stable far past float overflow of e^x
-    coeff = np.zeros(coefs.series_kmax(300.0))
+    coeff = np.zeros(993)
     got = tilted.exp_series(300.0, coeff, start=0, log_coeff_cap=0.0)
     assert got == pytest.approx(300.0, abs=1e-10)
 
 
 def test_exp_series_constant_ratio():
-    b = coefs.cached_table(0.0, coefs.series_kmax(40.0)).log_entries[1:, 1]
+    b = coefs.cached_table(0.0, 241).log_entries[1:, 1]
     a = b + math.log(3.5)
     r = math.exp(
         tilted.exp_series(40.0, a, start=1, log_coeff_cap=math.log(7.0))
@@ -29,8 +29,7 @@ def test_exp_series_constant_ratio():
 
 
 def test_exp_series_bounded_by_cap():
-    kmax = coefs.series_kmax(25.0)
-    b = coefs.cached_table(0.0, kmax).log_entries[1:, 1]
+    b = coefs.cached_table(0.0, 188).log_entries[1:, 1]
     got = tilted.exp_series(25.0, b, start=1, log_coeff_cap=math.log(2.0))
     assert got <= math.log(2.0) + 25.0
 
@@ -152,7 +151,7 @@ def test_tail_bound_doubles_columns_and_matches_full_table(monkeypatch):
     assert asked == sorted(asked) and list(dict.fromkeys(asked)) == [4, 8, 16]
 
     # reference: the same stopping rule and summation order on a full table
-    full = coefs.cached_table(spec.theta, coefs.series_kmax(spec.x))
+    full = coefs.cached_table(spec.theta, 85)
     assert full.cols == full.kmax
     total = 0.0
     for l in range(2, full.kmax + 1):
@@ -187,7 +186,8 @@ def test_series_do_not_depend_on_the_rows_held():
         clear()
         # larger-x calls first grow the tables and moments the small-x calls read:
         # the limit table is shared across theta, tail_bound at lam 6.9 holds the
-        # same columns as at lam 6, and mgf at t = 20 reads 80 moments more
+        # same columns as at lam 6, and mgf at t = -20 sums its series at
+        # x + 20, reading 29 moments more
         tilted.k_ratio(SelectionSpec(6.0, 1e-9), 2, use_limit_coeffs=True)
         tilted.tail_bound(SelectionSpec(6.9, 1e-2))
         tilted.mgf(SelectionSpec(6.0, 1e-2), -20.0)
@@ -199,7 +199,7 @@ def test_series_do_not_depend_on_the_rows_held():
 
 def test_k_ratio_matches_full_table():
     spec = SelectionSpec(12.0, 1e-5)
-    full = coefs.cached_table(spec.theta, coefs.series_kmax(spec.x) + 1)
+    full = coefs.cached_table(spec.theta, 544)
     assert full.cols == full.kmax
     log_num, log_den = (tilted._log_num_den(spec, n, full) for n in (1, 0))
     expected = math.exp(log_num - log_den)
@@ -219,9 +219,10 @@ def test_mgf_negative_argument():
 
 
 def test_mgf_raises_where_the_alternating_sum_cancels():
-    # at t = 20 the outer terms reach ~2e5 against a sum near 2e-4: ~1e-7
-    # relative rounding (the 40-digit oracle differs by 1.5e-7)
-    spec = SelectionSpec(6.0, 1e-2)
+    # x - t = -15.7: S(x - t) alternates, its terms reach ~126 against a sum
+    # near 0.5, and its rounding model gives 5.0e-12 relative (a 90-digit
+    # evaluation differs by 2.6e-12)
+    spec = SelectionSpec(2.5, 0.18)
     with pytest.raises(PrecisionError, match="cancels"):
         tilted.mgf(spec, 20.0)
     assert tilted.mgf(spec, 5.0) > 1.0
@@ -231,6 +232,20 @@ def test_mgf_rejects_huge_t():
     for t in (100.0, math.nan):
         with pytest.raises(DomainError):
             tilted.mgf(SelectionSpec(6.0, 0.1), t)
+
+
+def test_moment_series_free_energy_approaches_the_ldp_limit():
+    # S(x) = sum_k (x^k/k!) m_k = E e^{x(1-H2)}; at theta = e^-l the LDP
+    # gives (1/l) log S(lam l) -> lam - inf_n {lam/n + n - 1}
+    for lam in (1.0, 6.0, 12.0):
+        gaps = []
+        for theta in (1e-5, 1e-20, 1e-50):
+            (log_s,) = tilted._log_moment_series(theta, SelectionSpec(lam, theta).x, [(0, 0.0)])
+            gaps.append(log_s / -math.log(theta) - lam + ldp.inf_term(lam)[0])
+        if lam == 1.0:  # phase u = 1: the limit is 0 and S stays near 1
+            assert all(abs(g) <= 3e-4 for g in gaps)
+        else:  # ~log(l)/l: -0.073, -0.037, -0.019 at lam 6; -0.22, -0.088, -0.044 at lam 12
+            assert gaps[0] < gaps[1] < gaps[2] < 0.0
 
 
 def test_tilted_mean_heterozygosity():
