@@ -12,8 +12,10 @@ term A(k,1) = w(k,0) = 2^{k-1} (k-1)! Gamma(k+theta) / Gamma(2k+theta).
 theta = 0 gives the limit table (the recursion specializes verbatim).
 All entries are kept in log scale; gamma ratios are differences of
 log-gamma, never ratios of raw gamma values, since Gamma(2k+1) overflows
-doubles near k = 85.  Every log-space sum in pdov goes through
-log_sum_exp.
+doubles near k = 85.  Every log-gamma pdov takes has an argument n + theta
+(n + 1 for factorials: theta = 1) with n a whole number, so it is read from
+a per-theta lookup of math.lgamma(n + theta), n = 0..N, grown on demand.
+Every log-space sum in pdov goes through log_sum_exp.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DomainError
 
@@ -32,7 +33,9 @@ __all__ = [
     "CoeffTable",
     "build_coeff_table",
     "build_limit_table",
+    "lgamma_lookup",
     "log_w",
+    "log_w_parts",
     "log_sum_exp",
     "log_b_term",
     "c_constant",
@@ -77,19 +80,54 @@ class CoeffTable:
         return self.theta == 0.0
 
 
+@lru_cache(maxsize=16)
+def _lgamma_slot(theta: float) -> list[np.ndarray]:
+    """One slot: the read-only lgamma(n + theta), n = 0, 1, ..., held for
+    theta, replaced when grown."""
+    return [np.empty(0)]
+
+
+def lgamma_lookup(theta: float, size: int) -> np.ndarray:
+    """lgamma(n + theta) for n = 0..size-1, each math.lgamma(n + theta)
+    (inf at the pole n + theta = 0): a read-only view of the lookup held
+    for theta, the 16 most recent, grown to size where it is shorter.
+    Each entry is computed on its own, so a grown lookup equals a fresh one."""
+    slot = _lgamma_slot(float(theta))
+    held = slot[0]
+    if len(held) < size:
+        more = [math.lgamma(n + theta) if n + theta > 0.0 else math.inf
+                for n in range(len(held), size)]
+        held = np.concatenate([held, more])
+        held.setflags(write=False)
+        slot[0] = held
+    return held[:size]
+
+
+def log_w_parts(theta: float, k, l) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(row, col, g) with log w(k,l) = row + col + g[k+l] for the whole
+    numbers k >= 1 and l >= 0 (scalars or arrays):
+
+        row = log((2k+theta)/2k) + k ln2 + lgamma(k+1) - lgamma(2k+1+theta),
+        col = -l ln2 - lgamma(l+1),   g[n] = lgamma(n+theta),
+
+    all from the lookups at 1 and at theta.  A recursion takes them once,
+    for every k and l it reaches, and slices them for each row."""
+    top = int(max(np.asarray(k).max(), np.asarray(l).max()))
+    fact = lgamma_lookup(1.0, top + 1)
+    g = lgamma_lookup(theta, 2 * top + 2)
+    row = np.log((2.0 * k + theta) / (2.0 * k)) + k * _LN2 + fact[k] - g[2 * k + 1]
+    col = -l * _LN2 - fact[l]
+    return row, col, g
+
+
 def log_w(k, l, theta: float):
     """log w(k,l) = log of ((2k+theta)/2k) 2^k k! Gamma(k+l+theta)
     / (2^l l! Gamma(2k+1+theta)), the weight of both the table recursion
-    and the moment recursion; k and l may be scalars or broadcast arrays."""
-    return (
-        np.log((2.0 * k + theta) / (2.0 * k))
-        + k * _LN2
-        + gammaln(k + 1.0)
-        - l * _LN2
-        - gammaln(l + 1.0)
-        + gammaln(k + l + theta)
-        - gammaln(2.0 * k + 1.0 + theta)
-    )
+    and the moment recursion, as row + col + g[k+l] from log_w_parts, its
+    log-gammas read from lgamma_lookup; k >= 1 and l >= 0 are whole
+    numbers, scalars or broadcast arrays."""
+    row, col, g = log_w_parts(theta, k, l)
+    return row + col + g[k + l]
 
 
 def log_sum_exp(a: np.ndarray, axis=None):
@@ -126,16 +164,17 @@ def _extend(held: CoeffTable | None, theta: float, kmax: int, cols: int) -> Coef
     if (work := kmax**2 * cols) > MAX_TABLE_WORK:
         raise DomainError(f"kmax^2 cols = {work:.3g} > {MAX_TABLE_WORK:.3g} ({kmax=}, {cols=})")
 
-    k = np.arange(1, kmax + 1, dtype=float)
+    n = np.arange(kmax + 1)
+    row, col, g = log_w_parts(theta, n[1:], n)  # log w(j,l) = row[j-1] + col[l] + g[j+l]
     by_col = np.full((cols + 1, kmax + 1), -np.inf)  # by_col[l, k] = log A(k,l)
     low = 1
     if held is not None:
         low = held.kmax + 1
         by_col[: held.cols + 1, :low] = held.log_entries.T
-    by_col[1, low:] = log_w(k[low - 1 :], 0.0, theta)  # A(k,1) = w(k,0) A(0,0)
+    by_col[1, low:] = row[low - 1 :] + col[0] + g[low : kmax + 1]  # A(k,1) = w(k,0) A(0,0)
     for j in range(max(low, 2), kmax + 1) if cols > 1 else ():
         # row p-1 holds w(j,l) A(l,p-1), l < j; its -inf at l < p-1 adds 0
-        terms = log_w(j, k[: j - 1], theta) + by_col[1 : min(j, cols), 1:j]
+        terms = row[j - 1] + col[1:j] + g[j + 1 : 2 * j] + by_col[1 : min(j, cols), 1:j]
         by_col[2 : min(j, cols) + 1, j] = log_sum_exp(terms, axis=1)
     by_col.setflags(write=False)
     return CoeffTable(theta=float(theta), kmax=kmax, log_entries=by_col.T)
@@ -219,11 +258,11 @@ def log_c_combined(k: int, l: int, lam: float, table: CoeffTable | None = None) 
     elif not table.is_limit or table.kmax < k or table.cols < l:
         raise DomainError("log_c_combined needs a limit table with kmax >= k and cols >= l")
 
-    s = np.arange(0, k - l + 1, dtype=float)
-    log_binom = gammaln(k + 1.0) - gammaln(s + 1.0) - gammaln(k - s + 1.0)
+    s = np.arange(0, k - l + 1)
+    fact = lgamma_lookup(1.0, k + 1)
+    log_binom = fact[k] - fact[s] - fact[k - s]
     log_ratio = s * math.log((lam - l) / lam)
-    ks = (k - s).astype(int)
-    log_a = table.log_entries[ks, l]
+    log_a = table.log_entries[k - s, l]
     return float(log_sum_exp(log_binom + log_ratio + log_a))
 
 

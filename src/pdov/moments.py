@@ -17,10 +17,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import mc
-from .coefficients import CoeffTable, log_sum_exp, log_w
+from .coefficients import CoeffTable, log_sum_exp, log_w_parts
 from .errors import DomainError
 
 __all__ = [
@@ -85,8 +84,9 @@ def log_moments(theta: float, k: int) -> np.ndarray:
 
         m_j = theta sum_{l<j} w(j,l) m_l,
 
-    one log_sum_exp per row, O(k^2) in all, memoized per theta (the
-    16 most recent); more than MAX_MOMENTS moments are refused up front.
+    one log_sum_exp per row over slices of log_w_parts, O(k^2) in all,
+    memoized per theta (the 16 most recent); more than MAX_MOMENTS moments
+    are refused up front.
     """
     if not (0.0 < theta <= 1.0):
         raise DomainError(f"theta must lie in (0, 1], got {theta}")
@@ -96,9 +96,10 @@ def log_moments(theta: float, k: int) -> np.ndarray:
     memo = _log_moment_memo(theta)
     if len(memo[0]) <= k:
         logm = np.concatenate([memo[0], np.empty(k + 1 - len(memo[0]))])
-        l = np.arange(float(k))
+        n = np.arange(k + 1)
+        row, col, g = log_w_parts(theta, n[1:], n)  # log w(j,l) = row[j-1] + col[l] + g[j+l]
         for j in range(len(memo[0]), k + 1):
-            logm[j] = math.log(theta) + log_sum_exp(log_w(j, l[:j], theta) + logm[:j])
+            logm[j] = math.log(theta) + log_sum_exp(row[j - 1] + col[:j] + g[j : 2 * j] + logm[:j])
         logm.setflags(write=False)
         memo[0] = logm
     return memo[0][: k + 1]
@@ -121,10 +122,10 @@ def beta_factor(k: int, l: int, theta: float) -> float:
         raise DomainError(f"need 0 <= l <= k, got (k={k}, l={l})")
     log = (
         (k - l) * _LN2
-        + gammaln(k - l + 1.0)
-        + gammaln(k + l + theta)
+        + math.lgamma(k - l + 1.0)
+        + math.lgamma(k + l + theta)
         + math.log(theta)
-        - gammaln(2.0 * k + 1.0 + theta)
+        - math.lgamma(2.0 * k + 1.0 + theta)
     )
     return math.exp(log)
 

@@ -16,10 +16,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import gammaln, xlog1py
 
 from . import ldp
-from .coefficients import CoeffTable, cached_table, log_sum_exp
+from .coefficients import CoeffTable, cached_table, lgamma_lookup, log_sum_exp
 from .errors import DomainError, PrecisionError
 from .model import SelectionSpec
 from .moments import log_moments, log_moments_from_table  # noqa: F401  (perfbench wraps the latter)
@@ -101,14 +100,21 @@ def _log_terms(x: float, log_coeffs: np.ndarray, start: int = 0) -> np.ndarray:
     k = np.arange(start, start + len(log_coeffs), dtype=float)
     if log_coeffs.ndim == 2:
         k = k[:, None]
-    return log_coeffs + k * math.log(x) - gammaln(k + 1.0)
+    return log_coeffs + k * math.log(x) - _log_factorial(k)
 
 
-def _log_tail(x: float, k, log_cap):
+def _log_tail(x: float, k: np.ndarray, log_cap):
     """log of cap x^{k+1}/(k+1)! / (1 - x/(k+2)), which bounds
     sum_{j>k} a_j x^j/j! when every a_j <= cap and k + 2 > x."""
     k2 = k + 2.0
-    return log_cap + (k2 - 1.0) * math.log(x) - gammaln(k2) - np.log1p(-x / k2)
+    return log_cap + (k2 - 1.0) * math.log(x) - _log_factorial(k + 1.0) - np.log1p(-x / k2)
+
+
+def _log_factorial(k: np.ndarray) -> np.ndarray:
+    """log k! for the whole numbers k >= 0 (held as floats), from the
+    lookup of lgamma(n + 1)."""
+    n = k.astype(int)
+    return lgamma_lookup(1.0, int(n.max()) + 1)[n]
 
 
 def _more_terms(x: float, k_last: int, log_peaks: np.ndarray, log_caps: np.ndarray) -> int:
@@ -224,8 +230,10 @@ def proof_diagnostics(spec: SelectionSpec, n: int) -> tuple[float, float]:
     log_num_0 = _log_num_den(spec, n, t_limit)
     log_den_t = _log_num_den(spec, 0, t_theta)
     log_den_0 = _log_num_den(spec, 0, t_limit)
-    f = math.exp(log_num_t - log_den_0) - math.exp(log_num_0 - log_den_0)
-    g = math.exp(log_den_t - log_den_0) - 1.0
+    # F = e^{num_0 - den_0} (e^{num_t - num_0} - 1): taken as differences of
+    # the logs, F and G keep their relative precision however small theta is
+    f = math.exp(log_num_0 - log_den_0) * math.expm1(log_num_t - log_num_0)
+    g = math.expm1(log_den_t - log_den_0)
     return f, g
 
 
@@ -274,7 +282,7 @@ def _log_moment_series(theta: float, x: float, series: list[tuple[int, float]]) 
     while True:
         logm = log_moments(theta, m_top + n_max)
         k = np.arange(m_top + 1.0)
-        coeffs = np.array([logm[n : n + m_top + 1] + xlog1py(k, d) for n, d in series])
+        coeffs = np.array([logm[n : n + m_top + 1] + _log_powers(k, d) for n, d in series])
         if x == 0.0:  # each series is its first term
             break
         peaks = _log_terms(x, coeffs.T).max(axis=0)
@@ -283,6 +291,13 @@ def _log_moment_series(theta: float, x: float, series: list[tuple[int, float]]) 
             break
         m_top += more
     return [exp_series(x, c, log_coeff_cap=c[-1]) for c in coeffs]
+
+
+def _log_powers(k: np.ndarray, d: float) -> np.ndarray:
+    """log (1+d)^k for -1 <= d <= 0, where (1+d)^0 = 1 at d = -1 too."""
+    if d == -1.0:  # y = 0: only the k = 0 term is left
+        return np.where(k == 0.0, 0.0, -math.inf)
+    return k * math.log1p(d)
 
 
 def _alternating_moment_series(theta: float, y: float) -> float:

@@ -4,10 +4,15 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import pdov
 from pdov import cli
 
 
@@ -254,3 +259,13 @@ def test_resource_guards_refuse_up_front(capsys, argv, estimate):
     assert time.perf_counter() - start < 1.0
     assert code == 2
     assert estimate in err and out == ""
+
+
+def test_runtime_loads_no_scipy():
+    # numpy is the one runtime dependency; scipy is for the tests alone
+    src = str(Path(pdov.__file__).resolve().parents[1])
+    code = ("import sys, pdov, pdov.cli, pdov.verify; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert proc.stdout.strip() == "[]"

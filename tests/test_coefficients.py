@@ -222,6 +222,22 @@ def test_grown_table_equals_fresh_build(fresh_tables, theta, cols):
     assert not grown.log_entries.flags.writeable
 
 
+@pytest.mark.parametrize("theta", [0.0, 1e-100, 1e-5, 0.5, 1.0])
+def test_lgamma_lookup_is_math_lgamma_grown_or_fresh(theta):
+    want = [math.lgamma(n + theta) if n + theta > 0.0 else math.inf for n in range(300)]
+    coefs._lgamma_slot.cache_clear()
+    try:
+        for size in (1, 7, 40, 41, 300):  # grown
+            got = coefs.lgamma_lookup(theta, size)
+            assert got.tolist() == want[:size]  # bit for bit
+        assert not got.flags.writeable
+        coefs._lgamma_slot.cache_clear()
+        assert coefs.lgamma_lookup(theta, 300).tolist() == want  # fresh
+        assert len(coefs.lgamma_lookup(theta, 5)) == 5  # a view of the held lookup
+    finally:
+        coefs._lgamma_slot.cache_clear()
+
+
 def test_csv_json_roundtrip(tmp_path):
     import csv as csvmod
     import io

@@ -28,7 +28,10 @@ and acceptance criterion 6 checks the lam = 12 approach past it.
 recursion at 50 digits and holds log A to 5e-14 max(1, |log A|).  A bound
 of 1e-12 relative in A itself would not hold: the log-gamma terms of pdov's
 log w(k,l), up to ~1e3 each and mostly cancelling, put ~1.4e-12 into A at
-theta = 0.
+theta = 0.  `test_log_w_matches_oracle` measures that per weight: up to
+k = 3000 the error of log w is at most 4 ulp of max(1, |log w|,
+lgamma(2k+1+theta)), the largest log-gamma it sums; against |log w| alone
+it reaches thousands of ulp there.
 
 The moments m_k = E(1-H2)^k come from the recursion in the
 `pdov.moments.log_moments` docstring, m_j = theta sum_{l<j} w(j,l) m_l,
@@ -196,6 +199,24 @@ def test_table_matches_oracle(theta):
         assert np.all(got[k, k + 1 :] == -np.inf)
 
 
+def test_log_w_matches_oracle():
+    # log w sums log-gammas up to lgamma(2k+1+theta) ~ 4.6e4 at k = 3000 that
+    # mostly cancel, so its rounding is a few ulp of that one, not of log w
+    with mpmath.workdps(DPS):
+        for theta in (0.0, 1e-100, 1e-9, 1e-5, 0.18, 0.5, 0.999, 1.0):
+            th = mpmath.mpf(theta)
+            for k in (1, 2, 3, 5, 10, 20, 50, 100, 200, 400, 1000, 3000):
+                for l in sorted({0, k // 3, k // 2, k - 1}):
+                    want = (
+                        mpmath.log((2 * k + th) / (2 * k)) + (k - l) * mpmath.log(2)
+                        + mpmath.loggamma(k + 1) - mpmath.loggamma(l + 1)
+                        + mpmath.loggamma(k + l + th) - mpmath.loggamma(2 * k + 1 + th)
+                    )
+                    scale = max(1.0, abs(float(want)), float(mpmath.loggamma(2 * k + 1 + th)))
+                    err = abs(coefficients.log_w(k, l, theta) - want)
+                    assert err <= 4 * 2.0**-52 * scale, (theta, k, l)
+
+
 @pytest.mark.parametrize("theta", [1e-5, 0.5, 1.0])
 def test_moment_routes_match_oracle(theta):
     kmax = 200
@@ -227,6 +248,17 @@ def test_mgf_matches_oracle(lam, theta):
         assert abs(tilted.mgf(spec, t) / oracle_mgf(lam, theta, t) - 1) <= 1e-12
 
 
+@pytest.mark.parametrize("lam, theta", [(2.5, 0.5), (6.0, 0.5), (1.0, 1e-2)])
+def test_mgf_at_t_equal_x(lam, theta):
+    # t = x: S(x - t) = S(0) = m_0 is the k = 0 term alone, every other term
+    # scaled by (1 - t/x)^k = 0
+    spec = SelectionSpec(lam, theta)
+    got = tilted.mgf(spec, spec.x)
+    assert abs(got / oracle_mgf(lam, theta, spec.x) - 1) <= 1e-12
+    # next to it (x < 5 here, so t moves by < 5e-12 and mgf by less)
+    assert abs(got / tilted.mgf(spec, spec.x * (1 - 1e-12)) - 1) <= 1e-11
+
+
 def test_mgf_builds_no_table(monkeypatch):
     def no_table(*args, **kwargs):
         raise AssertionError("the moment series asked for a coefficient table")
@@ -248,6 +280,23 @@ def test_k_ratio_matches_oracle(lam, theta):
     got = tilted.k_ratio(SelectionSpec(lam, theta), 1)
     want = oracle_k1(lam, theta)
     assert abs(got / want - 1) <= REL_TOL
+
+
+@pytest.mark.parametrize("theta", [1e-5, 1e-7, 1e-9])
+def test_proof_diagnostics_keep_relative_precision(theta):
+    # F and G are O(theta) differences of O(1) series ratios: each against
+    # the same difference of exponentials, taken at 50 digits from pdov's
+    # four double-precision logs
+    spec = SelectionSpec(2.5, theta)
+    logs = [tilted._log_num_den(spec, n, tilted._series_table(spec, 1, limit))
+            for limit in (False, True) for n in (1, 0)]
+    f, g = tilted.proof_diagnostics(spec, 1)
+    with mpmath.workdps(TABLE_DPS):
+        num_t, den_t, num_0, den_0 = map(mpmath.mpf, logs)
+        want_f = mpmath.exp(num_t - den_0) - mpmath.exp(num_0 - den_0)
+        want_g = mpmath.exp(den_t - den_0) - 1
+        assert abs(f / want_f - 1) <= 1e-14
+        assert abs(g / want_g - 1) <= 1e-14
 
 
 def test_lambda_12_hump():
