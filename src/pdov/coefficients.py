@@ -15,12 +15,17 @@ log-gamma, never ratios of raw gamma values, since Gamma(2k+1) overflows
 doubles near k = 85.  Every log-gamma pdov takes has an argument n + theta
 (n + 1 for factorials: theta = 1) with n a whole number, so it is read from
 a per-theta lookup of math.lgamma(n + theta), n = 0..N, grown on demand.
-Every log-space sum in pdov goes through log_sum_exp.
+
+A row is summed in linear space: the rows below are held as A(l,p) too,
+which cannot overflow (A(l,p)(theta) <= A(l,p)(0) <= 2^{2-p}) and is 0
+where it underflows, so row j costs j-1 exps of the scaled weights and
+(j-1)(cols-1) multiply-adds.  A sum small enough for the underflowed terms
+to reach its 2^-53 is recomputed in log space.  Every log-space sum in pdov
+goes through log_sum_exp.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -49,6 +54,7 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 MAX_TABLE_WORK = 1e10  # bounds a build's kmax^2 cols: its work and O(kmax cols) memory
+_CERTIFIED_SUM = 2.0**53 * 2.0**-1021  # per term of a linear row sum; see _extend
 
 
 @dataclass(frozen=True)
@@ -143,10 +149,11 @@ def build_coeff_table(theta: float, kmax: int, cols: int | None = None) -> Coeff
     (all kmax columns by default).
 
     theta = 0 yields the limit coefficients.  Column 1 is w(k,0); each row
-    comes from the rows below it, its columns 2..min(k, cols) in one
-    log_sum_exp over l < k, at a cost of ~kmax^2 cols / 2 terms (kmax^2
-    cols > MAX_TABLE_WORK is refused up front).  Entry (k,p) is a sum of length k-1 over column
-    p-1 whatever cols is, so a truncated build is bit-identical to the full
+    comes from the rows below it, its columns 2..min(k, cols) as linear
+    sums over l < k, at a cost of ~kmax^2 cols / 2 multiply-adds and
+    ~kmax^2 / 2 exps (kmax^2 cols > MAX_TABLE_WORK is refused up front).
+    Entry (k,p) is a sum of length k-1 over column p-1, with no scale that
+    depends on cols, so a truncated build is bit-identical to the full
     one's columns."""
     return _extend(None, theta, kmax, kmax if cols is None else cols)
 
@@ -154,7 +161,13 @@ def build_coeff_table(theta: float, kmax: int, cols: int | None = None) -> Coeff
 def _extend(held: CoeffTable | None, theta: float, kmax: int, cols: int) -> CoeffTable:
     """The table to kmax, columns 1..cols, whose rows up to held.kmax are
     copied from held (held.cols == min(held.kmax, cols)) and the rows above
-    come from the rows below them: bit-identical to a fresh build."""
+    come from the rows below them: bit-identical to a fresh build.
+
+    Row j sums A(l,p-1) w(j,l) e^-M over l < j, M = max_l log w(j,l), with
+    A taken as exp(log A).  A term whose factor underflowed is off by at
+    most 2^-1021, so a sum at or above (j-1) 2^53 2^-1021 is certified to
+    2^-53; the others are summed again in log space.  The sums are numpy's
+    own loops, since BLAS orders them by the matrix width."""
     if kmax < 1:
         raise DomainError(f"kmax must be >= 1, got {kmax}")
     if not (0.0 <= theta <= 1.0):
@@ -172,10 +185,28 @@ def _extend(held: CoeffTable | None, theta: float, kmax: int, cols: int) -> Coef
         low = held.kmax + 1
         by_col[: held.cols + 1, :low] = held.log_entries.T
     by_col[1, low:] = row[low - 1 :] + col[0] + g[low : kmax + 1]  # A(k,1) = w(k,0) A(0,0)
-    for j in range(max(low, 2), kmax + 1) if cols > 1 else ():
-        # row p-1 holds w(j,l) A(l,p-1), l < j; its -inf at l < p-1 adds 0
-        terms = row[j - 1] + col[1:j] + g[j + 1 : 2 * j] + by_col[1 : min(j, cols), 1:j]
-        by_col[2 : min(j, cols) + 1, j] = log_sum_exp(terms, axis=1)
+    if cols > 1:
+        # lin[l, k] = A(k,l) <= 2^{2-l}, 0 where it underflows; row 0 is unused
+        lin = np.zeros((cols, kmax + 1))
+        lin[1] = np.exp(by_col[1])
+        lin[2:, :low] = np.exp(by_col[2:cols, :low])
+        for j in range(max(low, 2), kmax + 1):
+            top = min(j, cols)
+            lw = row[j - 1] + col[1:j] + g[j + 1 : 2 * j]  # log w(j,l), l = 1..j-1
+            peak = lw.max()
+            # s[p-2] = sum_l A(l,p-1) w(j,l) e^-peak, p = 2..top
+            s = np.einsum("pl,l->p", lin[1:top, 1:j], np.exp(lw - peak))
+            cert = (j - 1) * _CERTIFIED_SUM
+            if s.min() >= cert:
+                out = peak + np.log(s)
+            else:  # a sum within reach of the underflowed terms: recompute it in log space
+                ok = s >= cert
+                out = np.empty_like(s)
+                out[ok] = peak + np.log(s[ok])
+                bad = np.flatnonzero(~ok)
+                out[bad] = log_sum_exp(lw + by_col[bad + 1, 1:j], axis=1)
+            by_col[2 : top + 1, j] = out
+            lin[2 : top + 1, j] = np.exp(out[: cols - 2])
     by_col.setflags(write=False)
     return CoeffTable(theta=float(theta), kmax=kmax, log_entries=by_col.T)
 
@@ -298,18 +329,22 @@ def _linear_repr(log_value: float) -> str:
     return f"{mantissa:.17g}e{exp10:+d}"
 
 
-def table_to_csv(table: CoeffTable, fp) -> None:
-    """Write the triangle as rows k,l,A."""
-    writer = csv.writer(fp)
-    writer.writerow(["k", "l", "A"])
+def _export_rows(table: CoeffTable):
+    """(k, [log A(k,1), ..., log A(k,k)]) for k = 1..kmax, as Python floats."""
+    if table.cols < table.kmax:
+        raise DomainError(f"export needs every column; table holds 1..{table.cols} of {table.kmax}")
     for k in range(1, table.kmax + 1):
-        for l in range(1, k + 1):
-            writer.writerow([k, l, _linear_repr(table.log_entries[k, l])])
+        yield k, table.log_entries[k, 1 : k + 1].tolist()
+
+
+def table_to_csv(table: CoeffTable, fp) -> None:
+    """Write the triangle as rows k,l,A, in csv.writer's default dialect."""
+    fp.write("k,l,A\r\n")
+    for k, logs in _export_rows(table):
+        fp.write("".join([f"{k},{l},{_linear_repr(x)}\r\n" for l, x in enumerate(logs, 1)]))
 
 
 def table_to_json(table: CoeffTable) -> dict:
     """Triangular JSON mirror: {"theta", "kmax", "rows": [[A(k,1)..A(k,k)]...]}."""
-    rows = []
-    for k in range(1, table.kmax + 1):
-        rows.append([_linear_repr(table.log_entries[k, l]) for l in range(1, k + 1)])
+    rows = [[_linear_repr(x) for x in logs] for _, logs in _export_rows(table)]
     return {"theta": table.theta, "kmax": table.kmax, "rows": rows}

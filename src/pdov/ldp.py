@@ -90,9 +90,10 @@ def j_rate(x: Configuration) -> float:
 
 
 @lru_cache(maxsize=64)
-def _inf_exact(lam: float) -> tuple[Fraction, frozenset]:
-    """Exact min over integers n >= 1 of lam/n + n - 1 and its minimizers,
-    with lam taken at its binary-float value (memoized per lam)."""
+def _inf_exact(lam: float) -> tuple[Fraction, float, frozenset]:
+    """Exact min over integers n >= 1 of lam/n + n - 1, its nearest float,
+    and its minimizers, with lam taken at its binary-float value (memoized
+    per lam)."""
     lam_q = Fraction(lam)
     # the objective is convex in n with minimum near sqrt(lam)
     n_hi = int(math.isqrt(int(lam_q)) + 3)
@@ -105,7 +106,7 @@ def _inf_exact(lam: float) -> tuple[Fraction, frozenset]:
             argmin = [n]
         elif val == best:
             argmin.append(n)
-    return best, frozenset(argmin)
+    return best, float(best), frozenset(argmin)
 
 
 def inf_term(lam: float) -> tuple[float, frozenset]:
@@ -116,8 +117,8 @@ def inf_term(lam: float) -> tuple[float, frozenset]:
     """
     if not 0.0 < lam < math.inf:
         raise DomainError(f"lam must be finite and > 0, got {lam}")
-    best, argmin = _inf_exact(float(lam))
-    return float(best), argmin
+    _, best, argmin = _inf_exact(float(lam))
+    return best, argmin
 
 
 def s_rate(x: Configuration, lam: float) -> float | Fraction:

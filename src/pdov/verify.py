@@ -66,20 +66,17 @@ def suite_bounds(seed: int = 0) -> list[Check]:
         checks.append(
             _check("bounds", f"|A(k,p)({theta}) - A(k,p)| <= {theta} p A(k,p)", m_pert)
         )
-    # auxiliary-term identities
-    worst = math.inf
+    # auxiliary-term identities on B(k,l) = w(k,l) at theta = 0
+    worst_ratio = worst_sum = math.inf
     for k in (5, 20, 100):
+        b = [math.exp(x) for x in coefs.log_w(k, np.arange(1, k), 0.0).tolist()]  # l = 1..k-1
         for l in range(1, k - 1):
-            ratio = math.exp(coefs.log_b_term(k, l + 1)) / math.exp(coefs.log_b_term(k, l))
             exact = (k + l) / (2.0 * (l + 1))
-            worst = min(worst, 1e-10 - abs(ratio / exact - 1.0))
-    checks.append(_check("bounds", "B(k,l+1)/B(k,l) = (k+l)/(2(l+1))", worst))
-    worst = math.inf
-    for k in (5, 20, 100):
+            worst_ratio = min(worst_ratio, 1e-10 - abs(b[l] / b[l - 1] / exact - 1.0))
         for p in range(2, k):
-            s = sum(math.exp(coefs.log_b_term(k, l)) for l in range(p, k))
-            worst = min(worst, 0.5 - s)
-    checks.append(_check("bounds", "sum_l B(k,l) < 1/2", worst))
+            worst_sum = min(worst_sum, 0.5 - sum(b[p - 1 :]))
+    checks.append(_check("bounds", "B(k,l+1)/B(k,l) = (k+l)/(2(l+1))", worst_ratio))
+    checks.append(_check("bounds", "sum_l B(k,l) < 1/2", worst_sum))
     return checks
 
 
@@ -217,7 +214,7 @@ def perturbed_configs(n_parts: int, count: int, rng: np.random.Generator) -> lis
         draws = rng.dirichlet(np.full(n_parts, alpha), size=per)
         draws = -np.sort(-draws, axis=1)
         for row in draws:
-            out.append(ldp.Configuration(entries=tuple(row), validate=False))
+            out.append(ldp.Configuration(entries=tuple(row.tolist()), validate=False))
     return out
 
 

@@ -222,6 +222,69 @@ def test_grown_table_equals_fresh_build(fresh_tables, theta, cols):
     assert not grown.log_entries.flags.writeable
 
 
+@pytest.mark.parametrize("theta", [0.0, 1e-5, 0.5, 1.0])
+@pytest.mark.parametrize("cols", [5, 7])
+def test_linear_kernel_is_bit_exact_across_widths_and_growth(fresh_tables, theta, cols):
+    # the widths where a BLAS product summed rows in a width-dependent order
+    full = coefs.build_coeff_table(theta, 192)
+    truncated = coefs.build_coeff_table(theta, 192, cols=cols)
+    assert np.array_equal(truncated.log_entries, full.log_entries[:, : cols + 1])
+    for kmax in (3, 9, 40, 41, 192):
+        grown = coefs.cached_table(theta, kmax, cols=cols)
+        fresh = coefs.build_coeff_table(theta, kmax, cols=min(cols, kmax))
+        assert np.array_equal(grown.log_entries, fresh.log_entries)
+
+
+def _log_space_table(theta, kmax):
+    """log A(k,l) by the row recursion, each entry one log_sum_exp of its terms."""
+    by_col = np.full((kmax + 1, kmax + 1), -np.inf)  # by_col[l, k] = log A(k,l)
+    for j in range(1, kmax + 1):
+        lw = coefs.log_w(j, np.arange(j), theta)  # log w(j,l), l = 0..j-1
+        by_col[1, j] = lw[0]
+        if j > 1:
+            by_col[2 : j + 1, j] = coefs.log_sum_exp(lw[1:] + by_col[1:j, 1:j], axis=1)
+    return by_col.T
+
+
+def test_linear_kernel_recomputes_uncertified_sums_in_log_space(monkeypatch):
+    recomputed = []
+    log_sum_exp = coefs.log_sum_exp
+
+    def counting(a, axis=None):
+        recomputed.append(a.shape[0])
+        return log_sum_exp(a, axis=axis)
+
+    monkeypatch.setattr(coefs, "log_sum_exp", counting)
+    table = coefs.build_coeff_table(0.5, 200)
+    assert sum(recomputed) > 0  # the entries whose linear sums reach the underflow floor
+    want = _log_space_table(0.5, 200)
+    assert np.array_equal(np.isinf(table.log_entries), np.isinf(want))
+    finite = np.isfinite(want)
+    got, want = table.log_entries[finite], want[finite]
+    assert np.all(np.abs(got - want) <= 2e-15 * np.maximum(1.0, np.abs(want)))
+
+
+def test_export_matches_csv_writer_and_indexing_reference():
+    import csv as csvmod
+    import io
+
+    table = coefs.build_coeff_table(0.5, 200)
+    logs = table.log_entries
+    assert np.abs(logs[np.isfinite(logs)]).max() > 700.0  # exercises the mantissa-exponent form
+    rows = [[coefs._linear_repr(logs[k, l]) for l in range(1, k + 1)] for k in range(1, 201)]
+    want = io.StringIO()
+    writer = csvmod.writer(want)
+    writer.writerow(["k", "l", "A"])
+    writer.writerows([k, l, text] for k, row in enumerate(rows, 1) for l, text in enumerate(row, 1))
+    got = io.StringIO()
+    coefs.table_to_csv(table, got)
+    assert got.getvalue() == want.getvalue()
+    payload = {"theta": 0.5, "kmax": 200, "rows": rows}
+    assert json.dumps(coefs.table_to_json(table), indent=2) == json.dumps(payload, indent=2)
+    with pytest.raises(DomainError):
+        coefs.table_to_csv(coefs.build_coeff_table(0.5, 20, cols=3), io.StringIO())
+
+
 @pytest.mark.parametrize("theta", [0.0, 1e-100, 1e-5, 0.5, 1.0])
 def test_lgamma_lookup_is_math_lgamma_grown_or_fresh(theta):
     want = [math.lgamma(n + theta) if n + theta > 0.0 else math.inf for n in range(300)]
