@@ -8,6 +8,10 @@ one seed fixes the same draws for every statistic.  Batches are drawn
 concurrently on the CPUs this process may use and handed to the statistic
 in batch order, so the draws are the same for any CPU count.
 Beta(1,theta) sticks come from the exact inverse CDF U = 1-(1-V)^{1/theta}.
+Each draw takes sticks until its own residual mass is below epsilon: a
+first block sized from the Poisson law of the sticks it needs, then short
+blocks for the draws still above epsilon alone.  Its H2 is the sum of its
+squared sticks rounded once, the number ldp.phi2 gives on it.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError
-from .ldp import Configuration
+from .ldp import Configuration, phi2
 from .model import SelectionSpec
 
 __all__ = [
@@ -44,6 +48,10 @@ DEFAULT_EPSILON = 1e-8
 ESS_WARN_THRESHOLD = 50.0
 STICK_CAP = 10**7
 _BATCH = 1 << 14
+_BLOCK = 16  # sticks of each block after a row's first
+_ROWS = 1 << 11  # rows of a block drawn at once, so that its buffers stay in cache
+# (x + g) - g rounds x to a multiple of 2^-40 for x in [0, 1] (hi), of 2^-80 for |x| <= 2^-41 (mid)
+_GRID_HI, _GRID_MID = 2.0**12, 1.5 * 2.0**-28
 MAX_DRAWS = 10**8  # an estimate holds a few n-long float arrays
 H2_CACHE_BYTES = 256 << 20  # total bytes of the cached h2 arrays
 # batches drawn at once: the CPUs this process may use
@@ -71,20 +79,80 @@ class H2Statistic:
 
     ``fn`` maps an array of H2 values to statistic values; enables the
     vectorized estimation path.  Calling the object on a Configuration
-    evaluates the same statistic, so it is a valid plain statistic too.
+    evaluates the same statistic at ldp.phi2 of it, which equals the
+    sampler's H2 of a draw, so it is a valid plain statistic too.
     """
 
     def __init__(self, fn: Callable[[np.ndarray], np.ndarray]):
         self.fn = fn
 
     def __call__(self, config: Configuration) -> float:
-        h2 = sum(e * e for e in config.entries)
-        return float(self.fn(np.asarray([h2]))[0])
+        return float(self.fn(np.asarray([phi2(config)]))[0])
 
 
 def stream(seed: int, index: int = 0) -> np.random.Generator:
     """Counter-derived Philox stream #index under the given root seed."""
     return np.random.Generator(np.random.Philox(key=seed, counter=index << 64))
+
+
+def _sticks(
+    rng: np.random.Generator, prefix: np.ndarray, inv_theta: float, u: np.ndarray, cum: np.ndarray
+) -> np.ndarray:
+    """The next sticks of each row whose mass left is `prefix`, one row of
+    the stream per row, into the buffer u (rows x width), which is
+    returned; `prefix` is overwritten with the mass left after them.
+
+    cum (rows x width+1) is a buffer too.  cum[:, j] is the mass left
+    before stick j: the prefix times (1 - U) = (1 - V)^(1/theta) of each
+    stick before it; stick j is cum[:, j] U_j.
+    """
+    rng.random(out=u)
+    cum[:, 0] = prefix
+    rest = cum[:, 1:]
+    np.subtract(1.0, u, out=rest)
+    rest **= inv_theta
+    np.subtract(1.0, rest, out=u)
+    np.cumprod(cum, axis=1, out=cum)
+    prefix[:] = cum[:, -1]
+    return np.multiply(cum[:, :-1], u, out=u)
+
+
+def _square_sums(w: np.ndarray, sq: np.ndarray) -> np.ndarray:
+    """Each row's sum of the squares w * w, as rows (hi, mid, lo) of that
+    sum; w and the buffer sq, of w's shape, are overwritten.
+
+    Every square, at most 1, is split into a multiple of 2^-40, a multiple
+    of 2^-80 below 2^-41 and a remainder below 2^-81, each exactly; hi and
+    mid sum the first two parts exactly (for rows of under 2^14 sticks; a
+    draw at epsilon > 5e-324 needs ~900 at most), and lo the remainders to
+    ~2^-120.
+    """
+    np.multiply(w, w, out=sq)
+    part = np.add(sq, _GRID_HI, out=w)
+    part -= _GRID_HI
+    sq -= part
+    hi = np.einsum("ij->i", part)
+    np.add(sq, _GRID_MID, out=part)
+    part -= _GRID_MID
+    sq -= part
+    return np.stack([hi, np.einsum("ij->i", part), np.einsum("ij->i", sq)])
+
+
+def _rounded_sum(hi: np.ndarray, mid: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """hi + mid + lo, the parts of _square_sums, rounded once, ties to even,
+    as math.fsum rounds the squares it sums: the exact hi + mid as s + e,
+    then e + lo as t + f, and a tie in s + t broken by the sign of f, as in
+    math.fsum.  This needs the sum far above lo's own rounding, as a draw's
+    is: at least 1/(its stick count)."""
+    s = hi + mid
+    e = (hi - s) + mid
+    t = e + lo
+    z = t - e
+    f = (e - (t - z)) + (lo - z)
+    r = s + t
+    half = 2.0 * (t - (r - s))  # twice the rounding error of s + t
+    tie = (half * np.sign(f) > 0.0) & ((r + half) - r == half)
+    return np.where(tie, r + half, r)
 
 
 def _gem_batch(
@@ -94,48 +162,58 @@ def _gem_batch(
     rng: np.random.Generator,
     keep_weights: bool,
 ):
-    """Draw `size` GEM samples; sticks are appended in fixed-width blocks
-    until every row's residual is below epsilon.
+    """Draw `size` GEM samples, each row's sticks until its own residual is
+    below epsilon.
 
-    Returns (h2, residual, weights-or-None).  Rows that converge early
-    keep accumulating genuine sticks, which only sharpens their H2.
+    A row needs 1 + Poisson(a) sticks, a = theta log(1/epsilon): with
+    U ~ Beta(1, theta), -log(1 - U) is exponential of rate theta, and the
+    residual passes epsilon at the first arrival past log(1/epsilon).  So
+    every row gets a first block of floor(a + 2 sqrt(a)) + 3 sticks, which
+    leaves ~1-2% of rows at or above epsilon, and blocks of _BLOCK sticks
+    then go to those rows alone.  Each block is drawn in row order, _ROWS
+    rows at a time into buffers kept for the batch; which rows draw on
+    follows from the stream, so one stream fixes every draw.
+
+    Each H2 is the sum of its row's squared sticks rounded once, the
+    number ldp.phi2 gives on the draw, whatever the order of the sticks.
+
+    Returns (h2, residual, weights-or-None); the weights hold each row's
+    sticks in draw order, zero-padded to the widest row.
     """
+    a = theta * math.log(1.0 / epsilon)
     inv_theta = 1.0 / theta
+    first = math.floor(a + 2.0 * math.sqrt(a)) + 3
     prefix = np.ones(size)
-    h2 = np.zeros(size)
-    chunks = [] if keep_weights else None
-    total = 0
-    first_width = max(16, int(4.0 * theta * math.log(1.0 / epsilon)) + 16)
-    width = first_width
-    while True:
-        # u = 1 - (1 - v)^(1/theta), then w = prefix * shifted * u, in place
-        u = rng.random((size, width))
-        np.subtract(1.0, u, out=u)
-        u **= inv_theta
-        np.subtract(1.0, u, out=u)
-        cum = np.empty((size, width + 1))  # column j: prod of (1 - u) before stick j
-        cum[:, 0] = 1.0
-        np.subtract(1.0, u, out=cum[:, 1:])
-        np.cumprod(cum, axis=1, out=cum)
-        shifted = cum[:, :-1]
-        np.multiply(prefix[:, None], shifted, out=shifted)
-        w = np.multiply(shifted, u, out=u)
-        h2 += np.einsum("ij,ij->i", w, w)
-        if chunks is not None:
-            chunks.append(w)
-        prefix = prefix * cum[:, -1]
-        total += width
-        if np.all(prefix < epsilon):
-            break
-        if total > STICK_CAP:
+    sums = np.zeros((3, size))  # hi, mid and lo of each row's sum of squares
+    # room for one block past the first; most batches need it, few a second
+    weights = np.zeros((size, first + _BLOCK)) if keep_weights else None
+    work = np.empty((2, min(size, _ROWS) * (max(first, _BLOCK) + 1)))
+    rows = np.arange(size)  # the rows still at or above epsilon
+    col, width = 0, first
+    while rows.size:
+        if col > STICK_CAP:
             raise DomainError(
                 f"stick count exceeded {STICK_CAP} before residual < {epsilon}; "
                 "pathological (theta, epsilon) combination"
             )
-        width = 32
-    if chunks is None:
-        return h2, prefix, None
-    return h2, prefix, chunks[0] if len(chunks) == 1 else np.concatenate(chunks, axis=1)
+        if weights is not None and col + width > weights.shape[1]:
+            weights = np.concatenate([weights, np.zeros((size, _BLOCK))], axis=1)
+        for start in range(0, rows.size, _ROWS):
+            m = min(_ROWS, rows.size - start)
+            # the first block takes every row, so its chunks are slices: no gather or scatter
+            chunk = slice(start, start + m) if col == 0 else rows[start : start + m]
+            left = prefix[chunk]
+            u = work[0, : m * width].reshape(m, width)
+            cum = work[1, : m * (width + 1)].reshape(m, width + 1)
+            w = _sticks(rng, left, inv_theta, u, cum)
+            prefix[chunk] = left
+            if weights is not None:
+                weights[chunk, col : col + width] = w
+            sums[:, chunk] += _square_sums(w, work[1, : m * width].reshape(m, width))
+        rows = rows[prefix[rows] >= epsilon]
+        col += width
+        width = _BLOCK
+    return _rounded_sum(*sums), prefix, None if weights is None else weights[:, :col]
 
 
 def _batches(theta: float, n: int, seed: int, keep_weights: bool):

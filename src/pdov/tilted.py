@@ -127,13 +127,20 @@ def _more_terms(x: float, k_last: int, log_peaks: np.ndarray, log_caps: np.ndarr
     The half tolerance leaves room for exp_series's own check, which rounds
     differently.  A series' largest term only grows with more terms and its
     cap does not, so the count never overshoots once the terms held include
-    each series' largest.
+    each series' largest.  The bounds are searched in windows from lo that
+    double until one holds every answer, so the log k! lookup grows only
+    as far as the count needs.
     """
     lo = max(k_last, math.floor(x) - 1)  # k + 2 > x from here on: the bound falls in k
-    k = np.arange(lo, lo + 2 * k_last + 3, dtype=float)
+    span = 2 * k_last + 3
     allowance = math.log(DEFAULT_RTOL / 2) + log_peaks - log_caps
-    need = np.searchsorted(-_log_tail(x, k, 0.0), -allowance).max()
-    return int(k[min(need, len(k) - 1)]) - k_last
+    width = min(span, 64)
+    while True:
+        k = np.arange(lo, lo + width, dtype=float)
+        need = np.searchsorted(-_log_tail(x, k, 0.0), -allowance).max()
+        if need < width or width == span:
+            return int(k[min(need, width - 1)]) - k_last
+        width = min(2 * width, span)
 
 
 def _bulk_terms(x: float) -> int:

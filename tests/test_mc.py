@@ -1,5 +1,6 @@
 """GEM sampling and self-normalized importance sampling under the tilt."""
 
+import math
 import threading
 from collections import OrderedDict
 from contextlib import closing
@@ -26,6 +27,39 @@ def test_sample_gem_determinism():
     assert np.array_equal(a.weights, b.weights)
     c = mc.sample_gem(0.5, seed=12)
     assert not np.array_equal(a.weights, c.weights)
+
+
+@pytest.mark.parametrize("theta", [0.01, 0.1, 0.3, 1.0])
+def test_gem_batch_invariants(theta):
+    eps = mc.DEFAULT_EPSILON
+    h2, residual, w = mc._gem_batch(theta, mc._BATCH, eps, mc.stream(5, 0), keep_weights=True)
+    assert np.all(residual < eps)
+    assert np.all(w >= 0.0)
+    assert np.max(np.abs(w.sum(axis=1) + residual - 1.0)) < 1e-12
+    # H2 is the once-rounded sum of squares, as ldp.phi2 gives it on the draw
+    assert h2.tolist() == [math.fsum(v * v for v in row) for row in w.tolist()]
+    # the zero padding only follows a row's sticks, which come in draw order
+    positive = w > 0.0
+    assert np.all(positive[:, 1:] <= positive[:, :-1])
+    # a row drew a block past its first only while its mass left was >= eps
+    a = theta * math.log(1.0 / eps)
+    first = math.floor(a + 2.0 * math.sqrt(a)) + 3
+    drawn = positive.sum(axis=1)
+    late = drawn > first
+    block_start = first + (drawn[late] - first - 1) // mc._BLOCK * mc._BLOCK
+    before = 1.0 - np.cumsum(w[late], axis=1)[np.arange(late.sum()), block_start - 1]
+    assert np.all(before >= eps * (1.0 - 1e-6))
+    if theta == 1.0:  # sticks drawn for the ~1 + Poisson(a) that each row needs
+        assert late.any()
+        assert drawn.mean() < 2.0 * (1.0 + a)
+
+
+def test_stick_cap_refuses(monkeypatch):
+    # at theta = 1 some rows of a batch are still above epsilon after the first block
+    a = math.log(1.0 / mc.DEFAULT_EPSILON)
+    monkeypatch.setattr(mc, "STICK_CAP", math.floor(a + 2.0 * math.sqrt(a)) + 2)
+    with pytest.raises(DomainError, match="stick count exceeded"):
+        mc._gem_batch(1.0, mc._BATCH, mc.DEFAULT_EPSILON, mc.stream(5, 0), keep_weights=False)
 
 
 def test_small_theta_first_stick_dominates():

@@ -197,6 +197,47 @@ def test_series_do_not_depend_on_the_rows_held():
         clear()
 
 
+def _more_terms_over_the_whole_range(x, k_last, log_peaks, log_caps):
+    """The count searched over all of [lo, lo + 2 k_last + 3) at once."""
+    lo = max(k_last, math.floor(x) - 1)
+    k = np.arange(lo, lo + 2 * k_last + 3, dtype=float)
+    allowance = math.log(tilted.DEFAULT_RTOL / 2) + log_peaks - log_caps
+    need = np.searchsorted(-tilted._log_tail(x, k, 0.0), -allowance).max()
+    return int(k[min(need, len(k) - 1)]) - k_last
+
+
+def test_more_terms_in_doubling_windows_matches_the_whole_range():
+    rng = np.random.default_rng(3)
+    answers = set()
+    for _ in range(400):
+        x = float(rng.choice([5.0, 100.0, 3000.0]) * rng.random())
+        k_last = int(rng.integers(0, 400))
+        peaks = rng.normal(x, 30.0, 3)
+        caps = rng.normal(0.0, 5.0, 3)
+        got = tilted._more_terms(x, k_last, peaks, caps)
+        assert got == _more_terms_over_the_whole_range(x, k_last, peaks, caps)
+        lo = max(k_last, math.floor(x) - 1)
+        answers.add("none" if got == lo - k_last else "all" if got == lo + k_last + 2 else "some")
+    assert answers == {"none", "some", "all"}  # certified at once, inside, and at the end
+
+
+def test_k_ratio_grows_the_factorial_lookup_only_as_far_as_it_reads():
+    spec = SelectionSpec(6.0, 1e-5)
+
+    def clear():
+        coefs._table_slot.cache_clear()
+        coefs._lgamma_slot.cache_clear()
+
+    clear()
+    try:
+        tilted.k_ratio(spec, 1)
+        kmax = tilted._series_table(spec, 1, False).kmax
+        # each certificate reads log k! a few rows past the table, not 2 kmax past it
+        assert len(coefs._lgamma_slot(1.0)[0]) <= 2 * kmax + 2
+    finally:
+        clear()
+
+
 def test_k_ratio_matches_full_table():
     spec = SelectionSpec(12.0, 1e-5)
     full = coefs.cached_table(spec.theta, 544)
