@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
-import io
 import json
 import math
 import re
@@ -34,6 +33,7 @@ EXIT_PRECISION = 3
 EXIT_DEGENERATE = 4
 
 MAX_PHASE_ROWS = 10**6
+MAX_HIST_BINS = 10**6
 
 
 class _Parser(argparse.ArgumentParser):
@@ -55,13 +55,20 @@ def _jsonable(v):
     return v
 
 
-def _emit(args, text: str) -> None:
+def _emit(args, write) -> None:
+    """Call write(fp) on the --out file, then write its manifest, or on stdout."""
     if args.out:
         with open(args.out, "w") as fp:
-            fp.write(text)
+            write(fp)
         _write_manifest(args)
     else:
-        sys.stdout.write(text)
+        write(sys.stdout)
+
+
+def _write_json(obj, fp, **kwargs) -> None:
+    """Stream obj to fp as indented JSON and a newline."""
+    json.dump(obj, fp, indent=2, **kwargs)
+    fp.write("\n")
 
 
 def _write_manifest(args) -> None:
@@ -76,28 +83,29 @@ def _write_manifest(args) -> None:
         "outputs": {args.out: digest},
     }
     with open(args.out + ".manifest.json", "w") as fp:
-        json.dump(manifest, fp, indent=2)
-        fp.write("\n")
+        _write_json(manifest, fp)
 
 
 def _emit_rows(args, header: list[str], rows: list[list]) -> None:
     if args.format == "json":
         payload = [dict(zip(header, (_jsonable(v) for v in row))) for row in rows]
-        _emit(args, json.dumps(payload, default=_fmt, indent=2) + "\n")
+        _emit(args, lambda fp: _write_json(payload, fp, default=_fmt))
     else:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-        _emit(args, buf.getvalue())
+
+        def write(fp):
+            writer = csv.writer(fp)
+            writer.writerow(header)
+            writer.writerows([_fmt(v) for v in row] for row in rows)
+
+        _emit(args, write)
 
 
 def _emit_obj(args, obj: dict) -> None:
     if args.format == "csv":
         _emit_rows(args, list(obj.keys()), [list(obj.values())])
     else:
-        _emit(args, json.dumps({k: _jsonable(v) for k, v in obj.items()}, default=_fmt, indent=2) + "\n")
+        payload = {k: _jsonable(v) for k, v in obj.items()}
+        _emit(args, lambda fp: _write_json(payload, fp, default=_fmt))
 
 
 def _floats(text: str) -> list[float]:
@@ -118,11 +126,10 @@ def _ball(text: str) -> tuple[int, float]:
 def cmd_coeffs(args) -> int:
     table = coefs.build_coeff_table(0.0 if args.limit else args.theta, args.kmax)
     if args.format == "json":
-        _emit(args, json.dumps(coefs.table_to_json(table), indent=2) + "\n")
+        payload = coefs.table_to_json(table)
+        _emit(args, lambda fp: _write_json(payload, fp))
     else:
-        buf = io.StringIO()
-        coefs.table_to_csv(table, buf)
-        _emit(args, buf.getvalue())
+        _emit(args, lambda fp: coefs.table_to_csv(table, fp))
     return EXIT_OK
 
 
@@ -201,6 +208,8 @@ def cmd_rate(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    if args.hist_bins > MAX_HIST_BINS:
+        raise DomainError(f"{args.hist_bins} histogram bins: more than {MAX_HIST_BINS}")
     spec = SelectionSpec(lam=args.lam, theta=args.theta)
     if args.hist_bins:
         edges, masses = mc.homozygosity_histogram(spec, args.samples, args.hist_bins, args.seed)
@@ -242,7 +251,7 @@ def cmd_verify(args) -> int:
             detail = f"  [{c.detail}]" if c.detail else ""
             lines.append(f"{status} {c.suite}: {c.name} (margin {c.margin:.3e}){detail}")
         lines.append(f"{'ALL PASS' if all_pass else 'FAILURES PRESENT'} ({len(checks)} checks)")
-        _emit(args, "\n".join(lines) + "\n")
+        _emit(args, lambda fp: fp.write("\n".join(lines) + "\n"))
     return EXIT_OK if all_pass else EXIT_DOMAIN
 
 

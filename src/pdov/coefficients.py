@@ -22,6 +22,10 @@ where it underflows, so row j costs j-1 exps of the scaled weights and
 (j-1)(cols-1) multiply-adds.  A sum small enough for the underflowed terms
 to reach its 2^-53 is recomputed in log space.  Every log-space sum in pdov
 goes through log_sum_exp.
+
+cached_table holds one table per theta and grows it by rows and by columns
+through the same kernel as a fresh build, _extend, so the series that read
+different columns at one theta share its rows and no row is computed twice.
 """
 
 from __future__ import annotations
@@ -159,13 +163,15 @@ def build_coeff_table(theta: float, kmax: int, cols: int | None = None) -> Coeff
 
 
 def _extend(held: CoeffTable | None, theta: float, kmax: int, cols: int) -> CoeffTable:
-    """The table to kmax, columns 1..cols, whose rows up to held.kmax are
-    copied from held (held.cols == min(held.kmax, cols)) and the rows above
-    come from the rows below them: bit-identical to a fresh build.
+    """The table to kmax, columns 1..cols, which holds held's entries as
+    they are, fills the columns held lacks in its rows, and adds the rows
+    above it: bit-identical to a fresh build.
 
-    Row j sums A(l,p-1) w(j,l) e^-M over l < j, M = max_l log w(j,l), with
-    A taken as exp(log A).  A term whose factor underflowed is off by at
-    most 2^-1021, so a sum at or above (j-1) 2^53 2^-1021 is certified to
+    Row j computes its columns first..min(j, cols) from the rows below it,
+    first = held.cols + 1 in a held row and 2 above them.  It sums
+    A(l,p-1) w(j,l) e^-M over l < j, M = max_l log w(j,l), with A taken as
+    exp(log A).  A term whose factor underflowed is off by at most
+    2^-1021, so a sum at or above (j-1) 2^53 2^-1021 is certified to
     2^-53; the others are summed again in log space.  The sums are numpy's
     own loops, since BLAS orders them by the matrix width."""
     if kmax < 1:
@@ -180,22 +186,24 @@ def _extend(held: CoeffTable | None, theta: float, kmax: int, cols: int) -> Coef
     n = np.arange(kmax + 1)
     row, col, g = log_w_parts(theta, n[1:], n)  # log w(j,l) = row[j-1] + col[l] + g[j+l]
     by_col = np.full((cols + 1, kmax + 1), -np.inf)  # by_col[l, k] = log A(k,l)
-    low = 1
+    low, wide = 1, 1  # rows 1..low-1 are held, with columns 1..wide
     if held is not None:
-        low = held.kmax + 1
-        by_col[: held.cols + 1, :low] = held.log_entries.T
+        low, wide = held.kmax + 1, held.cols
+        by_col[: wide + 1, :low] = held.log_entries.T
     by_col[1, low:] = row[low - 1 :] + col[0] + g[low : kmax + 1]  # A(k,1) = w(k,0) A(0,0)
     if cols > 1:
         # lin[l, k] = A(k,l) <= 2^{2-l}, 0 where it underflows; row 0 is unused
         lin = np.zeros((cols, kmax + 1))
         lin[1] = np.exp(by_col[1])
         lin[2:, :low] = np.exp(by_col[2:cols, :low])
-        for j in range(max(low, 2), kmax + 1):
-            top = min(j, cols)
+        for j in range(2, kmax + 1):
+            first, top = (wide + 1 if j < low else 2), min(j, cols)
+            if first > top:
+                continue
             lw = row[j - 1] + col[1:j] + g[j + 1 : 2 * j]  # log w(j,l), l = 1..j-1
             peak = lw.max()
-            # s[p-2] = sum_l A(l,p-1) w(j,l) e^-peak, p = 2..top
-            s = np.einsum("pl,l->p", lin[1:top, 1:j], np.exp(lw - peak))
+            # s[p-first] = sum_l A(l,p-1) w(j,l) e^-peak, p = first..top
+            s = np.einsum("pl,l->p", lin[first - 1 : top, 1:j], np.exp(lw - peak))
             cert = (j - 1) * _CERTIFIED_SUM
             if s.min() >= cert:
                 out = peak + np.log(s)
@@ -204,9 +212,9 @@ def _extend(held: CoeffTable | None, theta: float, kmax: int, cols: int) -> Coef
                 out = np.empty_like(s)
                 out[ok] = peak + np.log(s[ok])
                 bad = np.flatnonzero(~ok)
-                out[bad] = log_sum_exp(lw + by_col[bad + 1, 1:j], axis=1)
-            by_col[2 : top + 1, j] = out
-            lin[2 : top + 1, j] = np.exp(out[: cols - 2])
+                out[bad] = log_sum_exp(lw + by_col[bad + first - 1, 1:j], axis=1)
+            by_col[first : top + 1, j] = out
+            lin[first : top + 1, j] = np.exp(out[: cols - first])
     by_col.setflags(write=False)
     return CoeffTable(theta=float(theta), kmax=kmax, log_entries=by_col.T)
 
@@ -249,28 +257,33 @@ def log_asymptotic_A(k: int, p: int) -> float:
 
 
 @lru_cache(maxsize=16)
-def _table_slot(theta: float, cols: int | None) -> list[CoeffTable | None]:
-    """One slot: the table held for (theta, cols), replaced when grown."""
+def _table_slot(theta: float) -> list[CoeffTable | None]:
+    """One slot: the table held for theta, replaced when grown."""
     return [None]
 
 
 def cached_table(theta: float, kmax: int, cols: int | None = None) -> CoeffTable:
-    """The table held for (theta, cols), grown by rows to at least kmax,
-    with columns 1..min(cols, kmax) (all of them by default).
+    """The table held for theta, with at least kmax rows and columns
+    1..min(cols, kmax) (all kmax of them by default).
 
-    One table per (theta, cols) is held, for the 16 most recent pairs; a
-    request past its kmax extends it by rows, each from the rows below it
-    (bit-identical to a fresh build), and a smaller request is served the
-    held table as it is.
+    One table is held per theta, for the 16 most recent; it may hold more
+    rows and columns than asked.  A request it does not cover grows it to
+    the larger rows and the larger columns of the two, through _extend,
+    bit-identical to a fresh build of that shape.  Where that shape passes
+    MAX_TABLE_WORK, the slot holds a fresh build of the request instead, or
+    the request is refused if it passes too.
     """
-    slot = _table_slot(float(theta), None if cols is None else int(cols))
+    width = kmax if cols is None else min(int(cols), kmax)
+    slot = _table_slot(float(theta))
     held = slot[0]
-    if held is None or held.kmax < kmax:
-        width = kmax if cols is None else min(int(cols), kmax)
-        if held is None:
+    if held is None:
+        slot[0] = build_coeff_table(theta, kmax, width)
+    elif held.kmax < kmax or held.cols < width:
+        rows, wide = max(held.kmax, kmax), max(held.cols, width)
+        if rows**2 * wide > MAX_TABLE_WORK:
             slot[0] = build_coeff_table(theta, kmax, width)
         else:
-            slot[0] = _extend(held, theta, kmax, width)
+            slot[0] = _extend(held, theta, rows, wide)
     return slot[0]
 
 

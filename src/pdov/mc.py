@@ -420,8 +420,8 @@ def ball_probability(
         target[: min(k, cols)] = 1.0 / k
         pow2 = np.exp2(-np.arange(1, cols + 1, dtype=float))
         d = np.abs(ordered - target[None, :]) @ pow2
-        if cols < k:  # unsampled coordinates of the center still count
-            d += np.sum(np.exp2(-np.arange(cols + 1, k + 1, dtype=float))) / k
+        if cols < k:  # unsampled coordinates of the center still count: sum_{i=cols+1}^k 2^-i/k
+            d += (2.0**-cols - 2.0**-k) / k
         return (d < delta).astype(float)
 
     return _sorted_batch_estimate(spec, n, seed, inside)

@@ -49,20 +49,21 @@ class MomentVector:
 
 
 def log_moments_from_table(table: CoeffTable, kmax: int) -> np.ndarray:
-    """log m_k for k = 0..kmax (m_0 = 1), from the coefficient expansion."""
+    """log m_k for k = 0..kmax (m_0 = 1), from the coefficient expansion
+    over columns 1..kmax, whatever more the table holds."""
     if table.theta <= 0.0:
         raise DomainError("moments need a table with theta > 0")
     if kmax > table.kmax:
         raise DomainError(f"kmax={kmax} exceeds table kmax={table.kmax}")
-    if table.cols < table.kmax:
+    if table.cols < kmax:
         raise DomainError(
-            f"moments need every column; table holds 1..{table.cols} of {table.kmax}"
+            f"moments to k={kmax} need columns 1..{kmax}; table holds 1..{table.cols}"
         )
     log_theta = math.log(table.theta)
     logm = np.empty(kmax + 1)
     logm[0] = 0.0
-    l = np.arange(1, table.kmax + 1, dtype=float)
-    weighted = table.log_entries[1 : kmax + 1, 1:] + l[None, :] * log_theta
+    l = np.arange(1, kmax + 1, dtype=float)
+    weighted = table.log_entries[1 : kmax + 1, 1 : kmax + 1] + l[None, :] * log_theta
     logm[1:] = log_sum_exp(weighted, axis=1)
     return logm
 

@@ -171,9 +171,9 @@ def _log_peaks(x: float, table: CoeffTable, ls: range, shift: int) -> np.ndarray
 
 
 def _certified_table(theta: float, x: float, cols: int, ls: range, shifts) -> CoeffTable:
-    """The cached table at theta with columns 1..cols, grown by rows from
-    the Poisson bulk of x until exp_series certifies _log_series for every
-    column l in ls at every shift in shifts."""
+    """The table held at theta, with columns 1..cols at least, grown by rows
+    from the Poisson bulk of x until exp_series certifies _log_series for
+    every column l in ls at every shift in shifts."""
     rows = _bulk_terms(x) + ls[-1] + max(shifts)
     log_caps = _log_a_cap(np.array(ls))
     while True:
@@ -248,10 +248,11 @@ def tail_bound(spec: SelectionSpec) -> tuple[float, float]:
     """(computed tail over l > [lam], closed-form bound).
 
     computed = sum_{l=[lam]+1} theta^l sum_k (x^k/k!) A(k,l)(theta),
-    summed until numerically exhausted over a table whose column count
-    starts at 2([lam]+1) and doubles whenever the sum reaches past it, each
-    new block of columns certified at once; the bound is
-    4 theta^{[lam]-lam+1} / 2^{[lam]+1} * 2/(2-theta).
+    summed until numerically exhausted over the table held at theta, whose
+    columns read start at 2([lam]+1) and double whenever the sum reaches
+    past them, each new block of columns certified at once.  A block widens
+    the rows held and adds the rows it needs above them, so no row is
+    computed twice.  The bound is 4 theta^{[lam]-lam+1} / 2^{[lam]+1} * 2/(2-theta).
     """
     lf = _floor_lam(spec.lam)
     log_theta = math.log(spec.theta)

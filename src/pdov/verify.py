@@ -150,8 +150,7 @@ def suite_tail(seed: int = 0) -> list[Check]:
 def suite_ratio(seed: int = 0) -> list[Check]:
     checks = []
     kmax = 718  # rows enough to certify both series at x = 200
-    table = coefs.cached_table(0.0, kmax, cols=1)
-    b = table.log_entries[1 : kmax + 1, 1]
+    b = coefs.log_w(np.arange(1, kmax + 1), 0, 0.0)  # A(k,1) = w(k,0), k = 1..kmax
     c = 3.5
     a = b + math.log(c)
     for x in (50.0, 100.0, 200.0):

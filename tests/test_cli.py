@@ -251,6 +251,9 @@ def test_phase_refuses_steps_that_never_end(capsys, lo, hi, step):
         (("sample", "--lambda", "6", "--theta", "0.5", "--samples", "1000000000"), "8 GB"),
         # fits any memory bound, but the full triangle would run for hours
         (("coeffs", "--kmax", "8000"), "kmax^2 cols = 5.12e+11"),
+        # refused before any draw: one edge and one output row per bin
+        (("sample", "--lambda", "6", "--theta", "0.5", "--samples", "100000000",
+          "--hist-bins", "1000001"), "more than 1000000"),
     ],
 )
 def test_resource_guards_refuse_up_front(capsys, argv, estimate):

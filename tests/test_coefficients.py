@@ -144,9 +144,14 @@ def test_column_truncated_table_domain_errors():
     for cols in (0, 21):
         with pytest.raises(DomainError):
             coefs.build_coeff_table(0.5, 20, cols=cols)
-    assert coefs.cached_table(0.5, 20, cols=1000).cols == coefs.cached_table(0.5, 20).kmax
+    wide = coefs.cached_table(0.5, 20, cols=1000)  # columns past kmax ask for all kmax of them
+    assert wide.kmax >= 20 and wide.cols >= 20
     with pytest.raises(DomainError):
-        moments.log_moments_from_table(table, 20)  # moments need every column
+        moments.log_moments_from_table(table, 20)  # moments to k = 20 need columns 1..20
+    # the columns they read, however many rows and columns more the table holds
+    small = coefs.build_coeff_table(0.5, 3)
+    assert np.array_equal(moments.log_moments_from_table(table, 3),
+                          moments.log_moments_from_table(small, 3))
     limit = coefs.build_coeff_table(0.0, 16, cols=2)
     assert coefs.log_c_combined(8, 2, 6.0, table=limit) == coefs.log_c_combined(8, 2, 6.0)
     with pytest.raises(DomainError):
@@ -206,7 +211,37 @@ def test_cached_table_grows_by_rows_and_serves_smaller_requests(fresh_tables):
     assert (t2.kmax, t2.cols) == (100, 100)
     assert coefs.cached_table(0.5, 80) is t2  # the held table, not a smaller one
     assert np.array_equal(t2.log_entries[:71, :71], t1.log_entries)
-    assert coefs.cached_table(0.5, 90, cols=3).cols == 3  # one table per (theta, cols)
+    assert coefs.cached_table(0.5, 90, cols=3) is t2  # one table per theta serves every width
+
+
+@pytest.mark.parametrize("theta", [0.0, 1e-100, 1e-5, 0.5, 1.0])
+def test_table_grown_by_rows_and_columns_equals_fresh_build(fresh_tables, theta):
+    rng = np.random.default_rng(17)
+    for _ in range(6):
+        coefs._table_slot.cache_clear()
+        for _ in range(4):
+            kmax = int(rng.integers(1, 120))
+            cols = None if rng.random() < 0.2 else int(rng.integers(1, 30))
+            held = coefs._table_slot(theta)[0]
+            grown = coefs.cached_table(theta, kmax, cols=cols)
+            width = kmax if cols is None else min(cols, kmax)
+            # the held table, grown to the larger rows and the larger columns
+            assert grown.kmax == max(kmax, held.kmax if held else 0)
+            assert grown.cols == max(width, held.cols if held else 0)
+            fresh = coefs.build_coeff_table(theta, grown.kmax, cols=grown.cols)
+            assert np.array_equal(grown.log_entries, fresh.log_entries)
+
+
+def test_table_too_large_to_grow_is_replaced_by_the_request(fresh_tables, monkeypatch):
+    monkeypatch.setattr(coefs, "MAX_TABLE_WORK", 50_000)
+    coefs.cached_table(0.5, 30)  # 30^2 30 = 27,000
+    table = coefs.cached_table(0.5, 60, cols=3)  # alone 10,800; grown to 60 x 30, 108,000
+    assert (table.kmax, table.cols) == (60, 3)
+    assert coefs._table_slot(0.5)[0] is table
+    assert np.array_equal(table.log_entries, coefs.build_coeff_table(0.5, 60, cols=3).log_entries)
+    with pytest.raises(DomainError):
+        coefs.cached_table(0.5, 300, cols=3)  # 270,000 alone
+    assert coefs._table_slot(0.5)[0] is table
 
 
 @pytest.mark.parametrize("theta", [0.0, 1e-5, 0.5, 1.0])

@@ -2,6 +2,7 @@
 
 import math
 import threading
+import tracemalloc
 from collections import OrderedDict
 from contextlib import closing
 
@@ -183,6 +184,33 @@ def test_ball_probability_wrong_center_small():
     right = mc.ball_probability(spec, k=2, delta=0.05, n=2 * 10**4, seed=6)
     assert wrong.value < 0.2
     assert wrong.value < right.value
+
+
+def test_ball_probability_centre_wider_than_the_draws():
+    spec, k = SelectionSpec(2.0, 0.1), 60
+    n = 2 * mc._BATCH + 7
+    inside = []
+    for _, ordered in _serial_sorted_batches(spec.theta, n, seed=8):
+        cols = ordered.shape[1]
+        assert cols < k
+        target = np.full(cols, 1.0 / k)
+        d = np.abs(ordered - target[None, :]) @ np.exp2(-np.arange(1, cols + 1, dtype=float))
+        d += sum(2.0**-i for i in range(cols + 1, k + 1)) / k  # the centre's unsampled entries
+        inside.append((d < 0.5).astype(float))
+    h2 = mc.h2_samples(spec.theta, n, seed=8)
+    want = mc._weighted_estimate(np.concatenate(inside), np.exp(spec.sigma * h2))
+    assert 0.0 < want.value < 1.0
+    assert mc.ball_probability(spec, k=k, delta=0.5, n=n, seed=8) == want
+
+
+def test_ball_probability_memory_does_not_grow_with_the_centre():
+    tracemalloc.start()
+    try:
+        mc.ball_probability(SelectionSpec(2.0, 0.1), k=10**9, delta=0.5, n=1000, seed=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20  # a sum over the centre's 10^9 entries would take ~14 GB
 
 
 def test_domain_errors():

@@ -151,7 +151,7 @@ def test_tail_bound_doubles_columns_and_matches_full_table(monkeypatch):
     assert asked == sorted(asked) and list(dict.fromkeys(asked)) == [4, 8, 16]
 
     # reference: the same stopping rule and summation order on a full table
-    full = coefs.cached_table(spec.theta, 85)
+    full = coefs.build_coeff_table(spec.theta, 85)
     assert full.cols == full.kmax
     total = 0.0
     for l in range(2, full.kmax + 1):
@@ -187,14 +187,41 @@ def test_series_do_not_depend_on_the_rows_held():
         # larger-x calls first grow the tables and moments the small-x calls read:
         # the limit table is shared across theta, tail_bound at lam 6.9 holds the
         # same columns as at lam 6, and mgf at t = -20 sums its series at
-        # x + 20, reading 29 moments more
+        # x + 20, reading 29 moments more; then both tables are widened
         tilted.k_ratio(SelectionSpec(6.0, 1e-9), 2, use_limit_coeffs=True)
         tilted.tail_bound(SelectionSpec(6.9, 1e-2))
         tilted.mgf(SelectionSpec(6.0, 1e-2), -20.0)
-        coefs.cached_table(1e-2, 500, cols=6)
+        coefs.cached_table(1e-2, 500, cols=40)
+        coefs.cached_table(0.0, 300, cols=40)
         assert _small_x_results() == fresh
     finally:
         clear()
+
+
+def test_tail_bound_holds_one_table_and_computes_no_row_twice(monkeypatch):
+    extend = coefs._extend
+    calls = []
+
+    def recording_extend(held, theta, kmax, cols):
+        table = extend(held, theta, kmax, cols)
+        calls.append((held, table))
+        return table
+
+    monkeypatch.setattr(coefs, "_extend", recording_extend)
+    coefs._table_slot.cache_clear()
+    try:
+        tilted.tail_bound(SelectionSpec(1.0, 0.125))
+        assert coefs._table_slot.cache_info().currsize == 1
+        held = coefs._table_slot(0.125)[0]
+        assert held.cols == 16  # the last block of columns, 9..16
+        # each build grows the table the one before it returned
+        assert calls[0][0] is None and len(calls) > 3
+        assert all(held is table for (held, _), (_, table) in zip(calls[1:], calls))
+        assert calls[-1][1] is held
+        assert np.array_equal(held.log_entries,
+                              coefs.build_coeff_table(0.125, held.kmax, held.cols).log_entries)
+    finally:
+        coefs._table_slot.cache_clear()
 
 
 def _more_terms_over_the_whole_range(x, k_last, log_peaks, log_caps):
@@ -240,7 +267,7 @@ def test_k_ratio_grows_the_factorial_lookup_only_as_far_as_it_reads():
 
 def test_k_ratio_matches_full_table():
     spec = SelectionSpec(12.0, 1e-5)
-    full = coefs.cached_table(spec.theta, 544)
+    full = coefs.build_coeff_table(spec.theta, 544)
     assert full.cols == full.kmax
     log_num, log_den = (tilted._log_num_den(spec, n, full) for n in (1, 0))
     expected = math.exp(log_num - log_den)
