@@ -34,6 +34,7 @@ EXIT_DEGENERATE = 4
 
 MAX_PHASE_ROWS = 10**6
 MAX_HIST_BINS = 10**6
+HASH_CHUNK = 1 << 16  # bytes of the --out file read at a time to hash it
 
 
 class _Parser(argparse.ArgumentParser):
@@ -72,15 +73,17 @@ def _write_json(obj, fp, **kwargs) -> None:
 
 
 def _write_manifest(args) -> None:
+    sha = hashlib.sha256()
     with open(args.out, "rb") as fp:
-        digest = hashlib.sha256(fp.read()).hexdigest()
+        while chunk := fp.read(HASH_CHUNK):
+            sha.update(chunk)
     manifest = {
         "command": args.command,
         "argv": args._argv,
         "seed": getattr(args, "seed", None),
         "version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
-        "outputs": {args.out: digest},
+        "outputs": {args.out: sha.hexdigest()},
     }
     with open(args.out + ".manifest.json", "w") as fp:
         _write_json(manifest, fp)

@@ -46,7 +46,6 @@ __all__ = [
     "log_w",
     "log_w_parts",
     "log_sum_exp",
-    "log_b_term",
     "c_constant",
     "log_asymptotic_A",
     "log_c_combined",
@@ -222,13 +221,6 @@ def _extend(held: CoeffTable | None, theta: float, kmax: int, cols: int) -> Coef
 def build_limit_table(kmax: int) -> CoeffTable:
     """Table of the theta-free coefficients A(k,l) (theta = 0 tag)."""
     return build_coeff_table(0.0, kmax)
-
-
-def log_b_term(k: int, l: int) -> float:
-    """log B(k,l) = log w(k,l) at theta = 0: 2^k k! Gamma(k+l) / (2^l l! Gamma(2k+1)), l < k."""
-    if not (1 <= l <= k - 1):
-        raise DomainError(f"log_b_term needs 1 <= l <= k-1, got (k={k}, l={l})")
-    return float(log_w(k, l, 0.0))
 
 
 def c_constant(p: int) -> float:

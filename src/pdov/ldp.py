@@ -5,6 +5,16 @@ lam * phi2 and recenters by the integer infimum.  The two-zero structure
 at the critical lam = k(k+1) is an exact statement, so uniform
 configurations carry an exact-arithmetic path (fractions) while general
 configurations use floating point.
+
+The row forms (phi2_rows, total_mass_rows, j_rate_rows, s_rate_rows,
+metric_d_rows) take many configurations at once, as the rows of one
+descending, zero-padded float matrix.  Each gives on every row the float
+its scalar form gives on that row's Configuration, bit for bit: a sum of
+entries or of squares is rounded once, as math.fsum rounds it (by a split
+sum, and by math.fsum itself on the rare row the split sum cannot
+certify), and the metric's terms are added left to right, as its loop
+adds them.  The scalar forms stay the exact reference, and the only path
+to the rational values of uniform configurations.
 """
 
 from __future__ import annotations
@@ -13,6 +23,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+
+import numpy as np
 
 from .errors import DomainError
 
@@ -24,12 +36,19 @@ __all__ = [
     "inf_term",
     "s_rate",
     "metric_d",
+    "phi2_rows",
+    "total_mass_rows",
+    "j_rate_rows",
+    "s_rate_rows",
+    "metric_d_rows",
     "rate_I1",
     "rate_I2",
     "uniform_config",
 ]
 
 MASS_TOL = 1e-12
+# (x + g) - g rounds x to a multiple of 2^-40 for x in [0, 1] (hi), of 2^-80 for |x| <= 2^-41 (mid)
+_GRID_HI, _GRID_MID = 2.0**12, 1.5 * 2.0**-28
 
 
 @dataclass(frozen=True)
@@ -149,6 +168,107 @@ def metric_d(x: Configuration, y: Configuration) -> float:
         yi = ye[i] if i < len(ye) else 0.0
         total += abs(xi - yi) * 0.5 ** (i + 1)
     return total
+
+
+def _split_sums(v: np.ndarray, part: np.ndarray) -> np.ndarray:
+    """Each row's sum of v, as rows (hi, mid, lo) of that sum; v, with
+    entries in [0, 1], and the buffer part, of v's shape, are overwritten.
+
+    Every entry is split into a multiple of 2^-40, a multiple of 2^-80
+    below 2^-41 and a remainder below 2^-81, each exactly; hi and mid sum
+    the first two parts exactly (for rows of under 2^14 entries that sum to
+    under 2^12; a GEM draw at epsilon > 5e-324 has ~900 sticks at most), and
+    lo the remainders, in floating point (see _fsum_rows); v is left
+    holding the remainders.
+    """
+    np.add(v, _GRID_HI, out=part)
+    part -= _GRID_HI
+    v -= part
+    hi = np.einsum("ij->i", part)
+    np.add(v, _GRID_MID, out=part)
+    part -= _GRID_MID
+    v -= part
+    return np.stack([hi, np.einsum("ij->i", part), np.einsum("ij->i", v)])
+
+
+def _rounded_sum(hi: np.ndarray, mid: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """hi + mid + lo, the parts of _split_sums, rounded once, ties to even,
+    as math.fsum rounds the entries it sums: the exact hi + mid as s + e,
+    then e + lo as t + f, and a tie in s + t broken by the sign of f, as in
+    math.fsum.  This needs the sum far from a rounding boundary, as
+    measured in lo's own rounding (see _fsum_rows)."""
+    s = hi + mid
+    e = (hi - s) + mid
+    t = e + lo
+    z = t - e
+    f = (e - (t - z)) + (lo - z)
+    r = s + t
+    half = 2.0 * (t - (r - s))  # twice the rounding error of s + t
+    tie = (half * np.sign(f) > 0.0) & ((r + half) - r == half)
+    return np.where(tie, r + half, r)
+
+
+def _fsum_rows(v: np.ndarray) -> np.ndarray:
+    """math.fsum of each row of v (entries in [0, 1]; v is not changed).
+
+    The rows go through _split_sums and _rounded_sum, which are exact but
+    for lo's own rounding, at most (n - 1) 2^-53 times the sum of the n
+    remainders' sizes (taken twice over below), and zero where a row has
+    at most one remainder.
+    Where that rounding could move a sum across a rounding boundary, the
+    row is summed again by math.fsum itself: rows built of powers of two
+    can need it, rows of random entries with odds of ~2^-48.
+    """
+    rest = v.copy()
+    hi, mid, lo = _split_sums(rest, np.empty_like(v))  # rest keeps the remainders lo sums
+    out = _rounded_sum(hi, mid, lo)
+    s = hi + mid
+    over = ((s - out) + ((hi - s) + mid)) + lo  # hi + mid + lo - out, to an ulp of itself
+    gap = np.spacing(out)  # boundaries lie gap/2 above out, gap/2 or gap/4 below
+    off = np.minimum(np.abs(np.abs(over) - 0.5 * gap), np.abs(np.abs(over) - 0.25 * gap))
+    lo_err = (v.shape[1] - 1) * 2.0**-52 * np.einsum("ij->i", np.abs(rest))
+    for i in np.flatnonzero((lo_err > 0.0) & (off <= lo_err + 2.0**-50 * gap)):
+        out[i] = math.fsum(v[i].tolist())
+    return out
+
+
+def phi2_rows(x: np.ndarray) -> np.ndarray:
+    """phi2 of each row of x (one configuration per row, entries in
+    [0, 1]): math.fsum of its squares."""
+    return _fsum_rows(np.square(x, dtype=float))
+
+
+def total_mass_rows(x: np.ndarray) -> np.ndarray:
+    """Configuration.total_mass of each row of x: math.fsum of its entries."""
+    return _fsum_rows(np.asarray(x, dtype=float))
+
+
+def j_rate_rows(x: np.ndarray) -> np.ndarray:
+    """j_rate of each row of x: its positive entries less one, +inf where
+    its mass is off 1 by more than MASS_TOL."""
+    on_simplex = np.abs(total_mass_rows(x) - 1.0) <= MASS_TOL
+    return np.where(on_simplex, np.count_nonzero(x > 0.0, axis=1) - 1.0, math.inf)
+
+
+def s_rate_rows(x: np.ndarray, lam: float) -> np.ndarray:
+    """s_rate of each row of x by its float path: J + lam * phi2 - inf_n
+    {lam/n + n - 1}, +inf off the simplex."""
+    best = inf_term(lam)[0]
+    return j_rate_rows(x) + lam * phi2_rows(x) - best
+
+
+def metric_d_rows(x: np.ndarray, y: Configuration) -> np.ndarray:
+    """metric_d of each row of x to y: the terms |x_i - y_i| / 2^i, the
+    shorter of a row and y padded with zeros, summed left to right by
+    np.cumsum, as metric_d's loop sums them."""
+    ye = np.asarray(y.entries, dtype=float)
+    width = max(x.shape[1], len(ye), 1)
+    terms = np.zeros((len(x), width))
+    terms[:, : x.shape[1]] = x
+    terms[:, : len(ye)] -= ye
+    np.abs(terms, out=terms)
+    terms *= np.ldexp(1.0, -np.arange(1, width + 1))
+    return np.cumsum(terms, axis=1)[:, -1]
 
 
 def _xlogx(v: float) -> float:

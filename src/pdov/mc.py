@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError
-from .ldp import Configuration, phi2
+from .ldp import Configuration, _rounded_sum, _split_sums, phi2
 from .model import SelectionSpec
 
 __all__ = [
@@ -50,8 +50,6 @@ STICK_CAP = 10**7
 _BATCH = 1 << 14
 _BLOCK = 16  # sticks of each block after a row's first
 _ROWS = 1 << 11  # rows of a block drawn at once, so that its buffers stay in cache
-# (x + g) - g rounds x to a multiple of 2^-40 for x in [0, 1] (hi), of 2^-80 for |x| <= 2^-41 (mid)
-_GRID_HI, _GRID_MID = 2.0**12, 1.5 * 2.0**-28
 MAX_DRAWS = 10**8  # an estimate holds a few n-long float arrays
 H2_CACHE_BYTES = 256 << 20  # total bytes of the cached h2 arrays
 # batches drawn at once: the CPUs this process may use
@@ -117,44 +115,6 @@ def _sticks(
     return np.multiply(cum[:, :-1], u, out=u)
 
 
-def _square_sums(w: np.ndarray, sq: np.ndarray) -> np.ndarray:
-    """Each row's sum of the squares w * w, as rows (hi, mid, lo) of that
-    sum; w and the buffer sq, of w's shape, are overwritten.
-
-    Every square, at most 1, is split into a multiple of 2^-40, a multiple
-    of 2^-80 below 2^-41 and a remainder below 2^-81, each exactly; hi and
-    mid sum the first two parts exactly (for rows of under 2^14 sticks; a
-    draw at epsilon > 5e-324 needs ~900 at most), and lo the remainders to
-    ~2^-120.
-    """
-    np.multiply(w, w, out=sq)
-    part = np.add(sq, _GRID_HI, out=w)
-    part -= _GRID_HI
-    sq -= part
-    hi = np.einsum("ij->i", part)
-    np.add(sq, _GRID_MID, out=part)
-    part -= _GRID_MID
-    sq -= part
-    return np.stack([hi, np.einsum("ij->i", part), np.einsum("ij->i", sq)])
-
-
-def _rounded_sum(hi: np.ndarray, mid: np.ndarray, lo: np.ndarray) -> np.ndarray:
-    """hi + mid + lo, the parts of _square_sums, rounded once, ties to even,
-    as math.fsum rounds the squares it sums: the exact hi + mid as s + e,
-    then e + lo as t + f, and a tie in s + t broken by the sign of f, as in
-    math.fsum.  This needs the sum far above lo's own rounding, as a draw's
-    is: at least 1/(its stick count)."""
-    s = hi + mid
-    e = (hi - s) + mid
-    t = e + lo
-    z = t - e
-    f = (e - (t - z)) + (lo - z)
-    r = s + t
-    half = 2.0 * (t - (r - s))  # twice the rounding error of s + t
-    tie = (half * np.sign(f) > 0.0) & ((r + half) - r == half)
-    return np.where(tie, r + half, r)
-
-
 def _gem_batch(
     theta: float,
     size: int,
@@ -209,7 +169,8 @@ def _gem_batch(
             prefix[chunk] = left
             if weights is not None:
                 weights[chunk, col : col + width] = w
-            sums[:, chunk] += _square_sums(w, work[1, : m * width].reshape(m, width))
+            sq = np.multiply(w, w, out=work[1, : m * width].reshape(m, width))
+            sums[:, chunk] += _split_sums(sq, w)
         rows = rows[prefix[rows] >= epsilon]
         col += width
         width = _BLOCK

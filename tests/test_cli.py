@@ -215,6 +215,18 @@ def test_out_writes_manifest(tmp_path, capsys):
     assert manifest["outputs"][str(out_file)] == digest
 
 
+def test_manifest_hashes_output_larger_than_one_chunk(tmp_path, capsys):
+    import hashlib
+
+    out_file = tmp_path / "a.csv"
+    code, _, _ = run(capsys, "coeffs", "--kmax", "100", "--limit", "--out", str(out_file))
+    assert code == 0
+    data = out_file.read_bytes()
+    assert len(data) > 2 * cli.HASH_CHUNK
+    manifest = json.loads((tmp_path / "a.csv.manifest.json").read_text())
+    assert manifest["outputs"][str(out_file)] == hashlib.sha256(data).hexdigest()
+
+
 def test_verify_single_suite(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "phase")
     assert code == 0

@@ -97,14 +97,13 @@ def test_domain_errors():
         coefs.build_coeff_table(1.5, 5)
     with pytest.raises(DomainError):
         coefs.build_coeff_table(0.5, 0)
-    with pytest.raises(DomainError):
-        coefs.log_b_term(3, 3)
 
 
 def test_b_term_values():
-    assert math.exp(coefs.log_b_term(5, 3)) == pytest.approx(1.0 / 9.0, rel=1e-12)
-    assert math.exp(coefs.log_b_term(5, 4)) == pytest.approx(1.0 / 9.0, rel=1e-12)
-    assert math.exp(coefs.log_b_term(3, 1)) == pytest.approx(0.2, rel=1e-12)
+    # B(k,l) = w(k,l) at theta = 0
+    assert math.exp(coefs.log_w(5, 3, 0.0)) == pytest.approx(1.0 / 9.0, rel=1e-12)
+    assert math.exp(coefs.log_w(5, 4, 0.0)) == pytest.approx(1.0 / 9.0, rel=1e-12)
+    assert math.exp(coefs.log_w(3, 1, 0.0)) == pytest.approx(0.2, rel=1e-12)
 
 
 def test_c_constant_values():

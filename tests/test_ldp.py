@@ -3,11 +3,12 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pdov import ldp
+from pdov import ldp, verify
 from pdov.errors import DomainError
 
 
@@ -157,3 +158,123 @@ def test_configuration_validation():
         cfg(0.3, 0.5)  # not sorted descending
     with pytest.raises(DomainError):
         cfg(math.nan, 0.5)
+
+
+# -- row forms -----------------------------------------------------------------
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+def _assert_rows_match_scalar(x):
+    """Every row form equals its scalar form on each row, bit for bit."""
+    configs = [ldp.Configuration(entries=tuple(row.tolist()), validate=False) for row in x]
+    assert np.array_equal(_bits(ldp.phi2_rows(x)), _bits([ldp.phi2(c) for c in configs]))
+    assert np.array_equal(_bits(ldp.total_mass_rows(x)), _bits([c.total_mass for c in configs]))
+    assert np.array_equal(_bits(ldp.j_rate_rows(x)), _bits([ldp.j_rate(c) for c in configs]))
+    for lam in (2.0, 6.0, 12.0):
+        assert np.array_equal(
+            _bits(ldp.s_rate_rows(x, lam)), _bits([ldp.s_rate(c, lam) for c in configs])
+        )
+    # centers shorter than the rows, longer than every row, and not uniform
+    for center in (ldp.uniform_config(1), ldp.uniform_config(12), cfg(0.5, 0.3, 0.2)):
+        assert np.array_equal(
+            _bits(ldp.metric_d_rows(x, center)), _bits([ldp.metric_d(c, center) for c in configs])
+        )
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_row_forms_equal_scalar_forms(n):
+    rng = np.random.Generator(np.random.Philox(key=n))
+    x = verify.perturbed_configs(n, 800, rng)  # 200 rows at each of the four concentrations
+    assert x.shape == (800, n)
+    _assert_rows_match_scalar(x)
+    # zero-padded rows: n_positive counts the positive entries alone
+    padded = np.concatenate([x, np.zeros((len(x), 3))], axis=1)
+    _assert_rows_match_scalar(padded)
+    on = np.abs(ldp.total_mass_rows(x) - 1.0) <= ldp.MASS_TOL
+    assert on.all()
+    assert np.all(ldp.j_rate_rows(padded) == n - 1)
+    assert np.array_equal(ldp.s_rate_rows(padded, 6.0), ldp.s_rate_rows(x, 6.0))
+    # rows of mass < 1 - MASS_TOL, the leading entry dropped among them: S is +inf
+    for light in (x * 0.9, x * (1.0 - 4.0 * ldp.MASS_TOL), padded[:, 1:]):
+        _assert_rows_match_scalar(light)
+        assert np.all(ldp.s_rate_rows(light, 6.0) == math.inf)
+
+
+def test_row_sums_equal_fsum_where_the_split_sum_is_not_certified():
+    # powers of two whose sum sits half an ulp above a double, with a tail
+    # below lo's own rounding: the split sum alone rounds these down
+    mass_row = np.ldexp(1.0, -np.array([[28, 81, 136]]))
+    square_row = np.ldexp(1.0, -np.array([[16, 43, 43, 70, 98]]))
+    for row, fsum_rows, fsum in (
+        (mass_row, ldp.total_mass_rows, math.fsum(mass_row[0].tolist())),
+        (square_row, ldp.phi2_rows, math.fsum((square_row[0] ** 2).tolist())),
+    ):
+        v = row**2 if fsum_rows is ldp.phi2_rows else row
+        assert ldp._rounded_sum(*ldp._split_sums(v.copy(), np.empty_like(v)))[0] != fsum
+        assert fsum_rows(row)[0] == fsum
+
+
+def _perturbed_configs_scalar(n_parts, count, rng):
+    """verify.perturbed_configs as a list of Configurations, one per draw."""
+    out = []
+    alphas = (2.0, 20.0, 200.0, 2000.0)
+    per = count // len(alphas)
+    for alpha in alphas:
+        draws = rng.dirichlet(np.full(n_parts, alpha), size=per)
+        draws = -np.sort(-draws, axis=1)
+        for row in draws:
+            out.append(ldp.Configuration(entries=tuple(row.tolist()), validate=False))
+    return out
+
+
+def _suite_inclusion_scalar(seed, count):
+    """The inclusion suite as a loop over one Configuration per draw."""
+    checks = []
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    for k in (1, 2, 3):
+        lam = float(k * (k + 1))
+        delta = 0.9 / (k * (k + 1) + 1)
+        center = ldp.uniform_config(k)
+        counterexamples = 0
+        lhs_hits = 0
+        min_s = math.inf
+        for n in (k, k + 1):
+            for c in _perturbed_configs_scalar(n, count // 2, rng):
+                s = ldp.s_rate(c, lam)
+                min_s = min(min_s, s)
+                if s < delta and abs(ldp.phi2(c) - 1.0 / k) < delta:
+                    lhs_hits += 1
+                    if ldp.metric_d(c, center) >= delta:
+                        counterexamples += 1
+        checks.append(
+            verify._check(
+                "inclusion",
+                f"no counterexample at k={k}",
+                1.0 if counterexamples == 0 else -float(counterexamples),
+                f"lhs hits={lhs_hits}",
+            )
+        )
+        checks.append(verify._check("inclusion", f"S_lam >= 0 on sweep (k={k})", min_s + 1e-12))
+        floor_margin = math.inf
+        for n in range(1, 9):
+            if n in (k, k + 1):
+                continue
+            for c in _perturbed_configs_scalar(n, 400, rng):
+                floor_margin = min(floor_margin, ldp.s_rate(c, lam) - (2.0 / (k + 2) - 1e-12))
+        checks.append(
+            verify._check("inclusion", f"S_lam >= 2/{k + 2} off the zero levels (k={k})", floor_margin)
+        )
+    return checks
+
+
+@pytest.mark.parametrize("seed", [0, 42])
+def test_suite_inclusion_matches_the_scalar_loop(seed):
+    got = verify.suite_inclusion(seed, 2000)
+    ref = _suite_inclusion_scalar(seed, 2000)
+    assert got == ref
+    assert [type(c.margin) for c in got] == [float] * len(ref)
+    assert [type(c.passed) for c in got] == [bool] * len(ref)
+    assert [c.margin.hex() for c in got] == [c.margin.hex() for c in ref]
