@@ -264,8 +264,6 @@ def cmd_verify(args) -> int:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--strict", action="store_true", help="escalate ESS warnings to exit 4")
 
 
 def build_parser() -> _Parser:
@@ -282,6 +280,7 @@ def build_parser() -> _Parser:
     p.add_argument("--theta", type=float, required=True)
     p.add_argument("--kmax", type=int, required=True)
     p.add_argument("--mc-check", type=int, default=0, dest="mc_check")
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_moments)
 
     p = sub.add_parser("kn", help="series ratio K_n over a theta list")
@@ -320,6 +319,8 @@ def build_parser() -> _Parser:
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--hist-bins", type=int, default=0, dest="hist_bins")
     p.add_argument("--ball", type=_ball, default=None, help="K,DELTA ball probability")
+    p.add_argument("--strict", action="store_true", help="escalate ESS warnings to exit 4")
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("verify", help="bound-by-bound property suites")
@@ -328,6 +329,7 @@ def build_parser() -> _Parser:
         default="all",
         choices=sorted(verify_mod.SUITES) + ["all"],
     )
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_verify)
 
     for sp in sub.choices.values():

@@ -8,7 +8,8 @@ configurations use floating point.
 
 The row forms (phi2_rows, total_mass_rows, j_rate_rows, s_rate_rows,
 metric_d_rows) take many configurations at once, as the rows of one
-descending, zero-padded float matrix.  Each gives on every row the float
+descending, zero-padded float matrix, and refuse, with DomainError, any
+row that Configuration refuses.  Each gives on every row the float
 its scalar form gives on that row's Configuration, bit for bit: a sum of
 entries or of squares is rounded once, as math.fsum rounds it (by a split
 sum, and by math.fsum itself on the rare row the split sum cannot
@@ -172,7 +173,7 @@ def metric_d(x: Configuration, y: Configuration) -> float:
 
 def _split_sums(v: np.ndarray, part: np.ndarray) -> np.ndarray:
     """Each row's sum of v, as rows (hi, mid, lo) of that sum; v, with
-    entries in [0, 1], and the buffer part, of v's shape, are overwritten.
+    entries in [0, 2^12), and the buffer part, of v's shape, are overwritten.
 
     Every entry is split into a multiple of 2^-40, a multiple of 2^-80
     below 2^-41 and a remainder below 2^-81, each exactly; hi and mid sum
@@ -209,7 +210,8 @@ def _rounded_sum(hi: np.ndarray, mid: np.ndarray, lo: np.ndarray) -> np.ndarray:
 
 
 def _fsum_rows(v: np.ndarray) -> np.ndarray:
-    """math.fsum of each row of v (entries in [0, 1]; v is not changed).
+    """math.fsum of each row of v (rows as _split_sums takes them; v is
+    not changed).
 
     The rows go through _split_sums and _rounded_sum, which are exact but
     for lo's own rounding, at most (n - 1) 2^-53 times the sum of the n
@@ -232,35 +234,62 @@ def _fsum_rows(v: np.ndarray) -> np.ndarray:
     return out
 
 
+def _checked_rows(x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """x as a float matrix, and each row's total mass and phi2 (math.fsum
+    of its entries and of their squares, summed as the rows of one matrix),
+    refused where Configuration refuses a row: a NaN or negative entry,
+    entries not descending, or mass above 1 + MASS_TOL.  A row's largest
+    entry is checked against that bound before any sum, so the split sums
+    only see entries in [0, 1 + MASS_TOL]."""
+    x = np.asarray(x, dtype=float)
+    if not np.all(x >= 0.0):  # NaN fails too
+        raise DomainError("configuration entries must be nonnegative")
+    if np.any(x[:, :-1] < x[:, 1:]):
+        raise DomainError("configuration entries must be descending")
+    if np.any(x[:, :1] > 1.0 + MASS_TOL):
+        raise DomainError(f"an entry {np.max(x[:, 0])} exceeds 1, and so does its row's mass")
+    mass, squares = np.split(_fsum_rows(np.concatenate([x, np.square(x)])), 2)
+    if np.any(mass > 1.0 + MASS_TOL):
+        raise DomainError(f"total mass {np.max(mass)} exceeds 1")
+    return x, mass, squares
+
+
+def _j_rate(x: np.ndarray, mass: np.ndarray) -> np.ndarray:
+    on_simplex = np.abs(mass - 1.0) <= MASS_TOL
+    return np.where(on_simplex, np.count_nonzero(x > 0.0, axis=1) - 1.0, math.inf)
+
+
 def phi2_rows(x: np.ndarray) -> np.ndarray:
-    """phi2 of each row of x (one configuration per row, entries in
-    [0, 1]): math.fsum of its squares."""
-    return _fsum_rows(np.square(x, dtype=float))
+    """phi2 of each row of x (one configuration per row): math.fsum of its
+    squares."""
+    return _checked_rows(x)[2]
 
 
 def total_mass_rows(x: np.ndarray) -> np.ndarray:
     """Configuration.total_mass of each row of x: math.fsum of its entries."""
-    return _fsum_rows(np.asarray(x, dtype=float))
+    return _checked_rows(x)[1]
 
 
 def j_rate_rows(x: np.ndarray) -> np.ndarray:
     """j_rate of each row of x: its positive entries less one, +inf where
     its mass is off 1 by more than MASS_TOL."""
-    on_simplex = np.abs(total_mass_rows(x) - 1.0) <= MASS_TOL
-    return np.where(on_simplex, np.count_nonzero(x > 0.0, axis=1) - 1.0, math.inf)
+    x, mass, _ = _checked_rows(x)
+    return _j_rate(x, mass)
 
 
 def s_rate_rows(x: np.ndarray, lam: float) -> np.ndarray:
     """s_rate of each row of x by its float path: J + lam * phi2 - inf_n
     {lam/n + n - 1}, +inf off the simplex."""
     best = inf_term(lam)[0]
-    return j_rate_rows(x) + lam * phi2_rows(x) - best
+    x, mass, squares = _checked_rows(x)
+    return _j_rate(x, mass) + lam * squares - best
 
 
 def metric_d_rows(x: np.ndarray, y: Configuration) -> np.ndarray:
     """metric_d of each row of x to y: the terms |x_i - y_i| / 2^i, the
     shorter of a row and y padded with zeros, summed left to right by
     np.cumsum, as metric_d's loop sums them."""
+    x = _checked_rows(x)[0]
     ye = np.asarray(y.entries, dtype=float)
     width = max(x.shape[1], len(ye), 1)
     terms = np.zeros((len(x), width))

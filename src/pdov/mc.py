@@ -2,16 +2,18 @@
 the tilted measure.
 
 Sampling is deterministic per (seed, parameters): every estimator draws
-through one batch loop whose batches are fixed-size slices, each driven by
-its own Philox stream derived from the root seed by counter offsetting, so
-one seed fixes the same draws for every statistic.  Batches are drawn
+through one batch driver, _draw, whose fixed-size batches each have their
+own Philox stream, derived from the root seed by counter offsetting, so one
+seed fixes the same draws for every statistic.  Batches are drawn
 concurrently on the CPUs this process may use and handed to the statistic
 in batch order, so the draws are the same for any CPU count.
 Beta(1,theta) sticks come from the exact inverse CDF U = 1-(1-V)^{1/theta}.
 Each draw takes sticks until its own residual mass is below epsilon: a
 first block sized from the Poisson law of the sticks it needs, then short
-blocks for the draws still above epsilon alone.  Its H2 is the sum of its
-squared sticks rounded once, the number ldp.phi2 gives on it.
+blocks for the draws still above epsilon alone.  Its H2, the split sum of
+its squared sticks, is ldp.phi2 of the draw on every row whose exact sum is
+not within the split sum's own rounding of a tie; no sticks are kept to
+re-sum such a row (test_row_sums_equal_fsum_where_the_split_sum_is_not_certified).
 """
 
 from __future__ import annotations
@@ -20,10 +22,8 @@ import concurrent.futures  # loads its thread pool module on first use, not with
 import math
 import os
 import threading
-from collections import OrderedDict, deque
-from contextlib import closing
+from collections import OrderedDict
 from dataclasses import dataclass, field
-from itertools import islice
 from typing import Callable
 
 import numpy as np
@@ -134,8 +134,8 @@ def _gem_batch(
     rows at a time into buffers kept for the batch; which rows draw on
     follows from the stream, so one stream fixes every draw.
 
-    Each H2 is the sum of its row's squared sticks rounded once, the
-    number ldp.phi2 gives on the draw, whatever the order of the sticks.
+    Each H2 is the split sum of its row's squared sticks, whatever their
+    order; see the module docstring for where it may differ from ldp.phi2.
 
     Returns (h2, residual, weights-or-None); the weights hold each row's
     sticks in draw order, zero-padded to the widest row.
@@ -177,40 +177,44 @@ def _gem_batch(
     return _rounded_sum(*sums), prefix, None if weights is None else weights[:, :col]
 
 
-def _batches(theta: float, n: int, seed: int, keep_weights: bool):
-    """Refuse n > MAX_DRAWS, then iterate (lo, hi, h2, sorted-weights-or-None)
-    for draws lo..hi-1 of n; batch b holds _BATCH draws from stream(seed, b),
-    whatever the statistic, and its stick matrix comes sorted descending
-    along each row.
-
-    Up to _WORKERS batches are drawn at once on a thread pool of this call's
-    own, and yielded in batch order; the pool is shut down when the
-    iteration ends, is closed or raises, so callers close it on error.
+def _draw(theta: float, n: int, seed: int, batch_statistic: Callable | None = None):
+    """Refuse n > MAX_DRAWS, then return each of n GEM draws' H2 and
+    batch_statistic (None without one).  Batch b holds _BATCH draws from
+    stream(seed, b), whatever the statistic, which maps one batch's stick
+    matrix, sorted descending along each row (one row per draw,
+    zero-padded), to one value per row; sticks are kept only for it.  Up to
+    _WORKERS batches are drawn at once on a thread pool of this call's own,
+    the statistic runs on the calling thread in batch order, and the pool
+    is shut down on return or error.
     """
     if n > MAX_DRAWS:
         raise DomainError(f"{n} draws need {8 * n / 1e9:.3g} GB per array (limit {MAX_DRAWS})")
+    h2 = np.empty(n)
+    f = None if batch_statistic is None else np.empty(n)
+    count = -(-n // _BATCH)
 
-    def draw(b: int, lo: int):
-        hi = min(n, lo + _BATCH)
-        h2, _, weights = _gem_batch(theta, hi - lo, DEFAULT_EPSILON, stream(seed, b), keep_weights)
+    def draw(b: int):
+        size = min(_BATCH, n - b * _BATCH)
+        bh2, _, weights = _gem_batch(theta, size, DEFAULT_EPSILON, stream(seed, b), f is not None)
         if weights is not None:
             weights.sort(axis=1)
             weights = weights[:, ::-1]
-        return lo, hi, h2, weights
+        return bh2, weights
 
-    def batches():  # a generator of its own, so the check runs before callers allocate
-        todo = enumerate(range(0, n, _BATCH))
-        pool = concurrent.futures.ThreadPoolExecutor(max_workers=_WORKERS)
-        try:
-            pending = deque(pool.submit(draw, b, lo) for b, lo in islice(todo, _WORKERS))
-            while pending:
-                batch = pending.popleft().result()
-                pending.extend(pool.submit(draw, b, lo) for b, lo in islice(todo, 1))
-                yield batch
-        finally:
-            pool.shutdown(cancel_futures=True)
-
-    return batches()
+    pool = concurrent.futures.ThreadPoolExecutor(max_workers=_WORKERS)
+    try:
+        pending = {b: pool.submit(draw, b) for b in range(min(_WORKERS, count))}
+        for b in range(count):
+            bh2, weights = pending.pop(b).result()
+            if b + _WORKERS < count:
+                pending[b + _WORKERS] = pool.submit(draw, b + _WORKERS)
+            lo = b * _BATCH
+            h2[lo : lo + len(bh2)] = bh2
+            if f is not None:
+                f[lo : lo + len(bh2)] = batch_statistic(weights)
+    finally:
+        pool.shutdown(cancel_futures=True)
+    return h2, f
 
 
 def sample_gem(theta: float, epsilon: float = DEFAULT_EPSILON, *, seed: int) -> GemSample:
@@ -238,11 +242,7 @@ def h2_samples(theta: float, n: int, seed: int) -> np.ndarray:
         if out is not None:
             _h2_cache.move_to_end(key)
             return out
-    batches = _batches(*key, keep_weights=False)
-    out = np.empty(key[1])
-    with closing(batches):
-        for lo, hi, h2, _ in batches:
-            out[lo:hi] = h2
+    out, _ = _draw(*key)
     out.setflags(write=False)
     if out.nbytes <= H2_CACHE_BYTES:
         with _h2_lock:
@@ -283,28 +283,6 @@ def _weighted_estimate(f: np.ndarray, w: np.ndarray) -> TiltedEstimate:
     )
 
 
-def _sorted_batch_estimate(
-    spec: SelectionSpec,
-    n: int,
-    seed: int,
-    batch_statistic: Callable[[np.ndarray], np.ndarray],
-) -> TiltedEstimate:
-    """Weighted estimate of a statistic of the descending-sorted sticks.
-
-    The draws are those of h2_samples, with each batch's stick matrix
-    kept; `batch_statistic` maps one batch's sorted matrix (one row per
-    draw, zero-padded) to one value per row.
-    """
-    batches = _batches(spec.theta, n, seed, keep_weights=True)
-    f = np.empty(n)
-    h2 = np.empty(n)
-    with closing(batches):  # a raising statistic still shuts the pool down
-        for lo, hi, bh2, weights in batches:
-            h2[lo:hi] = bh2
-            f[lo:hi] = batch_statistic(weights)
-    return _weighted_estimate(f, _weights(spec, h2))
-
-
 def tilted_estimate(
     spec: SelectionSpec,
     statistic: Callable[[Configuration], float],
@@ -334,7 +312,8 @@ def tilted_estimate(
             out[i] = statistic(Configuration(entries=entries, validate=False))
         return out
 
-    return _sorted_batch_estimate(spec, n, seed, per_draw)
+    h2, f = _draw(spec.theta, n, seed, per_draw)
+    return _weighted_estimate(f, _weights(spec, h2))
 
 
 def homozygosity_histogram(
@@ -385,4 +364,5 @@ def ball_probability(
             d += (2.0**-cols - 2.0**-k) / k
         return (d < delta).astype(float)
 
-    return _sorted_batch_estimate(spec, n, seed, inside)
+    h2, f = _draw(spec.theta, n, seed, inside)
+    return _weighted_estimate(f, _weights(spec, h2))

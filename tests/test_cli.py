@@ -136,6 +136,11 @@ def test_exit_usage(capsys):
     assert code == 1
     code, _, _ = run(capsys, "nonsense")
     assert code == 1
+    # --strict belongs to sample, --seed to the commands that draw: moments, sample, verify
+    code, out, err = run(capsys, "kn", "--lambda", "6", "--n", "1", "--theta", "1e-3", "--strict")
+    assert code == 1 and out == "" and "unrecognized arguments: --strict" in err
+    code, _, err = run(capsys, "coeffs", "--kmax", "5", "--seed", "1")
+    assert code == 1 and "unrecognized arguments: --seed" in err
 
 
 @pytest.mark.parametrize(
@@ -225,6 +230,7 @@ def test_manifest_hashes_output_larger_than_one_chunk(tmp_path, capsys):
     assert len(data) > 2 * cli.HASH_CHUNK
     manifest = json.loads((tmp_path / "a.csv.manifest.json").read_text())
     assert manifest["outputs"][str(out_file)] == hashlib.sha256(data).hexdigest()
+    assert manifest["seed"] is None  # coeffs draws nothing, so it takes no seed
 
 
 def test_verify_single_suite(capsys):

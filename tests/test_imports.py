@@ -1,0 +1,50 @@
+"""Every name a pdov module imports is read in it or listed in its __all__."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "pdov"
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names that source imports but neither reads nor lists in __all__;
+    an import line marked `# noqa: F401` is exempt."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                if alias.name != "*" and "# noqa: F401" not in lines[alias.lineno - 1]:
+                    imported.append(alias.asname or alias.name.split(".")[0])
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return [name for name in imported if name not in used]
+
+
+def test_unused_imports_are_found():
+    source = (
+        "from __future__ import annotations\n"
+        "import concurrent.futures\n"
+        "import os.path\n"
+        "from collections import OrderedDict, deque\n"
+        "from itertools import islice as take  # noqa: F401\n"
+        "from .ldp import phi2\n"
+        "__all__ = ['phi2']\n"
+        "cache = OrderedDict()\n"
+        "pool = concurrent.futures.ThreadPoolExecutor\n"
+    )
+    assert unused_imports(source) == ["os", "deque"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []

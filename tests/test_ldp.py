@@ -217,6 +217,39 @@ def test_row_sums_equal_fsum_where_the_split_sum_is_not_certified():
         assert fsum_rows(row)[0] == fsum
 
 
+ROW_FORMS = (
+    ldp.phi2_rows,
+    ldp.total_mass_rows,
+    ldp.j_rate_rows,
+    lambda x: ldp.s_rate_rows(x, 6.0),
+    lambda x: ldp.metric_d_rows(x, ldp.uniform_config(2)),
+)
+
+
+@pytest.mark.parametrize(
+    "form", ROW_FORMS, ids=["phi2", "total_mass", "j_rate", "s_rate", "metric_d"]
+)
+def test_row_forms_refuse_rows_that_configuration_refuses(form):
+    rng = np.random.Generator(np.random.Philox(key=3))
+    refused = (
+        np.array([[0.5, -0.1]]),
+        np.array([[0.5, 0.5], [0.6, -0.1]]),  # one bad row among good ones
+        np.array([[0.5, math.nan]]),
+        np.array([[0.3, 0.5]]),  # not descending
+        np.array([[0.5, math.inf]]),  # not descending either
+        np.array([[math.inf, 0.5]]),
+        np.array([[0.6, 0.4 + 4.0 * ldp.MASS_TOL]]),  # mass above 1 + MASS_TOL
+        np.array([[1.0 + 4.0 * ldp.MASS_TOL, 0.0]]),
+        -np.sort(-rng.uniform(0.0, 5000.0, size=(20_000, 6)), axis=1),  # sums far above 1
+    )
+    for x in refused:
+        with pytest.raises(DomainError):
+            ldp.Configuration(entries=tuple(x[-1].tolist()))
+        with pytest.raises(DomainError):
+            form(x)
+    form(np.array([[0.6, 0.4 + 0.5 * ldp.MASS_TOL], [0.5, 0.0]]))  # rows Configuration takes
+
+
 def _perturbed_configs_scalar(n_parts, count, rng):
     """verify.perturbed_configs as a list of Configurations, one per draw."""
     out = []

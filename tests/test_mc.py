@@ -4,7 +4,6 @@ import math
 import threading
 import tracemalloc
 from collections import OrderedDict
-from contextlib import closing
 
 import numpy as np
 import pytest
@@ -37,7 +36,10 @@ def test_gem_batch_invariants(theta):
     assert np.all(residual < eps)
     assert np.all(w >= 0.0)
     assert np.max(np.abs(w.sum(axis=1) + residual - 1.0)) < 1e-12
-    # H2 is the once-rounded sum of squares, as ldp.phi2 gives it on the draw
+    # H2 is the split sum of squares, which equals math.fsum (ldp.phi2) on
+    # every row whose exact sum is not within the split sum's own rounding
+    # of a tie: on every draw here, though not on the power-of-two row of
+    # test_ldp's test_row_sums_equal_fsum_where_the_split_sum_is_not_certified
     assert h2.tolist() == [math.fsum(v * v for v in row) for row in w.tolist()]
     # the zero padding only follows a row's sticks, which come in draw order
     positive = w > 0.0
@@ -213,6 +215,21 @@ def test_ball_probability_memory_does_not_grow_with_the_centre():
     assert peak < 4 << 20  # a sum over the centre's 10^9 entries would take ~14 GB
 
 
+def test_draw_count_is_refused_before_any_allocation():
+    # the output arrays alone would take 800 MB each
+    spec, n = SelectionSpec(2.0, 0.5), mc.MAX_DRAWS + 1
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match="draws need"):
+            mc.ball_probability(spec, k=1, delta=0.2, n=n, seed=1)
+        with pytest.raises(DomainError, match="draws need"):
+            mc.tilted_estimate(spec, lambda config: config.entries[0], n, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_domain_errors():
     with pytest.raises(DomainError):
         mc.sample_gem(0.0, seed=1)
@@ -280,8 +297,6 @@ def test_pool_draws_match_serial_reference(serial_reference, workers, monkeypatc
     assert np.array_equal(mc.h2_samples(spec.theta, POOL_N, seed=5), h2)
     assert mc.ball_probability(spec, k=1, delta=0.2, n=POOL_N, seed=5) == ball
     assert mc.tilted_estimate(spec, _pool_stat, n=POOL_N, seed=5) == generic
-    with closing(mc._batches(spec.theta, POOL_N, 5, keep_weights=False)) as batches:
-        assert [lo for lo, *_ in batches] == list(range(0, POOL_N, mc._BATCH))  # in order
 
 
 def test_raising_statistic_propagates_and_stops_the_pool(monkeypatch):
