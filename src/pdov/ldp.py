@@ -57,7 +57,8 @@ class Configuration:
     """Finite descending nonnegative vector with total mass <= 1.
 
     uniform_k marks the exact k-uniform configuration (1/k, ..., 1/k),
-    which unlocks the rational-arithmetic path of s_rate.
+    which unlocks the rational-arithmetic path of s_rate; validation
+    refuses it on any other entries.
     """
 
     entries: tuple
@@ -73,6 +74,10 @@ class Configuration:
                 raise DomainError("configuration entries must be descending")
             if self.total_mass > 1.0 + MASS_TOL:
                 raise DomainError(f"total mass {self.total_mass} exceeds 1")
+            k = self.uniform_k
+            if k is not None and not (isinstance(k, int) and k >= 1
+                                      and tuple(e) == (1.0 / k,) * k):
+                raise DomainError(f"entries are not the {k}-uniform configuration")
 
     @property
     def total_mass(self) -> float:

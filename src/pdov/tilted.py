@@ -6,6 +6,10 @@ coefficients a_k drawn from the triangular tables (K_n and its
 diagnostics) or from the moment recursion (the MGF).  They are summed in
 log space; the one alternating series, the MGF's S(x - t) where t > x,
 is summed in linear space.
+
+One check, _certify, cuts a block of positive series where each tail is
+certified, or says how many more terms to hold (_more_terms): tables and
+moment runs grow by that count until the same check sums every series.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import ldp
-from .coefficients import CoeffTable, cached_table, lgamma_lookup, log_sum_exp
+from .coefficients import cached_table, lgamma_lookup, log_sum_exp
 from .errors import DomainError, PrecisionError
 from .model import SelectionSpec
 from .moments import log_moments, log_moments_from_table  # noqa: F401  (perfbench wraps the latter)
@@ -53,53 +57,65 @@ def exp_series(
     x: float, log_coeffs: np.ndarray, start: int = 0, *, log_coeff_cap: float
 ) -> float:
     """log of sum_{k>=start} a_k x^k / k! over the supplied coefficients
-    (log a_k, indexed from `start`), cut where its tail is certified.
+    (log a_k, indexed from `start`), cut where _certify certifies its tail,
+    with exp(log_coeff_cap) bounding every a_k past the supplied ones.
 
-    Past the Poisson mode (k + 2 > x) the terms after k shrink by at most
-    x/(k+2) each, so they sum to at most cap x^{k+1}/(k+1)! / (1 - x/(k+2)),
-    where cap bounds every dropped a_j: the largest supplied a_j past k, and
-    exp(log_coeff_cap), which must bound every a_j past the supplied ones.
-    The sum stops at the first such k whose bound is within DEFAULT_RTOL of
-    the largest term up to k, so it depends on a_start..a_k alone, not on
-    how many coefficients are supplied.  If the bound at the last supplied
-    k is not within DEFAULT_RTOL, PrecisionError is raised rather than
-    silently truncating.  The coefficients must hold no NaN or +inf and at
-    least one finite log a_k.
+    If the tail is not certified by the last supplied k, PrecisionError is
+    raised rather than silently truncating.  The coefficients must hold no
+    NaN or +inf and at least one finite log a_k.
     """
     if not 0.0 <= x < math.inf:
         raise DomainError(f"x must be finite and >= 0, got {x}")
     log_coeffs = np.asarray(log_coeffs, dtype=float)
-    if log_coeffs.size == 0 or not np.isfinite(top := log_coeffs.max()):
+    if log_coeffs.size == 0 or not np.isfinite(log_coeffs.max()):
         raise DomainError("coefficients must be non-empty, free of NaN and +inf, and not all 0")
-    if x == 0.0:
-        return float(log_coeffs[0]) if start == 0 else -math.inf
-    log_terms = _log_terms(x, log_coeffs, start)
-    k_last = start + log_coeffs.size - 1
-    if x >= k_last + 2:
+    row = np.concatenate([np.full(start, -math.inf), log_coeffs])[None]
+    log_sums, more = _certify(x, row, np.array([start]), np.array([log_coeff_cap]))
+    if more:
         raise PrecisionError(
-            f"coefficient sequence ends at k={k_last} inside the series "
-            f"bulk (x={x}); enlarge the table"
+            f"series tail not certified by its last coefficient, k={row.shape[1] - 1}, "
+            f"at x={x}: {more} more needed"
         )
-    first = max(0, math.floor(x) - 1 - start)  # k + 2 > x from here on
-    caps = log_coeff_cap
-    if top > log_coeff_cap:  # caps[i]: the largest a_j past k = start + first + i
-        caps = np.maximum.accumulate(np.append(log_coeff_cap, log_coeffs[:first:-1]))[::-1]
-    log_tail = _log_tail(x, np.arange(start + first, k_last + 1, dtype=float), caps)
-    ok = log_tail <= math.log(DEFAULT_RTOL) + np.maximum.accumulate(log_terms)[first:]
-    if not ok[-1]:
-        raise PrecisionError(
-            f"series tail bound {log_tail[-1]:.3f} (log) above tolerance at "
-            f"k={k_last}, x={x}"
-        )
-    return float(log_sum_exp(log_terms[: first + int(ok.argmax()) + 1]))
+    return float(log_sums[0])
 
 
-def _log_terms(x: float, log_coeffs: np.ndarray, start: int = 0) -> np.ndarray:
-    """log (a_k x^k / k!), k = start, start+1, ... along the first axis of
-    log_coeffs (log a_k)."""
-    k = np.arange(start, start + len(log_coeffs), dtype=float)
-    if log_coeffs.ndim == 2:
-        k = k[:, None]
+def _certify(x: float, log_coeffs: np.ndarray, starts: np.ndarray, log_caps: np.ndarray):
+    """(log sums, 0) for a block of series, row i's sum being
+    sum_{k>=starts[i]} a_k x^k / k! with log a_k = log_coeffs[i, k], each
+    cut where its tail is certified; or (None, more) if some series is not
+    certified by the last column, more being the columns _more_terms adds.
+
+    Past the Poisson mode (k + 2 > x) the terms after k shrink by at most
+    x/(k+2) each, so they sum to at most cap x^{k+1}/(k+1)! / (1 - x/(k+2)),
+    where cap bounds every dropped a_j: the largest a_j held past k, and
+    exp(log_caps[i]), which must bound every a_j past the last column.  A
+    series stops at the first such k whose bound is within DEFAULT_RTOL of
+    its largest term up to k, so its sum depends on a_start..a_k alone, not
+    on how many columns are held.  Each row must hold a finite log a_k from
+    its start on, and no NaN or +inf.
+    """
+    k_last = log_coeffs.shape[1] - 1
+    if x == 0.0:  # each series is its first term
+        return np.where(starts == 0, log_coeffs[:, 0], -math.inf), 0
+    k = np.arange(k_last + 1)
+    terms = np.where(k >= starts[:, None], _log_terms(x, log_coeffs), -math.inf)
+    peaks = np.maximum.accumulate(terms, axis=1)  # -inf before a series starts
+    first = max(0, math.floor(x) - 1)  # k + 2 > x from here on
+    if first <= k_last:
+        # caps[:, -1 - i]: the largest a_j past k = first + i
+        caps = np.maximum.accumulate(np.column_stack([log_caps, log_coeffs[:, :first:-1]]), axis=1)
+        log_tail = _log_tail(x, k[first:].astype(float), caps[:, ::-1])
+        ok = log_tail <= math.log(DEFAULT_RTOL) + peaks[:, first:]
+        if ok[:, -1].all():
+            cuts = first + ok.argmax(axis=1)
+            return np.array([log_sum_exp(t[s : c + 1]) for t, s, c in zip(terms, starts, cuts)]), 0
+    return None, _more_terms(x, k_last, peaks[:, -1], log_caps)
+
+
+def _log_terms(x: float, log_coeffs: np.ndarray) -> np.ndarray:
+    """log (a_k x^k / k!), k = 0, 1, ... along the last axis of log_coeffs
+    (log a_k)."""
+    k = np.arange(log_coeffs.shape[-1], dtype=float)
     return log_coeffs + k * math.log(x) - _log_factorial(k)
 
 
@@ -118,18 +134,18 @@ def _log_factorial(k: np.ndarray) -> np.ndarray:
 
 
 def _more_terms(x: float, k_last: int, log_peaks: np.ndarray, log_caps: np.ndarray) -> int:
-    """How many terms past k_last some series need before exp_series
-    certifies each: 0 if it would at k_last, else the fewest that bring
-    every tail bound within DEFAULT_RTOL / 2 of its series' largest term so
-    far (log_peaks), each with the cap on its coefficients past k_last
-    (log_caps); at most 2 k_last + 2 more terms past the Poisson mode.
+    """How many terms past k_last to grow a block of series by: 0 if each
+    tail bound at k_last is within DEFAULT_RTOL / 2 of its series' largest
+    term so far (log_peaks), with the cap on its coefficients past k_last
+    (log_caps), else the fewest that bring every one there; at most
+    2 k_last + 2 more terms past the Poisson mode.
 
-    The half tolerance leaves room for exp_series's own check, which rounds
-    differently.  A series' largest term only grows with more terms and its
-    cap does not, so the count never overshoots once the terms held include
-    each series' largest.  The bounds are searched in windows from lo that
-    double until one holds every answer, so the log k! lookup grows only
-    as far as the count needs.
+    The half tolerance is only a growth target, which _certify's check at
+    DEFAULT_RTOL then meets with room to spare.  A series' largest term only
+    grows with more terms and its cap does not, so the count never
+    overshoots once the terms held include each series' largest.  The
+    bounds are searched in windows from lo that double until one holds
+    every answer, so the log k! lookup grows only as far as the count needs.
     """
     lo = max(k_last, math.floor(x) - 1)  # k + 2 > x from here on: the bound falls in k
     span = 2 * k_last + 3
@@ -157,33 +173,21 @@ def _log_a_cap(l):
     return (2 - l) * math.log(2.0)
 
 
-def _log_series(table: CoeffTable, l: int, x: float, shift: int = 0) -> float:
-    """log of sum_{k>=l} (x^k/k!) A(k+shift, l) over the rows held."""
-    return exp_series(x, table.log_entries[l + shift :, l], start=l, log_coeff_cap=_log_a_cap(l))
-
-
-def _log_peaks(x: float, table: CoeffTable, ls: range, shift: int) -> np.ndarray:
-    """The largest log term held of sum_{k>=l} (x^k/k!) A(k+shift, l), for
-    each column l in ls."""
-    terms = _log_terms(x, table.log_entries[shift:, ls.start : ls.stop])
-    k = np.arange(len(terms))[:, None]
-    return np.where(k >= ls, terms, -np.inf).max(axis=0)
-
-
-def _certified_table(theta: float, x: float, cols: int, ls: range, shifts) -> CoeffTable:
-    """The table held at theta, with columns 1..cols at least, grown by rows
-    from the Poisson bulk of x until exp_series certifies _log_series for
-    every column l in ls at every shift in shifts."""
+def _column_sums(theta: float, x: float, ls: range, shifts) -> list[np.ndarray]:
+    """log of sum_{k>=l} (x^k/k!) A(k+s, l) for each column l in ls, one
+    array for each shift s in shifts, over the table held at theta with
+    columns 1..ls[-1] at least, grown by rows from the Poisson bulk of x
+    until every one of these series is certified."""
+    starts = np.arange(ls.start, ls.stop)
+    log_caps = _log_a_cap(starts)
     rows = _bulk_terms(x) + ls[-1] + max(shifts)
-    log_caps = _log_a_cap(np.array(ls))
     while True:
-        table = cached_table(theta, rows, cols=cols)
-        if x == 0.0:  # each series is its first term
-            return table
-        more = max(_more_terms(x, table.kmax - s, _log_peaks(x, table, ls, s), log_caps)
-                   for s in shifts)
-        if more == 0:
-            return table
+        table = cached_table(theta, rows, cols=ls[-1])
+        block = table.log_entries.T[ls.start : ls.stop]
+        sums = [_certify(x, block[:, s:], starts, log_caps) for s in shifts]
+        more = max(m for _, m in sums)
+        if not more:
+            return [log_sums for log_sums, _ in sums]
         rows = table.kmax + more
 
 
@@ -194,22 +198,16 @@ def _floor_lam(lam: float) -> int:
     return lf
 
 
-def _log_num_den(spec: SelectionSpec, n: int, table: CoeffTable) -> float:
-    """log of sum_{l=1}^{[lam]} theta^l sum_k (x^k/k!) A(k+n, l)."""
+def _log_num_den(spec: SelectionSpec, n: int, limit: bool = False) -> tuple[float, float]:
+    """The logs of K_n's numerator and denominator,
+    sum_{l=1}^{[lam]} theta^l sum_k (x^k/k!) A(k+s, l) at s = n and s = 0,
+    with the coefficients at theta, or their limits where limit is set."""
     lf = _floor_lam(spec.lam)
     if spec.x == 0.0:  # every inner series starts at x^l, l >= 1
         raise DomainError("the series vanish at theta = 1 (x = 0): K_n is 0/0 there")
-    log_theta = math.log(spec.theta)
-    parts = [l * log_theta + _log_series(table, l, spec.x, shift=n) for l in range(1, lf + 1)]
-    return float(log_sum_exp(np.array(parts)))
-
-
-def _series_table(spec: SelectionSpec, n: int, limit: bool) -> CoeffTable:
-    """The cached table for the series of K_n at spec: columns 1..[lam],
-    rows enough to certify them unshifted and shifted by n."""
-    lf = _floor_lam(spec.lam)
-    theta = 0.0 if limit else spec.theta
-    return _certified_table(theta, spec.x, lf, range(1, lf + 1), (0, n))
+    log_weights = np.arange(1, lf + 1) * math.log(spec.theta)
+    sums = _column_sums(0.0 if limit else spec.theta, spec.x, range(1, lf + 1), (n, 0))
+    return tuple(float(log_sum_exp(log_weights + s)) for s in sums)
 
 
 def k_ratio(spec: SelectionSpec, n: int, use_limit_coeffs: bool = False) -> float:
@@ -219,8 +217,8 @@ def k_ratio(spec: SelectionSpec, n: int, use_limit_coeffs: bool = False) -> floa
         raise DomainError(f"n must be >= 0, got {n}")
     if n == 0:
         return 1.0
-    table = _series_table(spec, n, use_limit_coeffs)
-    return math.exp(_log_num_den(spec, n, table) - _log_num_den(spec, 0, table))
+    log_num, log_den = _log_num_den(spec, n, use_limit_coeffs)
+    return math.exp(log_num - log_den)
 
 
 def proof_diagnostics(spec: SelectionSpec, n: int) -> tuple[float, float]:
@@ -231,12 +229,8 @@ def proof_diagnostics(spec: SelectionSpec, n: int) -> tuple[float, float]:
     """
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n}")
-    t_theta = _series_table(spec, n, limit=False)
-    t_limit = _series_table(spec, n, limit=True)
-    log_num_t = _log_num_den(spec, n, t_theta)
-    log_num_0 = _log_num_den(spec, n, t_limit)
-    log_den_t = _log_num_den(spec, 0, t_theta)
-    log_den_0 = _log_num_den(spec, 0, t_limit)
+    log_num_t, log_den_t = _log_num_den(spec, n)
+    log_num_0, log_den_0 = _log_num_den(spec, n, limit=True)
     # F = e^{num_0 - den_0} (e^{num_t - num_0} - 1): taken as differences of
     # the logs, F and G keep their relative precision however small theta is
     f = math.exp(log_num_0 - log_den_0) * math.expm1(log_num_t - log_num_0)
@@ -256,13 +250,14 @@ def tail_bound(spec: SelectionSpec) -> tuple[float, float]:
     """
     lf = _floor_lam(spec.lam)
     log_theta = math.log(spec.theta)
-    cols, table = lf + 1, None
+    cols, block = lf + 1, None
     total = 0.0
     for l in itertools.count(lf + 1):
-        if table is None or l > cols:  # the next block of columns, certified at once
+        if block is None or l > cols:  # the next block of columns, certified at once
             cols *= 2  # doubling keeps the builds O(kmax^2 l) in all
-            table = _certified_table(spec.theta, spec.x, cols, range(l, cols + 1), (0,))
-        term = math.exp(l * log_theta + _log_series(table, l, spec.x))
+            base = l
+            (block,) = _column_sums(spec.theta, spec.x, range(l, cols + 1), (0,))
+        term = math.exp(l * log_theta + block[l - base])
         total += term
         if term < 1e-18 * max(total, 1e-300):
             break
@@ -276,29 +271,26 @@ def tail_bound(spec: SelectionSpec) -> tuple[float, float]:
     return total, analytic
 
 
-def _log_moment_series(theta: float, x: float, series: list[tuple[int, float]]) -> list[float]:
+def _log_moment_series(theta: float, x: float, series: list[tuple[int, float]]) -> np.ndarray:
     """log sum_k (x^k/k!) m_{n+k} (1+d)^k, the series sum_k (y^k/k!) m_{n+k}
     at y = x (1+d), for each (n, d) in series, -1 <= d <= 0.
 
     The moments come from the moment recursion, with no table built, grown
     from the Poisson bulk of x until every series is certified; m_k =
     E(1-H2)^k falls in k, and so does each coefficient, so the last one
-    supplied caps every one past it.
+    held caps every one past it.
     """
     n_max = max(n for n, _ in series)
     m_top = _bulk_terms(x)
+    starts = np.zeros(len(series), dtype=int)
     while True:
         logm = log_moments(theta, m_top + n_max)
         k = np.arange(m_top + 1.0)
         coeffs = np.array([logm[n : n + m_top + 1] + _log_powers(k, d) for n, d in series])
-        if x == 0.0:  # each series is its first term
-            break
-        peaks = _log_terms(x, coeffs.T).max(axis=0)
-        more = _more_terms(x, m_top, peaks, coeffs[:, -1])
-        if more == 0:
-            break
+        log_sums, more = _certify(x, coeffs, starts, coeffs[:, -1])
+        if not more:
+            return log_sums
         m_top += more
-    return [exp_series(x, c, log_coeff_cap=c[-1]) for c in coeffs]
 
 
 def _log_powers(k: np.ndarray, d: float) -> np.ndarray:

@@ -227,7 +227,8 @@ def suite_inclusion(seed: int = 0, count: int = 10**4) -> list[Check]:
             x = perturbed_configs(n, count // 2, rng)
             s = ldp.s_rate_rows(x, lam)
             min_s = float(np.min(s, initial=min_s))
-            lhs = x[(s < delta) & (np.abs(ldp.phi2_rows(x) - 1.0 / k) < delta)]
+            near = x[s < delta]
+            lhs = near[np.abs(ldp.phi2_rows(near) - 1.0 / k) < delta]
             lhs_hits += len(lhs)
             counterexamples += np.count_nonzero(ldp.metric_d_rows(lhs, center) >= delta)
         checks.append(

@@ -1,4 +1,6 @@
-"""Every name a pdov module imports is read in it or listed in its __all__."""
+"""Every name a pdov module imports is read in it or listed in its __all__,
+and every private module-level helper is referred to outside its own
+definition."""
 
 import ast
 from pathlib import Path
@@ -48,3 +50,43 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unreferenced_helpers(source: str, others: list[str]) -> list[str]:
+    """Module-level functions and classes of source named with one leading
+    underscore that neither source nor others refer to outside their own
+    definition."""
+    tree = ast.parse(source)
+    helpers = [node.name for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+               and node.name.startswith("_") and not node.name.startswith("__")]
+    referred = set()
+    for module in [tree] + [ast.parse(other) for other in others]:
+        for top in module.body:
+            own = getattr(top, "name", None)
+            for node in ast.walk(top):
+                name = getattr(node, "id", None) or getattr(node, "attr", None)
+                if isinstance(node, (ast.Name, ast.Attribute)) and name != own:
+                    referred.add(name)
+    return [name for name in helpers if name not in referred]
+
+
+def test_unreferenced_helpers_are_found():
+    source = (
+        "import functools\n"
+        "def _used(): return 1\n"
+        "def _recursive(n): return _recursive(n - 1)\n"
+        "@functools.cache\n"
+        "def _cached(): return 2\n"
+        "class _Orphan: pass\n"
+        "def public(): return _used()\n"
+    )
+    assert unreferenced_helpers(source, []) == ["_recursive", "_cached", "_Orphan"]
+    # another module's m._cached() refers to it
+    assert unreferenced_helpers(source, ["m._cached()\n"]) == ["_recursive", "_Orphan"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_unreferenced_helpers(path):
+    others = [p.read_text() for p in sorted(SRC.glob("*.py")) if p != path]
+    assert unreferenced_helpers(path.read_text(), others) == []

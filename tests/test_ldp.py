@@ -158,6 +158,11 @@ def test_configuration_validation():
         cfg(0.3, 0.5)  # not sorted descending
     with pytest.raises(DomainError):
         cfg(math.nan, 0.5)
+    # uniform_k unlocks exact values, so it must mark the k-uniform entries
+    with pytest.raises(DomainError):
+        ldp.Configuration((0.9, 0.1), uniform_k=2)
+    with pytest.raises(DomainError):
+        ldp.Configuration((0.5, 0.5), uniform_k=5)
 
 
 # -- row forms -----------------------------------------------------------------

@@ -288,8 +288,7 @@ def test_proof_diagnostics_keep_relative_precision(theta):
     # the same difference of exponentials, taken at 50 digits from pdov's
     # four double-precision logs
     spec = SelectionSpec(2.5, theta)
-    logs = [tilted._log_num_den(spec, n, tilted._series_table(spec, 1, limit))
-            for limit in (False, True) for n in (1, 0)]
+    logs = [log for limit in (False, True) for log in tilted._log_num_den(spec, 1, limit)]
     f, g = tilted.proof_diagnostics(spec, 1)
     with mpmath.workdps(TABLE_DPS):
         num_t, den_t, num_0, den_0 = map(mpmath.mpf, logs)

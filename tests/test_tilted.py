@@ -69,6 +69,41 @@ def test_exp_series_rejects_coefficients_it_cannot_certify(log_coeffs):
         tilted.exp_series(1.0, log_coeffs, log_coeff_cap=0.0)
 
 
+def test_certify_equals_exp_series_row_by_row():
+    # random blocks of series: per-row starts, read at a column shift of a
+    # transposed matrix (as K_n reads its table), caps above and below the
+    # coefficients (so a cut's cap is the largest one past it), x = 0, and
+    # rows that end inside the Poisson bulk
+    rng = np.random.default_rng(18)
+    seen = set()
+    for _ in range(400):
+        rows, width, shift = int(rng.integers(1, 7)), int(rng.integers(1, 300)), int(rng.integers(0, 4))
+        x = float(rng.choice([0.0, rng.uniform(0.0, 5.0), rng.uniform(0.0, 60.0), rng.uniform(0.0, 300.0)]))
+        starts = rng.integers(0, min(width, 40), rows)
+        log_caps = rng.normal(0.0, 5.0, rows)
+        lift = rng.uniform(-5.0, 5.0, rows)[:, None]  # > 0: coefficients above the cap
+        spread = rng.uniform(0.0, 30.0, rows)[:, None]
+        held = np.ascontiguousarray((log_caps[:, None] + lift - spread * rng.random((rows, width + shift))).T)
+        block = held.T[:, shift:]
+        log_sums, more = tilted._certify(x, block, starts, log_caps)
+        single = []
+        for row, start, cap in zip(block, starts, log_caps):
+            try:
+                single.append(tilted.exp_series(x, row[start:], start=start, log_coeff_cap=cap))
+            except PrecisionError:
+                single.append(None)
+        assert (more > 0) == (None in single)
+        if more == 0:
+            assert [float(v).hex() for v in log_sums] == [v.hex() for v in single]
+        if x == 0.0 or x >= width + 1:  # the last column k = width - 1 is inside the bulk
+            seen.add("x = 0" if x == 0.0 else "ends in the bulk")
+        else:
+            seen.add(("more" if more else "certified", "lifted" if (lift > 0.0).any() else "capped"))
+    assert seen == {"x = 0", "ends in the bulk"} | {
+        (outcome, caps) for outcome in ("more", "certified") for caps in ("lifted", "capped")
+    }
+
+
 def test_series_ratio_refused_at_theta_one():
     # x = 0: numerator and denominator series are both empty sums
     with pytest.raises(DomainError, match="0/0"):
@@ -137,6 +172,13 @@ def test_tail_bound_holds():
     assert b2 < b1
 
 
+def _full_table_series(full, l, x, n=0):
+    """log of sum_{k>=l} (x^k/k!) A(k+n, l) over every row of a full table,
+    one public exp_series call."""
+    return tilted.exp_series(x, full.log_entries[l + n :, l], start=l,
+                             log_coeff_cap=(2 - l) * math.log(2.0))
+
+
 def test_tail_bound_doubles_columns_and_matches_full_table(monkeypatch):
     spec = SelectionSpec(1.0, 0.125)
     asked = []
@@ -155,7 +197,7 @@ def test_tail_bound_doubles_columns_and_matches_full_table(monkeypatch):
     assert full.cols == full.kmax
     total = 0.0
     for l in range(2, full.kmax + 1):
-        term = math.exp(l * math.log(spec.theta) + tilted._log_series(full, l, spec.x))
+        term = math.exp(l * math.log(spec.theta) + _full_table_series(full, l, spec.x))
         total += term
         if term < 1e-18 * max(total, 1e-300):
             break
@@ -258,7 +300,7 @@ def test_k_ratio_grows_the_factorial_lookup_only_as_far_as_it_reads():
     clear()
     try:
         tilted.k_ratio(spec, 1)
-        kmax = tilted._series_table(spec, 1, False).kmax
+        kmax = coefs._table_slot(spec.theta)[0].kmax
         # each certificate reads log k! a few rows past the table, not 2 kmax past it
         assert len(coefs._lgamma_slot(1.0)[0]) <= 2 * kmax + 2
     finally:
@@ -269,7 +311,11 @@ def test_k_ratio_matches_full_table():
     spec = SelectionSpec(12.0, 1e-5)
     full = coefs.build_coeff_table(spec.theta, 544)
     assert full.cols == full.kmax
-    log_num, log_den = (tilted._log_num_den(spec, n, full) for n in (1, 0))
+    log_num, log_den = (
+        coefs.log_sum_exp(np.array([l * math.log(spec.theta) + _full_table_series(full, l, spec.x, n)
+                                    for l in range(1, 13)]))
+        for n in (1, 0)
+    )
     expected = math.exp(log_num - log_den)
     assert tilted.k_ratio(spec, 1) == expected
 
