@@ -34,6 +34,7 @@ EXIT_DEGENERATE = 4
 
 MAX_PHASE_ROWS = 10**6
 MAX_HIST_BINS = 10**6
+MAX_UNIFORM_K = 10**6
 HASH_CHUNK = 1 << 16  # bytes of the --out file read at a time to hash it
 
 
@@ -144,7 +145,7 @@ def cmd_moments(args) -> int:
         header += ["m_mc", "se"]
     rows = []
     for k in range(1, args.kmax + 1):
-        row = [k, vec.m(k), moments.moment_via_recursion(args.theta, k)]
+        row = [k, vec[k], moments.moment_via_recursion(args.theta, k)]
         if args.mc_check:
             est = moments.mc_moment_oracle(args.theta, k, args.mc_check, args.seed)
             row += [est.value, est.std_error]
@@ -195,6 +196,8 @@ def cmd_rate(args) -> int:
     if (args.config is None) == (args.uniform is None):
         raise DomainError("rate needs exactly one of --config or --uniform")
     if args.uniform is not None:
+        if args.uniform > MAX_UNIFORM_K:  # one entry per allele, held twice while validated
+            raise DomainError(f"--uniform {args.uniform}: more than {MAX_UNIFORM_K} entries")
         config = ldp.uniform_config(args.uniform)
     else:
         config = ldp.Configuration(entries=tuple(sorted(args.config, reverse=True)))

@@ -114,24 +114,23 @@ def j_rate(x: Configuration) -> float:
     return float(x.n_positive - 1)
 
 
+def _level(lam: float) -> int:
+    """The least whole u >= 1 with u(u+1) >= lam (finite lam > 0), exactly:
+    u(u+1) is whole, so it is the least with u(u+1) >= ceil(lam)."""
+    c = math.ceil(lam)
+    u = (math.isqrt(4 * c + 1) - 1) // 2  # the greatest u >= 0 with u(u+1) <= c
+    return u if u >= 1 and u * (u + 1) >= c else u + 1
+
+
 @lru_cache(maxsize=64)
 def _inf_exact(lam: float) -> tuple[Fraction, float, frozenset]:
     """Exact min over integers n >= 1 of lam/n + n - 1, its nearest float,
     and its minimizers, with lam taken at its binary-float value (memoized
-    per lam)."""
-    lam_q = Fraction(lam)
-    # the objective is convex in n with minimum near sqrt(lam)
-    n_hi = int(math.isqrt(int(lam_q)) + 3)
-    best = None
-    argmin: list[int] = []
-    for n in range(1, n_hi + 1):
-        val = lam_q / n + n - 1
-        if best is None or val < best:
-            best = val
-            argmin = [n]
-        elif val == best:
-            argmin.append(n)
-    return best, float(best), frozenset(argmin)
+    per lam).  The objective changes by 1 - lam/(n(n+1)) from n to n + 1,
+    so it is least at u = _level(lam), and at u + 1 too where lam = u(u+1)."""
+    u = _level(lam)
+    best = Fraction(lam) / u + u - 1
+    return best, float(best), frozenset({u, u + 1} if u * (u + 1) == lam else {u})
 
 
 def inf_term(lam: float) -> tuple[float, frozenset]:

@@ -13,7 +13,6 @@ integral kernel the recursion is built from.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -23,7 +22,6 @@ from .coefficients import CoeffTable, log_sum_exp, log_w_parts
 from .errors import DomainError
 
 __all__ = [
-    "MomentVector",
     "moments_from_table",
     "moment_via_recursion",
     "log_moments",
@@ -35,17 +33,6 @@ __all__ = [
 _LN2 = math.log(2.0)
 # ~MAX_MOMENTS^2 / 2 = 2e8 weight evaluations, ~20 s on one core
 MAX_MOMENTS = 20_000
-
-
-@dataclass(frozen=True)
-class MomentVector:
-    theta: float
-    values: tuple  # values[i] is m_{i+1}
-
-    def m(self, k: int) -> float:
-        if not (1 <= k <= len(self.values)):
-            raise DomainError(f"k={k} outside computed range 1..{len(self.values)}")
-        return self.values[k - 1]
 
 
 def log_moments_from_table(table: CoeffTable, kmax: int) -> np.ndarray:
@@ -68,10 +55,9 @@ def log_moments_from_table(table: CoeffTable, kmax: int) -> np.ndarray:
     return logm
 
 
-def moments_from_table(table: CoeffTable, kmax: int) -> MomentVector:
-    """m_k = sum_l A(k,l)(theta) theta^l for k = 1..kmax."""
-    logm = log_moments_from_table(table, kmax)
-    return MomentVector(theta=table.theta, values=tuple(np.exp(logm[1:])))
+def moments_from_table(table: CoeffTable, kmax: int) -> np.ndarray:
+    """m_k = sum_l A(k,l)(theta) theta^l for k = 0..kmax (m_0 = 1)."""
+    return np.exp(log_moments_from_table(table, kmax))
 
 
 @lru_cache(maxsize=16)

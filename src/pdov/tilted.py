@@ -47,10 +47,18 @@ MGF_RTOL = 1e-12  # largest relative rounding admitted in the MGF's alternating 
 
 @dataclass(frozen=True)
 class PhaseResult:
+    """The phase u of lam, u(u-1) < lam <= u(u+1), and its limits."""
+
     lam: float
     u: int
-    limit_homozygosity: Fraction
-    limit_configuration: ldp.Configuration
+
+    @property
+    def limit_homozygosity(self) -> Fraction:
+        return Fraction(1, self.u)
+
+    @property
+    def limit_configuration(self) -> ldp.Configuration:
+        return ldp.uniform_config(self.u)
 
 
 def exp_series(
@@ -356,25 +364,15 @@ def tilted_mean_heterozygosity(spec: SelectionSpec) -> float:
 
 
 def classify_phase(lam: float) -> PhaseResult:
-    """The unique u >= 1 with u(u-1) < lam <= u(u+1).
+    """The unique u >= 1 with u(u-1) < lam <= u(u+1), exact in O(1) time.
 
     Critical values lam = u(u+1) belong to phase u (closed right
     endpoint): the tie between the two candidate series bases is broken
     by the polynomial prefactor, which favors the smaller level.
     """
-    if not lam > 0.0:
-        raise DomainError(f"lam must be > 0, got {lam}")
-    u = max(1, math.ceil((math.sqrt(1.0 + 4.0 * lam) - 1.0) / 2.0))
-    while u * (u - 1) >= lam:
-        u -= 1
-    while u * (u + 1) < lam:
-        u += 1
-    return PhaseResult(
-        lam=lam,
-        u=u,
-        limit_homozygosity=Fraction(1, u),
-        limit_configuration=ldp.uniform_config(u),
-    )
+    if not 0.0 < lam < math.inf:
+        raise DomainError(f"lam must be finite and > 0, got {lam}")
+    return PhaseResult(lam, ldp._level(lam))
 
 
 def limit_mgf(lam: float, t: float) -> float:

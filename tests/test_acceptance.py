@@ -27,7 +27,7 @@ def test_criterion_1_exact_first_moment():
     for theta in (0.1, 0.2, 0.5, 1.0):
         exact = theta / (1.0 + theta)
         table = coefs.cached_table(theta, 4)
-        worst = max(worst, abs(moments.moments_from_table(table, 1).m(1) - exact))
+        worst = max(worst, abs(moments.moments_from_table(table, 1)[1] - exact))
         worst = max(worst, abs(moments.moment_via_recursion(theta, 1) - exact))
     elapsed = time.perf_counter() - t0
     report(1, worst < 1e-12 and elapsed < 1.0,
@@ -43,10 +43,10 @@ def test_criterion_2_triple_moment_agreement():
         vec = moments.moments_from_table(table, 12)
         for k in range(1, 13):
             rec = moments.moment_via_recursion(theta, k)
-            rel_worst = max(rel_worst, abs(rec / vec.m(k) - 1.0))
+            rel_worst = max(rel_worst, abs(rec / vec[k] - 1.0))
         for k in range(1, 7):
             est = moments.mc_moment_oracle(theta, k, 10**6, seed=101)
-            z_worst = max(z_worst, abs(est.value - vec.m(k)) / est.std_error)
+            z_worst = max(z_worst, abs(est.value - vec[k]) / est.std_error)
     elapsed = time.perf_counter() - t0
     report(2, rel_worst < 1e-10 and z_worst < 4.0 and elapsed < 120.0,
            f"route mismatch {rel_worst:.2e}, worst |z| {z_worst:.2f}, {elapsed:.1f}s")

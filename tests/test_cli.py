@@ -272,6 +272,8 @@ def test_phase_refuses_steps_that_never_end(capsys, lo, hi, step):
         # refused before any draw: one edge and one output row per bin
         (("sample", "--lambda", "6", "--theta", "0.5", "--samples", "100000000",
           "--hist-bins", "1000001"), "more than 1000000"),
+        # refused before the configuration's K entries are built
+        (("rate", "--lambda", "6", "--uniform", "1000000000"), "more than 1000000"),
     ],
 )
 def test_resource_guards_refuse_up_front(capsys, argv, estimate):
@@ -280,6 +282,27 @@ def test_resource_guards_refuse_up_front(capsys, argv, estimate):
     assert time.perf_counter() - start < 1.0
     assert code == 2
     assert estimate in err and out == ""
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("-m", "pdov.cli", "rate", "--lambda", "1e300", "--uniform", "2"),
+        ("-m", "pdov.cli", "rate", "--lambda", "1e15", "--config", "0.6,0.4"),
+        ("-m", "pdov.cli", "phase", "--lambda-min", "1e40", "--lambda-max", "1.00000000001e40",
+         "--step", "1e29"),
+        ("-c", "import sys; from pdov import tilted; "
+               "print(tilted.limit_mgf(1e300, 1.0), tilted.classify_phase(sys.float_info.max).u)"),
+    ],
+)
+def test_large_lambda_answers_at_once(args):
+    # in a subprocess with a timeout, so a search that runs with lambda fails
+    # this test instead of hanging the run
+    src = str(Path(pdov.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, *args], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=20)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout
 
 
 def test_runtime_loads_no_scipy():

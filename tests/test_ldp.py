@@ -1,6 +1,7 @@
 """Large-deviation rate functions and the finite-level configuration space."""
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pdov import ldp, verify
+from pdov import ldp, tilted, verify
 from pdov.errors import DomainError
 
 
@@ -45,6 +46,41 @@ def test_inf_term_enumeration():
     assert val1 == 1.0 and arg1 == frozenset({1})
     val2, arg2 = ldp.inf_term(2.0)
     assert val2 == 2.0 and arg2 == frozenset({1, 2})  # critical tie
+
+
+def _enumerated_inf(lam):
+    """min over n >= 1 of lam/n + n - 1 and its minimizers, by enumeration
+    in whole numbers: with lam = p/q the objective is (p + q n(n-1)) / (q n).
+    From n to n + 1 it rises once n(n+1) > lam, so n <= isqrt(ceil lam) + 2
+    holds every minimizer."""
+    p, q = lam.as_integer_ratio()
+    best, argmin = None, []
+    for n in range(1, math.isqrt(math.ceil(lam)) + 3):
+        num, den = p + q * n * (n - 1), q * n
+        if best is None or num * best[1] < best[0] * den:
+            best, argmin = (num, den), [n]
+        elif num * best[1] == best[0] * den:
+            argmin.append(n)
+    return Fraction(*best), frozenset(argmin)
+
+
+def test_inf_term_equals_enumeration():
+    lams = [0.01 * i for i in range(1, 2001)] + [5e-324, 1e6]
+    lams += np.random.default_rng(0).uniform(0.0, 1e6, 200).tolist()
+    for u in range(1, 1000):  # every critical u(u+1) <= 1e6 and its float neighbours
+        crit = float(u * (u + 1))
+        lams += [math.nextafter(crit, 0.0), crit, math.nextafter(crit, math.inf)]
+    for lam in lams:
+        best, argmin = _enumerated_inf(lam)
+        assert ldp._inf_exact(lam)[0] == best
+        assert ldp.inf_term(lam) == (float(best), argmin)
+
+
+@given(st.floats(min_value=0.0, max_value=sys.float_info.max, exclude_min=True))
+def test_level_is_the_phase_and_the_least_minimizer(lam):
+    u = ldp._level(lam)
+    assert u >= 1 and u * (u - 1) < lam <= u * (u + 1)  # int against float: exact
+    assert tilted.classify_phase(lam).u == min(ldp.inf_term(lam)[1]) == u
 
 
 def test_s_rate_two_zeros_exact():

@@ -392,6 +392,12 @@ def test_phase_result_payload():
     assert res1.limit_configuration.entries == (1.0,)
 
 
+def test_classify_phase_refuses_non_finite_lam():
+    for lam in (math.inf, math.nan):
+        with pytest.raises(DomainError):
+            tilted.classify_phase(lam)
+
+
 def test_limit_mgf():
     assert tilted.limit_mgf(6.0, 1.0) == pytest.approx(math.exp(0.5), rel=1e-13)
     assert tilted.limit_mgf(12.0, 2.0) == pytest.approx(math.exp(2.0 / 3.0), rel=1e-13)
