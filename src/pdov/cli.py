@@ -196,7 +196,7 @@ def cmd_rate(args) -> int:
     if (args.config is None) == (args.uniform is None):
         raise DomainError("rate needs exactly one of --config or --uniform")
     if args.uniform is not None:
-        if args.uniform > MAX_UNIFORM_K:  # one entry per allele, held twice while validated
+        if args.uniform > MAX_UNIFORM_K:  # one entry per allele, 8 bytes each
             raise DomainError(f"--uniform {args.uniform}: more than {MAX_UNIFORM_K} entries")
         config = ldp.uniform_config(args.uniform)
     else:

@@ -76,7 +76,7 @@ class Configuration:
                 raise DomainError(f"total mass {self.total_mass} exceeds 1")
             k = self.uniform_k
             if k is not None and not (isinstance(k, int) and k >= 1
-                                      and tuple(e) == (1.0 / k,) * k):
+                                      and len(e) == k and e.count(1.0 / k) == k):
                 raise DomainError(f"entries are not the {k}-uniform configuration")
 
     @property

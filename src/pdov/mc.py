@@ -6,7 +6,9 @@ through one batch driver, _draw, whose fixed-size batches each have their
 own Philox stream, derived from the root seed by counter offsetting, so one
 seed fixes the same draws for every statistic.  Batches are drawn
 concurrently on the CPUs this process may use and handed to the statistic
-in batch order, so the draws are the same for any CPU count.
+in batch order, so the draws are the same for any CPU count.  A statistic
+that needs the sticks gets each batch as one C-contiguous matrix, sorted
+descending in place, which it owns and may overwrite.
 Beta(1,theta) sticks come from the exact inverse CDF U = 1-(1-V)^{1/theta}.
 Each draw takes sticks until its own residual mass is below epsilon: a
 first block sized from the Poisson law of the sticks it needs, then short
@@ -137,8 +139,9 @@ def _gem_batch(
     Each H2 is the split sum of its row's squared sticks, whatever their
     order; see the module docstring for where it may differ from ldp.phi2.
 
-    Returns (h2, residual, weights-or-None); the weights hold each row's
-    sticks in draw order, zero-padded to the widest row.
+    Returns (h2, residual, weights-or-None); the weights, one C-contiguous
+    matrix, hold each row's sticks in draw order, zero-padded to the widest
+    row.
     """
     a = theta * math.log(1.0 / epsilon)
     inv_theta = 1.0 / theta
@@ -174,7 +177,9 @@ def _gem_batch(
         rows = rows[prefix[rows] >= epsilon]
         col += width
         width = _BLOCK
-    return _rounded_sum(*sums), prefix, None if weights is None else weights[:, :col]
+    if weights is not None:  # a copy only where no row drew into the last block
+        weights = np.ascontiguousarray(weights[:, :col])
+    return _rounded_sum(*sums), prefix, weights
 
 
 def _draw(theta: float, n: int, seed: int, batch_statistic: Callable | None = None):
@@ -182,10 +187,11 @@ def _draw(theta: float, n: int, seed: int, batch_statistic: Callable | None = No
     batch_statistic (None without one).  Batch b holds _BATCH draws from
     stream(seed, b), whatever the statistic, which maps one batch's stick
     matrix, sorted descending along each row (one row per draw,
-    zero-padded), to one value per row; sticks are kept only for it.  Up to
-    _WORKERS batches are drawn at once on a thread pool of this call's own,
-    the statistic runs on the calling thread in batch order, and the pool
-    is shut down on return or error.
+    zero-padded), to one value per row; sticks are kept only for it.  The
+    matrix is C-contiguous and owned by the statistic, which may overwrite
+    it.  Up to _WORKERS batches are drawn at once on a thread pool of this
+    call's own, the statistic runs on the calling thread in batch order,
+    and the pool is shut down on return or error.
     """
     if n > MAX_DRAWS:
         raise DomainError(f"{n} draws need {8 * n / 1e9:.3g} GB per array (limit {MAX_DRAWS})")
@@ -196,9 +202,10 @@ def _draw(theta: float, n: int, seed: int, batch_statistic: Callable | None = No
     def draw(b: int):
         size = min(_BATCH, n - b * _BATCH)
         bh2, _, weights = _gem_batch(theta, size, DEFAULT_EPSILON, stream(seed, b), f is not None)
-        if weights is not None:
+        if weights is not None:  # descending in place: negation is exact, and -(-0.0) is +0.0
+            np.negative(weights, out=weights)
             weights.sort(axis=1)
-            weights = weights[:, ::-1]
+            np.negative(weights, out=weights)
         return bh2, weights
 
     pool = concurrent.futures.ThreadPoolExecutor(max_workers=_WORKERS)
@@ -355,11 +362,12 @@ def ball_probability(
         raise DomainError(f"n must be >= 1000, got {n}")
 
     def inside(ordered: np.ndarray) -> np.ndarray:
+        # |x - c| in place on the first k columns, where the center c is 1/k;
+        # past them c = 0, and |x - c| = x as every stick x >= 0
         cols = ordered.shape[1]
-        target = np.zeros(cols)
-        target[: min(k, cols)] = 1.0 / k
-        pow2 = np.exp2(-np.arange(1, cols + 1, dtype=float))
-        d = np.abs(ordered - target[None, :]) @ pow2
+        head = ordered[:, : min(k, cols)]
+        np.abs(np.subtract(head, 1.0 / k, out=head), out=head)
+        d = ordered @ np.exp2(-np.arange(1, cols + 1, dtype=float))
         if cols < k:  # unsampled coordinates of the center still count: sum_{i=cols+1}^k 2^-i/k
             d += (2.0**-cols - 2.0**-k) / k
         return (d < delta).astype(float)

@@ -2,6 +2,7 @@
 
 import math
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -199,6 +200,16 @@ def test_configuration_validation():
         ldp.Configuration((0.9, 0.1), uniform_k=2)
     with pytest.raises(DomainError):
         ldp.Configuration((0.5, 0.5), uniform_k=5)
+
+
+def test_uniform_config_holds_its_entries_once():
+    tracemalloc.start()
+    try:
+        ldp.uniform_config(10**6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 8 * 10**6  # one tuple of 10^6 entries holds 8 MB of pointers
 
 
 # -- row forms -----------------------------------------------------------------

@@ -215,6 +215,19 @@ def test_ball_probability_memory_does_not_grow_with_the_centre():
     assert peak < 4 << 20  # a sum over the centre's 10^9 entries would take ~14 GB
 
 
+def test_ball_probability_peak_memory_under_two_stick_matrices(monkeypatch):
+    # the distance is taken in place on the batch's own matrix: at theta = 1
+    # that is 16,384 x 46 sticks (a first block of 30, one more of 16)
+    monkeypatch.setattr(mc, "_WORKERS", 1)
+    tracemalloc.start()
+    try:
+        mc.ball_probability(SelectionSpec(2.0, 1.0), 1, 0.2, n=mc._BATCH, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * mc._BATCH * 46 * 8
+
+
 def test_draw_count_is_refused_before_any_allocation():
     # the output arrays alone would take 800 MB each
     spec, n = SelectionSpec(2.0, 0.5), mc.MAX_DRAWS + 1
@@ -262,6 +275,27 @@ def _serial_sorted_batches(theta, n, seed):
         size = min(n, lo + mc._BATCH) - lo
         h2, _, w = mc._gem_batch(theta, size, mc.DEFAULT_EPSILON, mc.stream(seed, b), True)
         yield h2, -np.sort(-w, axis=1)
+
+
+@pytest.mark.parametrize("theta, n", [(0.01, 1000), (1.0, mc._BATCH + 5)])
+def test_batch_statistic_owns_a_contiguous_descending_matrix(theta, n):
+    # at theta = 0.01 no row of 1,000 draws a second block, so the sticks
+    # fill only part of the buffer they were drawn into
+    got = []
+
+    def stat(ordered):
+        got.append((ordered.flags.c_contiguous, ordered.flags.writeable, ordered.copy()))
+        ordered[:] = np.nan  # the statistic owns the matrix
+        return np.zeros(len(ordered))
+
+    h2, _ = mc._draw(theta, n, seed=5, batch_statistic=stat)
+    serial = list(_serial_sorted_batches(theta, n, seed=5))
+    assert np.array_equal(h2, np.concatenate([h for h, _ in serial]))
+    want = [ordered for _, ordered in serial]
+    assert len(got) == len(want)
+    for (contiguous, writeable, ordered), w in zip(got, want):
+        assert contiguous and writeable
+        assert ordered.shape == w.shape and ordered.tobytes() == w.tobytes()
 
 
 def _pool_stat(config):
