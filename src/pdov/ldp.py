@@ -48,6 +48,7 @@ __all__ = [
 ]
 
 MASS_TOL = 1e-12
+MAX_UNIFORM_K = 10**6  # one entry per allele, 8 bytes each
 # (x + g) - g rounds x to a multiple of 2^-40 for x in [0, 1] (hi), of 2^-80 for |x| <= 2^-41 (mid)
 _GRID_HI, _GRID_MID = 2.0**12, 1.5 * 2.0**-28
 
@@ -94,9 +95,11 @@ class Configuration:
 
 
 def uniform_config(k: int) -> Configuration:
-    """The configuration with k entries of 1/k (exact-mass marked)."""
+    """The configuration with k entries of 1/k (exact-mass marked), k <= MAX_UNIFORM_K."""
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
+    if k > MAX_UNIFORM_K:
+        raise DomainError(f"k={k}: more than {MAX_UNIFORM_K} entries")
     return Configuration(entries=(1.0 / k,) * k, uniform_k=k)
 
 

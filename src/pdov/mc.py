@@ -53,6 +53,7 @@ _BATCH = 1 << 14
 _BLOCK = 16  # sticks of each block after a row's first
 _ROWS = 1 << 11  # rows of a block drawn at once, so that its buffers stay in cache
 MAX_DRAWS = 10**8  # an estimate holds a few n-long float arrays
+MAX_HIST_BINS = 10**6  # a histogram holds one edge and one mass per bin
 H2_CACHE_BYTES = 256 << 20  # total bytes of the cached h2 arrays
 # batches drawn at once: the CPUs this process may use
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -328,12 +329,15 @@ def homozygosity_histogram(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Importance-weighted histogram of H2 over (0, 1].
 
-    Returns (bin_edges, masses) with masses summing to 1.
+    Returns (bin_edges, masses) with masses summing to 1.  More than
+    MAX_HIST_BINS bins are refused before any draw.
     """
     if n < 10**4:
         raise DomainError(f"histogram needs n >= 1e4, got {n}")
     if bins < 1:
         raise DomainError(f"bins must be >= 1, got {bins}")
+    if bins > MAX_HIST_BINS:
+        raise DomainError(f"{bins} histogram bins: more than {MAX_HIST_BINS}")
     h2 = h2_samples(spec.theta, n, seed)
     w = _weights(spec, h2)
     masses, edges = np.histogram(h2, bins=bins, range=(0.0, 1.0), weights=w)

@@ -8,6 +8,8 @@ Three routes: the coefficient-table expansion, the moment recursion
 log_sum_exp with the table but no arithmetic past them), and a Monte
 Carlo oracle over GEM draws.  The beta_factor is the Beta(1,theta)
 integral kernel the recursion is built from.
+The homozygosity moments E H2^k follow from the same split of the first
+stick U ~ Beta(1, theta) off the rest: H2 = U^2 + (1-U)^2 H2'.
 """
 
 from __future__ import annotations
@@ -18,19 +20,19 @@ from functools import lru_cache
 import numpy as np
 
 from . import mc
-from .coefficients import CoeffTable, log_sum_exp, log_w_parts
+from .coefficients import CoeffTable, lgamma_lookup, log_sum_exp, log_w, log_w_parts
 from .errors import DomainError
 
 __all__ = [
     "moments_from_table",
     "moment_via_recursion",
     "log_moments",
+    "log_homozygosity_moments",
     "beta_factor",
     "mc_moment_oracle",
     "log_moments_from_table",
 ]
 
-_LN2 = math.log(2.0)
 # ~MAX_MOMENTS^2 / 2 = 2e8 weight evaluations, ~20 s on one core
 MAX_MOMENTS = 20_000
 
@@ -75,11 +77,7 @@ def log_moments(theta: float, k: int) -> np.ndarray:
     memoized per theta (the 16 most recent); more than MAX_MOMENTS moments
     are refused up front.
     """
-    if not (0.0 < theta <= 1.0):
-        raise DomainError(f"theta must lie in (0, 1], got {theta}")
-    if not 1 <= k <= MAX_MOMENTS:
-        cost = f"{k} moments need ~{k * k / 2:.3g} weight evaluations"
-        raise DomainError(f"k={k} outside 1..{MAX_MOMENTS} ({cost})")
+    _check_moment_run(theta, k)
     memo = _log_moment_memo(theta)
     if len(memo[0]) <= k:
         logm = np.concatenate([memo[0], np.empty(k + 1 - len(memo[0]))])
@@ -92,13 +90,43 @@ def log_moments(theta: float, k: int) -> np.ndarray:
     return memo[0][: k + 1]
 
 
+def _check_moment_run(theta: float, k: int) -> None:
+    """Refuse theta outside (0, 1] or k outside 1..MAX_MOMENTS, up front."""
+    if not (0.0 < theta <= 1.0):
+        raise DomainError(f"theta must lie in (0, 1], got {theta}")
+    if not 1 <= k <= MAX_MOMENTS:
+        cost = f"{k} moments need ~{0.5 * k * k:.3g} weight evaluations"  # inf past ~1e154
+        raise DomainError(f"k={k} outside 1..{MAX_MOMENTS} ({cost})")
+
+
+def log_homozygosity_moments(theta: float, k: int) -> np.ndarray:
+    """log h_j, h_j = E H2^j under PD(theta), for j = 0..k (h_0 = 1, k >= 1),
+    by the expansion of H2 = U^2 + (1-U)^2 H2', U ~ Beta(1, theta),
+
+        h_j 2j/(2j+theta) = sum_{i<j} C(j,i) theta B(2j-2i+1, 2i+theta) h_i:
+
+    one log_sum_exp per row, O(k^2) in all and not memoized; more than
+    MAX_MOMENTS moments are refused up front, as in log_moments."""
+    _check_moment_run(theta, k)
+    fact, g = lgamma_lookup(1.0, 2 * k + 1), lgamma_lookup(theta, 2 * k + 2)
+    by_gap = fact[::2] - fact[: k + 1]  # log (2n)!/n!, n = j - i
+    by_low = math.log(theta) + g[: 2 * k : 2] - fact[:k]  # log theta Gamma(2i+theta)/i!
+    by_low[0] = g[1]  # theta Gamma(theta) = Gamma(1+theta), free of a cancelling log theta
+    logh = np.zeros(k + 1)
+    for j in range(1, k + 1):
+        lse = log_sum_exp(by_gap[j:0:-1] + by_low[:j] + logh[:j])
+        logh[j] = math.log1p(theta / (2 * j)) + fact[j] - g[2 * j + 1] + lse
+    return logh
+
+
 def moment_via_recursion(theta: float, k: int) -> float:
     """m_k from the moment recursion (see log_moments), no table built."""
     return math.exp(log_moments(theta, k)[k])
 
 
 def beta_factor(k: int, l: int, theta: float) -> float:
-    """2^{k-l} Gamma(k-l+1) Gamma(k+l+theta) theta / Gamma(2k+1+theta).
+    """2^{k-l} Gamma(k-l+1) Gamma(k+l+theta) theta / Gamma(2k+1+theta)
+    = theta (2k/(2k+theta)) w(k,l) / C(k,l), from coefficients.log_w (1 at k = 0).
 
     Equals theta * E[(2U(1-U))^{k-l} (1-U)^{2l}] / ... with U ~ Beta(1,theta);
     checked against adaptive quadrature in the tests.
@@ -107,14 +135,11 @@ def beta_factor(k: int, l: int, theta: float) -> float:
         raise DomainError(f"theta must be > 0, got {theta}")
     if not (0 <= l <= k):
         raise DomainError(f"need 0 <= l <= k, got (k={k}, l={l})")
-    log = (
-        (k - l) * _LN2
-        + math.lgamma(k - l + 1.0)
-        + math.lgamma(k + l + theta)
-        + math.log(theta)
-        - math.lgamma(2.0 * k + 1.0 + theta)
-    )
-    return math.exp(log)
+    if k == 0:  # theta Gamma(theta) / Gamma(1+theta)
+        return 1.0
+    fact = lgamma_lookup(1.0, k + 1)
+    log_binom = fact[k] - fact[l] - fact[k - l]
+    return math.exp(math.log(theta) - math.log1p(theta / (2 * k)) + log_w(k, l, theta) - log_binom)
 
 
 def mc_moment_oracle(theta: float, k: int, n: int, seed: int) -> mc.TiltedEstimate:

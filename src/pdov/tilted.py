@@ -3,9 +3,8 @@
 Everything here is a ratio of exponential generating series
 sum_k (x^k / k!) a_k with x = lam * log(1/theta) and positive
 coefficients a_k drawn from the triangular tables (K_n and its
-diagnostics) or from the moment recursion (the MGF).  They are summed in
-log space; the one alternating series, the MGF's S(x - t) where t > x,
-is summed in linear space.
+diagnostics) or from the moment recursions (the MGF), all summed in log
+space.
 
 One check, _certify, cuts a block of positive series where each tail is
 certified, or says how many more terms to hold (_more_terms): tables and
@@ -25,7 +24,8 @@ from . import ldp
 from .coefficients import cached_table, lgamma_lookup, log_sum_exp
 from .errors import DomainError, PrecisionError
 from .model import SelectionSpec
-from .moments import log_moments, log_moments_from_table  # noqa: F401  (perfbench wraps the latter)
+from .moments import log_homozygosity_moments, log_moments
+from .moments import log_moments_from_table  # noqa: F401  (perfbench wraps it)
 
 __all__ = [
     "SelectionSpec",
@@ -41,8 +41,6 @@ __all__ = [
 ]
 
 DEFAULT_RTOL = 1e-13
-MAX_ABS_T = 50.0
-MGF_RTOL = 1e-12  # largest relative rounding admitted in the MGF's alternating series
 
 
 @dataclass(frozen=True)
@@ -106,7 +104,8 @@ def _certify(x: float, log_coeffs: np.ndarray, starts: np.ndarray, log_caps: np.
     if x == 0.0:  # each series is its first term
         return np.where(starts == 0, log_coeffs[:, 0], -math.inf), 0
     k = np.arange(k_last + 1)
-    terms = np.where(k >= starts[:, None], _log_terms(x, log_coeffs), -math.inf)
+    terms = log_coeffs + k * math.log(x) - _log_factorial(k)  # log (a_k x^k / k!)
+    terms = np.where(k >= starts[:, None], terms, -math.inf)
     peaks = np.maximum.accumulate(terms, axis=1)  # -inf before a series starts
     first = max(0, math.floor(x) - 1)  # k + 2 > x from here on
     if first <= k_last:
@@ -120,13 +119,6 @@ def _certify(x: float, log_coeffs: np.ndarray, starts: np.ndarray, log_caps: np.
     return None, _more_terms(x, k_last, peaks[:, -1], log_caps)
 
 
-def _log_terms(x: float, log_coeffs: np.ndarray) -> np.ndarray:
-    """log (a_k x^k / k!), k = 0, 1, ... along the last axis of log_coeffs
-    (log a_k)."""
-    k = np.arange(log_coeffs.shape[-1], dtype=float)
-    return log_coeffs + k * math.log(x) - _log_factorial(k)
-
-
 def _log_tail(x: float, k: np.ndarray, log_cap):
     """log of cap x^{k+1}/(k+1)! / (1 - x/(k+2)), which bounds
     sum_{j>k} a_j x^j/j! when every a_j <= cap and k + 2 > x."""
@@ -135,7 +127,7 @@ def _log_tail(x: float, k: np.ndarray, log_cap):
 
 
 def _log_factorial(k: np.ndarray) -> np.ndarray:
-    """log k! for the whole numbers k >= 0 (held as floats), from the
+    """log k! for the whole numbers k >= 0 (as ints or floats), from the
     lookup of lgamma(n + 1)."""
     n = k.astype(int)
     return lgamma_lookup(1.0, int(n.max()) + 1)[n]
@@ -279,20 +271,21 @@ def tail_bound(spec: SelectionSpec) -> tuple[float, float]:
     return total, analytic
 
 
-def _log_moment_series(theta: float, x: float, series: list[tuple[int, float]]) -> np.ndarray:
+def _log_moment_series(theta: float, x: float, series: list[tuple[int, float]],
+                       family=log_moments) -> np.ndarray:
     """log sum_k (x^k/k!) m_{n+k} (1+d)^k, the series sum_k (y^k/k!) m_{n+k}
-    at y = x (1+d), for each (n, d) in series, -1 <= d <= 0.
+    at y = x (1+d), for each (n, d) in series, -1 <= d <= 0, with log m_0..
+    log m_K = family(theta, K): E(1-H2)^j by default, or E H2^j.
 
-    The moments come from the moment recursion, with no table built, grown
-    from the Poisson bulk of x until every series is certified; m_k =
-    E(1-H2)^k falls in k, and so does each coefficient, so the last one
-    held caps every one past it.
+    The moments, from their recursion with no table built, are grown from
+    the Poisson bulk of x until every series is certified; m_k falls in k,
+    and so does each coefficient, so the last one held caps the rest.
     """
     n_max = max(n for n, _ in series)
     m_top = _bulk_terms(x)
     starts = np.zeros(len(series), dtype=int)
     while True:
-        logm = log_moments(theta, m_top + n_max)
+        logm = family(theta, m_top + n_max)
         k = np.arange(m_top + 1.0)
         coeffs = np.array([logm[n : n + m_top + 1] + _log_powers(k, d) for n, d in series])
         log_sums, more = _certify(x, coeffs, starts, coeffs[:, -1])
@@ -308,53 +301,37 @@ def _log_powers(k: np.ndarray, d: float) -> np.ndarray:
     return k * math.log1p(d)
 
 
-def _alternating_moment_series(theta: float, y: float) -> float:
-    """sum_k (y^k/k!) m_k for -MAX_ABS_T <= y < 0, in linear space.
-
-    It stops past -y where the rest, below |y|^{k+1}/(k+1)!/(1-|y|/(k+2))
-    as m_k <= 1, is under 2^-53 of its first term m_0 = 1 (by k = 166 at
-    y = -50).  Each term carries its moment's rounding, which grows about
-    linearly in k, so PrecisionError is raised where the sum cancels so far
-    that sum_k |term_k| (k+1) 2^-52 passes MGF_RTOL of it.
-    """
-    k = np.arange(math.floor(-y) + 1, 5 * MAX_ABS_T)
-    top = int(k[np.argmax(_log_tail(-y, k, 0.0) < -53.0 * math.log(2.0))])
-    terms = np.exp(_log_terms(-y, log_moments(theta, top)))
-    terms[1::2] *= -1.0
-    total = math.fsum(terms)
-    rounding = math.fsum(np.abs(terms) * np.arange(1.0, top + 2.0)) * 2.0**-52
-    if rounding > MGF_RTOL * abs(total):
-        raise PrecisionError(
-            f"alternating MGF series cancels at x - t = {y}: its rounding "
-            f"{rounding:.3e} passes {MGF_RTOL:g} of its sum {total:.3e}"
-        )
-    return total
-
-
 def mgf(spec: SelectionSpec, t: float) -> float:
     """Moment generating function of the homozygosity under the tilted
     measure: e^t S(x - t) / S(x), where S(y) = sum_k (y^k/k!) m_k is
     E e^{y(1-H2)} under PD(theta).
 
-    Where x >= t both series have positive terms.  They are summed at the
+    Where t <= x both series have positive terms.  They are summed at the
     one argument max(x, x - t), the other's coefficients scaled by
     (1 - |t|/max)^k, so the roundings of the factors they share (x^k/k!,
-    and x itself) cancel in the ratio.  Where x < t <= MAX_ABS_T, S(x - t)
-    alternates: it is summed in linear space, or refused where it cancels.
+    and x itself) cancel in the ratio.  Where t > x, S(x - t) alternates:
+    the numerator is e^x H(t - x) instead, H(s) = sum_k (s^k/k!) E H2^k =
+    E e^{s H2}, a positive series.  An mgf past the largest float is
+    refused, and so is a run past MAX_MOMENTS.
     """
-    if not abs(t) <= MAX_ABS_T:
-        raise DomainError(f"|t| must be <= {MAX_ABS_T}, got {t}")
+    if not math.isfinite(t):
+        raise DomainError(f"t must be finite, got {t}")
     if t == 0.0:
         return 1.0
     x = spec.x
     if x < t:
+        (log_num,) = _log_moment_series(spec.theta, t - x, [(0, 0.0)], log_homozygosity_moments)
         (log_den,) = _log_moment_series(spec.theta, x, [(0, 0.0)])
-        return math.exp(t - log_den) * _alternating_moment_series(spec.theta, x - t)
-    scale = max(x, x - t)
-    log_num, log_den = _log_moment_series(
-        spec.theta, scale, [(0, min(0.0, -t) / scale), (0, min(0.0, t) / scale)]
-    )
-    return math.exp(t + log_num - log_den)
+        log_mgf = x + log_num - log_den
+    else:
+        scale = max(x, x - t)
+        log_num, log_den = _log_moment_series(
+            spec.theta, scale, [(0, min(0.0, -t) / scale), (0, min(0.0, t) / scale)]
+        )
+        log_mgf = t + log_num - log_den
+    if log_mgf > math.log(np.finfo(float).max):
+        raise DomainError(f"mgf at t={t} passes the largest float")
+    return math.exp(log_mgf)
 
 
 def tilted_mean_heterozygosity(spec: SelectionSpec) -> float:

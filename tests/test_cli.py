@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -13,7 +14,10 @@ from pathlib import Path
 import pytest
 
 import pdov
-from pdov import cli
+from pdov import cli, tilted
+from pdov.errors import PrecisionError
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(capsys, *argv):
@@ -169,6 +173,8 @@ def test_exit_domain(capsys):
         ("kn", "--lambda", "6", "--n", "1", "--theta", "1"),  # K_n is 0/0 at x = 0
         ("kn", "--lambda", "inf", "--n", "1", "--theta", "0.1"),
         ("mgf", "--lambda", "inf", "--theta", "0.1", "--t", "1"),
+        # ~1e200 moments: their cost, ~5e399 weight evaluations, passes a float
+        ("mgf", "--lambda", "1e200", "--theta", "0.5", "--t", "1"),
         ("tails", "--lambda", "inf", "--theta", "0.1"),
         ("rate", "--lambda", "inf", "--uniform", "2"),
         # every importance weight theta^(lam H2) underflows to 0
@@ -180,16 +186,31 @@ def test_exit_domain(capsys):
 
 
 def test_exit_precision(capsys):
-    # a tiny theta at large lambda pushes x beyond what MAX_ABS_T-sized
-    # tables support only via an absurd t; force it through mgf t too large
-    code, _, err = run(capsys, "mgf", "--lambda", "6", "--theta", "0.1", "--t", "100")
-    assert code == 2  # t cap is a domain check
+    # an mgf past the largest float, or past MAX_MOMENTS, is a domain error
+    for t, why in (("1000", "largest float"), ("1e300", "weight evaluations")):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "mgf", "--lambda", "6", "--theta", "0.1", "--t", t)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == "" and why in err
 
 
-def test_mgf_cancelling_sum_exits_precision(capsys):
-    code, out, err = run(capsys, "mgf", "--lambda", "2.5", "--theta", "0.18", "--t", "20")
+def test_precision_error_exits_3(capsys, monkeypatch):
+    # no input is known to reach a PrecisionError through the CLI, so inject one
+    def uncertified(spec, t):
+        raise PrecisionError("series tail not certified")
+
+    monkeypatch.setattr(tilted, "mgf", uncertified)
+    code, out, err = run(capsys, "mgf", "--lambda", "6", "--theta", "0.1", "--t", "1")
     assert code == 3
-    assert out == "" and "cancels" in err
+    assert out == "" and err.startswith("precision error:")
+
+
+def test_mgf_past_t_equal_x_exits_0(capsys):
+    # x = 2.5 log(1/0.18) = 4.29 < t: the alternating S(x - t) is not summed
+    code, out, _ = run(capsys, "mgf", "--lambda", "2.5", "--theta", "0.18", "--t", "20,50")
+    assert code == 0
+    assert [float(row["t"]) for row in parse_csv(out)] == [20.0, 50.0]
 
 
 def test_strict_degenerate_exit(capsys):
@@ -249,16 +270,29 @@ def test_verify_json_format(capsys):
 
 @pytest.mark.parametrize(
     "lo, hi, step",
-    [("0.5", "13", "0"), ("0.5", "13", "-0.5"), ("0.5", "13", "1e-9"), ("1", "1", "1e-13")],
+    [("0.5", "13", "0"), ("0.5", "13", "-0.5"), ("0.5", "13", "1e-9"), ("1", "2", "1e-13"),
+     ("1", "1.00000001", "1e-13")],
 )
 def test_phase_refuses_steps_that_never_end(capsys, lo, hi, step):
     # step <= 0 or one below the 1e-12 grid never advances lambda; 1e-9
-    # over [0.5, 13] asks for ~1.25e10 rows
+    # over [0.5, 13] asks for ~1.25e10 rows, 1e-13 over [1, 2] for 1e13;
+    # 1e-13 over [1, 1 + 1e-8] asks for 1e5 rows, but the second is stuck at 1
     code, out, err = run(
         capsys, "phase", "--lambda-min", lo, "--lambda-max", hi, "--step", step
     )
     assert code == 2
     assert "domain error" in err and out == ""
+
+
+@pytest.mark.parametrize(
+    "lo, hi, step", [("1", "1", "1e-13"), ("6", "6", "1e-20"), ("1e20", "1e20", "1")]
+)
+def test_phase_sweep_of_one_row(capsys, lo, hi, step):
+    # lo + step lies past hi, so no second row is asked for, however small
+    # the step is against the 1e-12 grid or lambda's resolution
+    code, out, _ = run(capsys, "phase", "--lambda-min", lo, "--lambda-max", hi, "--step", step)
+    assert code == 0
+    assert [float(row["lambda"]) for row in parse_csv(out)] == [float(lo)]
 
 
 @pytest.mark.parametrize(
@@ -313,3 +347,17 @@ def test_runtime_loads_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                           capture_output=True, text=True, timeout=120, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def readme_cli_examples() -> list[list[str]]:
+    """The arguments of each `pdov ...` line in the README's CLI code block."""
+    section = README.read_text().split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines()
+            if line.startswith("pdov ")]
+
+
+@pytest.mark.parametrize("argv", readme_cli_examples(), ids=" ".join)
+def test_readme_cli_examples_exit_0(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out

@@ -1,6 +1,6 @@
 """Every name a pdov module imports is read in it or listed in its __all__,
-and every private module-level helper is referred to outside its own
-definition."""
+every private module-level helper is referred to outside its own
+definition, and every log-gamma is read from coefficients.lgamma_lookup."""
 
 import ast
 from pathlib import Path
@@ -90,3 +90,38 @@ def test_unreferenced_helpers_are_found():
 def test_no_unreferenced_helpers(path):
     others = [p.read_text() for p in sorted(SRC.glob("*.py")) if p != path]
     assert unreferenced_helpers(path.read_text(), others) == []
+
+
+def lgamma_calls(source: str, allowed: str | None = None) -> list[int]:
+    """Lines of source that call a function named lgamma (math.lgamma,
+    lgamma, ...) outside the module-level function named allowed."""
+    tree = ast.parse(source)
+    lines = []
+    for top in tree.body:
+        if getattr(top, "name", None) == allowed:
+            continue
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "attr", None) or getattr(node.func, "id", None)
+                if name == "lgamma":
+                    lines.append(node.lineno)
+    return lines
+
+
+def test_lgamma_calls_are_found():
+    source = (
+        "import math\n"
+        "from math import lgamma\n"
+        "def lookup(n): return [math.lgamma(k) for k in range(n)]\n"
+        "def other(k):\n"
+        "    # lgamma( in a comment is no call\n"
+        "    return math.lgamma(k) + lgamma(k + 1)\n"
+    )
+    assert lgamma_calls(source, "lookup") == [6, 6]
+    assert lgamma_calls(source) == [3, 6, 6]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_lgamma_comes_from_the_lookup(path):
+    allowed = "lgamma_lookup" if path.name == "coefficients.py" else None
+    assert lgamma_calls(path.read_text(), allowed) == []

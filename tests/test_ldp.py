@@ -2,6 +2,7 @@
 
 import math
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -200,6 +201,17 @@ def test_configuration_validation():
         ldp.Configuration((0.9, 0.1), uniform_k=2)
     with pytest.raises(DomainError):
         ldp.Configuration((0.5, 0.5), uniform_k=5)
+
+
+def test_uniform_config_refuses_more_than_max_entries():
+    start = time.perf_counter()
+    for k in (ldp.MAX_UNIFORM_K + 1, 10**12):
+        with pytest.raises(DomainError, match=f"more than {ldp.MAX_UNIFORM_K}"):
+            ldp.uniform_config(k)
+    # the phase of lam = 1e13 is u = 3,162,278: its limit has too many entries
+    with pytest.raises(DomainError):
+        tilted.classify_phase(1e13).limit_configuration
+    assert time.perf_counter() - start < 0.1
 
 
 def test_uniform_config_holds_its_entries_once():

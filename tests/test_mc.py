@@ -107,6 +107,13 @@ def test_tilted_estimate_matches_series_oracle():
     assert abs(est.value - tilted.mgf(spec, 1.0)) < 4.0 * est.std_error
 
 
+def test_tilted_estimate_matches_the_mgf_past_t_equal_x():
+    # x = 1.73 < t = 10: the series route through E H2^k
+    spec = SelectionSpec(2.5, 0.5)
+    est = mc.tilted_estimate(spec, mc.H2Statistic(lambda h: np.exp(10.0 * h)), n=2 * 10**5, seed=21)
+    assert abs(est.value - tilted.mgf(spec, 10.0)) < 4.0 * est.std_error
+
+
 def test_tilted_estimate_determinism():
     spec = SelectionSpec(4.0, 0.4)
     a = mc.tilted_estimate(spec, mc.H2Statistic(lambda h: h), n=3 * 10**4, seed=17)
@@ -252,6 +259,16 @@ def test_domain_errors():
         mc.ball_probability(SelectionSpec(2.0, 0.5), k=0, delta=0.2, n=10**4, seed=1)
     with pytest.raises(DomainError):
         mc.homozygosity_histogram(SelectionSpec(2.0, 0.5), n=100, bins=5, seed=1)
+
+
+def test_histogram_bins_are_refused_before_any_draw(monkeypatch):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("drew before refusing the bins")
+
+    monkeypatch.setattr(mc, "_draw", no_draws)
+    spec = SelectionSpec(6.0, 0.5)
+    with pytest.raises(DomainError, match=f"more than {mc.MAX_HIST_BINS}"):
+        mc.homozygosity_histogram(spec, n=10**8, bins=mc.MAX_HIST_BINS + 1, seed=1)
 
 
 def test_weights_that_all_underflow_are_refused():

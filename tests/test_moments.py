@@ -5,7 +5,7 @@ import pytest
 from scipy import integrate
 
 from pdov import coefficients as coefs
-from pdov import moments
+from pdov import mc, moments
 from pdov.errors import DomainError
 
 
@@ -73,6 +73,39 @@ def test_beta_factor_quadrature_oracle():
         assert moments.beta_factor(k, l, theta) == pytest.approx(
             quad_beta_factor(k, l, theta), abs=1e-8
         )
+
+
+def test_beta_factor_at_k_zero():
+    # theta Gamma(theta) / Gamma(1 + theta) = 1
+    for theta in (1e-100, 0.3, 1.0):
+        assert moments.beta_factor(0, 0, theta) == 1.0
+
+
+def test_homozygosity_moments_closed_forms():
+    # E H2 = 1/(1+theta), E H2^2 = (theta+6) / ((theta+1)(theta+2)(theta+3))
+    for theta in (1e-100, 1e-5, 0.18, 0.5, 1.0):
+        h = np.exp(moments.log_homozygosity_moments(theta, 40))
+        assert h[0] == 1.0
+        assert h[1] == pytest.approx(1.0 / (1.0 + theta), rel=1e-14)
+        want = (theta + 6.0) / ((theta + 1.0) * (theta + 2.0) * (theta + 3.0))
+        assert h[2] == pytest.approx(want, rel=1e-14)
+        if theta >= 1e-5:  # at 1e-100 every h_k rounds to 1
+            assert np.all(np.diff(h) < 0.0)  # 0 < H2 < 1 with positive probability
+
+
+def test_homozygosity_moments_match_monte_carlo():
+    h2 = mc.h2_samples(0.5, 10**5, 3)
+    h = np.exp(moments.log_homozygosity_moments(0.5, 5))
+    for k in (1, 3, 5):
+        vals = h2**k
+        assert abs(vals.mean() - h[k]) < 4.0 * vals.std(ddof=1) / np.sqrt(len(vals))
+
+
+def test_homozygosity_moments_refused_past_max_moments():
+    with pytest.raises(DomainError, match="weight evaluations"):
+        moments.log_homozygosity_moments(0.5, moments.MAX_MOMENTS + 1)
+    with pytest.raises(DomainError):
+        moments.log_homozygosity_moments(1.5, 2)
 
 
 def test_domain_errors():

@@ -47,7 +47,17 @@ every power of t taken in mpmath.  Both series stop where the rest is
 certified below 1e-32, using only that m_k falls in k (asserted on every
 moment built).  The outer sum alternates and loses the digits of
 sum |term| / |sum| (~36 at lam = 30.5, theta = 1e-5, t = 50), so the points
-checked keep |t| <= 20.
+checked keep |t| <= 50, where it keeps enough of them.  Past that its cuts
+at 1e-32, scaled up by t^n/n!, show: at (1, 0.9, t = 100) it is 9.9e-6 off,
+even at 160 digits.  Where t > x, pdov sums the MGF as
+e^x H(t-x) / S(x), H(s) = sum_k (s^k/k!) h_k, h_k = E H2^k, whose terms are
+all positive; `oracle_tilted_mgf` sums that form at HDPS digits, its h_k
+from the recursion of H2 = U^2 + (1-U)^2 H2' over the first stick
+U ~ Beta(1, theta),
+
+    h_j = ((2j+theta)/2j) sum_{i<j} C(j,i) theta B(2j-2i+1, 2i+theta) h_i,
+
+and checks the large-t points against it instead.
 
 `test_exp_series_certified_or_raises` holds `tilted.exp_series` to its
 contract on random inputs: when it returns, even the worst case allowed
@@ -77,6 +87,7 @@ SERIES_RTOL = 1e-30
 REL_TOL = 1e-10
 TABLE_DPS = 50
 TABLE_TOL = 5e-14  # in log A, relative to max(1, |log A|)
+HDPS = 60
 
 
 @functools.cache
@@ -124,9 +135,9 @@ def oracle_k1(lam: float, theta: float) -> mpmath.mpf:
 
 
 @functools.cache
-def oracle_moments(theta: float, kmax: int) -> list:
-    """m_0..m_kmax at DPS digits, with m_k <= m_{k-1} checked."""
-    with mpmath.workdps(DPS):
+def oracle_moments(theta: float, kmax: int, dps: int = DPS) -> list:
+    """m_0..m_kmax at dps digits, with m_k <= m_{k-1} checked."""
+    with mpmath.workdps(dps):
         th = mpmath.mpf(theta)
         gam = [None, mpmath.gamma(1 + th)]  # gam[m] = Gamma(m + theta)
         while len(gam) <= 2 * kmax + 1:
@@ -188,6 +199,48 @@ def oracle_mgf(lam: float, theta: float, t: float) -> mpmath.mpf:
         return mpmath.exp(t) * outer
 
 
+def oracle_homozygosity_moments(theta: float, kmax: int) -> list:
+    """h_0..h_kmax, h_k = E H2^k, at HDPS digits, with h_k <= h_{k-1} checked."""
+    with mpmath.workdps(HDPS):
+        th = mpmath.mpf(theta)
+        gam = [mpmath.gamma(th)]  # gam[m] = Gamma(m + theta)
+        while len(gam) <= 2 * kmax + 1:
+            gam.append(gam[-1] * (len(gam) - 1 + th))
+        fact = [mpmath.factorial(n) for n in range(2 * kmax + 1)]
+        by_gap = [fact[2 * n] / fact[n] for n in range(kmax + 1)]  # the part of the term in j - i
+        h = [mpmath.mpf(1)]
+        by_low = []  # by_low[i] = theta Gamma(2i+theta) h_i / i!
+        for j in range(1, kmax + 1):
+            by_low.append(th * gam[2 * j - 2] * h[j - 1] / fact[j - 1])
+            scale = (2 * j + th) / (2 * j) * fact[j] / gam[2 * j + 1]
+            h.append(scale * mpmath.fdot(by_gap[j:0:-1], by_low))
+            assert h[j] <= h[j - 1], f"h_k not falling at k={j}"
+        return h
+
+
+def oracle_tilted_mgf(lam: float, theta: float, t: float) -> mpmath.mpf:
+    """e^x H(t - x) / S(x) at HDPS digits for t > x, each series cut where
+    the cap of its falling coefficients bounds the rest below 1e-45 of it."""
+
+    def series(y, coeffs):
+        power = [mpmath.mpf(1)]  # power[k] = y^k / k!
+        for k in range(1, len(coeffs)):
+            power.append(power[-1] * y / k)
+        total = mpmath.fdot(power, coeffs)
+        k = len(coeffs) - 1
+        assert k + 2 > y and coeffs[k] * power[k] * y / (k + 1) / (1 - y / (k + 2)) < 1e-45 * total
+        return total
+
+    with mpmath.workdps(HDPS):
+        x = lam * mpmath.log(1 / mpmath.mpf(theta))
+        s = mpmath.mpf(t) - x
+        assert s > 0
+        size = lambda y: int(y + 20 * mpmath.sqrt(y) + 100)  # noqa: E731
+        h = oracle_homozygosity_moments(theta, size(s))
+        m = oracle_moments(theta, size(x), HDPS)
+        return mpmath.exp(x) * series(s, h) / series(x, m)
+
+
 @pytest.mark.parametrize("theta", [0.0, 1e-5, 0.5, 1.0])
 def test_table_matches_oracle(theta):
     kmax = 150
@@ -229,8 +282,10 @@ def test_moment_routes_match_oracle(theta):
 
 # past |t| = 1: points where an alternating sum over shifted series missed
 # 1e-12 silently (by 1.4e-11 at (30.5, 1e-5, 5)) or could not certify 1e-12
-# (t = 10, 20 at (6, 1e-2)); (2.5, 0.5, 10) and (30.5, 0.999, 5) have x < t,
-# so S(x - t) alternates
+# (t = 10, 20 at (6, 1e-2)).  The points of the last four (lam, theta) have
+# x < t, where pdov sums e^x H(t - x) / S(x): (2.5, 0.18, 20 and 50),
+# (6, 0.5, 40) and (1, 1e-5, 40) are where an alternating S(x - t), summed
+# in linear space, cancelled past 1e-12
 MGF_POINTS = {
     (6.0, 1e-2): (-1.0, 0.5, 1.0, 10.0, 20.0),
     (12.0, 1e-3): (-1.0, 0.5, 1.0),
@@ -238,6 +293,9 @@ MGF_POINTS = {
     (30.5, 1e-5): (5.0,),
     (2.5, 0.5): (10.0,),
     (30.5, 0.999): (5.0,),
+    (2.5, 0.18): (20.0, 50.0),
+    (6.0, 0.5): (40.0,),
+    (1.0, 1e-5): (40.0,),
 }
 
 
@@ -248,6 +306,19 @@ def test_mgf_matches_oracle(lam, theta):
         assert abs(tilted.mgf(spec, t) / oracle_mgf(lam, theta, t) - 1) <= 1e-12
 
 
+def test_the_two_mgf_oracles_agree_where_both_hold():
+    for lam, theta, t in ((2.5, 0.5, 10.0), (2.5, 0.18, 20.0), (1.0, 1e-5, 40.0)):
+        want = oracle_tilted_mgf(lam, theta, t)
+        assert abs(oracle_mgf(lam, theta, t) / want - 1) <= 1e-25
+
+
+@pytest.mark.parametrize("lam, theta, t", [(1.0, 0.9, 100.0), (2.5, 0.5, 300.0)])
+def test_mgf_past_t_equal_x_matches_the_positive_series_oracle(lam, theta, t):
+    # past |t| = 50 oracle_mgf loses digits; the positive form keeps them
+    got = tilted.mgf(SelectionSpec(lam, theta), t)
+    assert abs(got / oracle_tilted_mgf(lam, theta, t) - 1) <= 1e-12
+
+
 @pytest.mark.parametrize("lam, theta", [(2.5, 0.5), (6.0, 0.5), (1.0, 1e-2)])
 def test_mgf_at_t_equal_x(lam, theta):
     # t = x: S(x - t) = S(0) = m_0 is the k = 0 term alone, every other term
@@ -255,8 +326,10 @@ def test_mgf_at_t_equal_x(lam, theta):
     spec = SelectionSpec(lam, theta)
     got = tilted.mgf(spec, spec.x)
     assert abs(got / oracle_mgf(lam, theta, spec.x) - 1) <= 1e-12
-    # next to it (x < 5 here, so t moves by < 5e-12 and mgf by less)
-    assert abs(got / tilted.mgf(spec, spec.x * (1 - 1e-12)) - 1) <= 1e-11
+    # next to it on both sides, the second past t = x where e^x H(t - x) / S(x)
+    # is summed (x < 5 here, so t moves by < 5e-12 and mgf by less)
+    for side in (1 - 1e-12, 1 + 1e-12):
+        assert abs(got / tilted.mgf(spec, spec.x * side) - 1) <= 1e-11
 
 
 def test_mgf_builds_no_table(monkeypatch):

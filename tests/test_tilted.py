@@ -332,20 +332,27 @@ def test_mgf_negative_argument():
     assert 0.0 < tilted.mgf(spec, -2.0) < 1.0
 
 
-def test_mgf_raises_where_the_alternating_sum_cancels():
-    # x - t = -15.7: S(x - t) alternates, its terms reach ~126 against a sum
-    # near 0.5, and its rounding model gives 5.0e-12 relative (a 90-digit
-    # evaluation differs by 2.6e-12)
-    spec = SelectionSpec(2.5, 0.18)
-    with pytest.raises(PrecisionError, match="cancels"):
-        tilted.mgf(spec, 20.0)
-    assert tilted.mgf(spec, 5.0) > 1.0
-
-
 def test_mgf_rejects_huge_t():
-    for t in (100.0, math.nan):
-        with pytest.raises(DomainError):
-            tilted.mgf(SelectionSpec(6.0, 0.1), t)
+    spec = SelectionSpec(6.0, 0.1)
+    for t in (780.0, 1000.0):  # log mgf passes log of the largest float, ~709.8
+        with pytest.raises(DomainError, match="largest float"):
+            tilted.mgf(spec, t)
+    with pytest.raises(DomainError, match="weight evaluations"):  # past MAX_MOMENTS
+        tilted.mgf(spec, 1e300)
+    for t in (math.inf, -math.inf, math.nan):
+        with pytest.raises(DomainError, match="finite"):
+            tilted.mgf(spec, t)
+    assert tilted.mgf(spec, 700.0) < np.finfo(float).max
+
+
+def test_mgf_is_a_log_convex_mgf_across_t_equal_x():
+    # log mgf is convex in t, with slope E H2 in (0, 1], on both routes
+    spec = SelectionSpec(2.5, 0.5)  # x = 1.73
+    ts = np.linspace(-20.0, 60.0, 161)
+    log_m = np.log([tilted.mgf(spec, t) for t in ts])
+    slopes = np.diff(log_m) / np.diff(ts)
+    assert np.all(np.diff(slopes) > 0.0)
+    assert 0.0 < slopes[0] and slopes[-1] < 1.0
 
 
 def test_moment_series_free_energy_approaches_the_ldp_limit():
