@@ -6,13 +6,16 @@ through one batch driver, _draw, whose fixed-size batches each have their
 own Philox stream, derived from the root seed by counter offsetting, so one
 seed fixes the same draws for every statistic.  Batches are drawn
 concurrently on the CPUs this process may use and handed to the statistic
-in batch order, so the draws are the same for any CPU count.  A statistic
-that needs the sticks gets each batch as one C-contiguous matrix, sorted
-descending in place, which it owns and may overwrite.
+in batch order, so the draws are the same for any CPU count.
 Beta(1,theta) sticks come from the exact inverse CDF U = 1-(1-V)^{1/theta}.
 Each draw takes sticks until its own residual mass is below epsilon: a
 first block sized from the Poisson law of the sticks it needs, then short
-blocks for the draws still above epsilon alone.  Its H2, the split sum of
+blocks for the draws still above epsilon alone, the late draws (~0.3-2%).
+A statistic that needs the sticks gets each batch's kept only as wide as
+its first block: a head matrix that wide, then the late draws' whole
+sticks in a small matrix of their own, each C-contiguous, sorted
+descending in place and owned by the statistic, which values each draw
+once, on all its sticks (see _draw).  A draw's H2, the split sum of
 its squared sticks, is ldp.phi2 of the draw on every row whose exact sum is
 not within the split sum's own rounding of a tie; no sticks are kept to
 re-sum such a row (test_row_sums_equal_fsum_where_the_split_sum_is_not_certified).
@@ -100,12 +103,13 @@ def _sticks(
     rng: np.random.Generator, prefix: np.ndarray, inv_theta: float, u: np.ndarray, cum: np.ndarray
 ) -> np.ndarray:
     """The next sticks of each row whose mass left is `prefix`, one row of
-    the stream per row, into the buffer u (rows x width), which is
-    returned; `prefix` is overwritten with the mass left after them.
+    the stream per row, into the C-contiguous buffer u (rows x width), which
+    is returned; `prefix` is overwritten with the mass left after them.
 
     cum (rows x width+1) is a buffer too.  cum[:, j] is the mass left
     before stick j: the prefix times (1 - U) = (1 - V)^(1/theta) of each
-    stick before it; stick j is cum[:, j] U_j.
+    stick before it, a running product taken column by column (cumprod's
+    products, in its order); stick j is cum[:, j] U_j.
     """
     rng.random(out=u)
     cum[:, 0] = prefix
@@ -113,7 +117,8 @@ def _sticks(
     np.subtract(1.0, u, out=rest)
     rest **= inv_theta
     np.subtract(1.0, rest, out=u)
-    np.cumprod(cum, axis=1, out=cum)
+    for j in range(u.shape[1]):
+        np.multiply(cum[:, j], cum[:, j + 1], out=cum[:, j + 1])
     prefix[:] = cum[:, -1]
     return np.multiply(cum[:, :-1], u, out=u)
 
@@ -132,27 +137,31 @@ def _gem_batch(
     U ~ Beta(1, theta), -log(1 - U) is exponential of rate theta, and the
     residual passes epsilon at the first arrival past log(1/epsilon).  So
     every row gets a first block of floor(a + 2 sqrt(a)) + 3 sticks, which
-    leaves ~1-2% of rows at or above epsilon, and blocks of _BLOCK sticks
-    then go to those rows alone.  Each block is drawn in row order, _ROWS
-    rows at a time into buffers kept for the batch; which rows draw on
-    follows from the stream, so one stream fixes every draw.
+    leaves ~1-2% of rows at or above epsilon, the late rows, and blocks of
+    _BLOCK sticks then go to those rows alone.  Each block is drawn in row
+    order, _ROWS rows at a time; which rows draw on follows from the
+    stream, so one stream fixes every draw.
 
     Each H2 is the split sum of its row's squared sticks, whatever their
     order; see the module docstring for where it may differ from ldp.phi2.
 
-    Returns (h2, residual, weights-or-None); the weights, one C-contiguous
-    matrix, hold each row's sticks in draw order, zero-padded to the widest
-    row.
+    Returns (h2, residual, sticks-or-None).  The sticks, all in draw order,
+    are (head, late, tail): head (size x first, C-contiguous, the first
+    block drawn into it in place) holds every row's first block, late the
+    indices of the late rows, ascending, and tail (C-contiguous) those
+    rows' whole sticks, the first block then the later ones, zero-padded
+    to the widest of them.
     """
     a = theta * math.log(1.0 / epsilon)
     inv_theta = 1.0 / theta
     first = math.floor(a + 2.0 * math.sqrt(a)) + 3
     prefix = np.ones(size)
     sums = np.zeros((3, size))  # hi, mid and lo of each row's sum of squares
-    # room for one block past the first; most batches need it, few a second
-    weights = np.zeros((size, first + _BLOCK)) if keep_weights else None
+    head = np.empty((size, first)) if keep_weights else None
     work = np.empty((2, min(size, _ROWS) * (max(first, _BLOCK) + 1)))
     rows = np.arange(size)  # the rows still at or above epsilon
+    late = rows[:0]  # the rows still at or above epsilon after the first block
+    tail = head[late] if keep_weights else None  # and their whole sticks
     col, width = 0, first
     while rows.size:
         if col > STICK_CAP:
@@ -160,39 +169,48 @@ def _gem_batch(
                 f"stick count exceeded {STICK_CAP} before residual < {epsilon}; "
                 "pathological (theta, epsilon) combination"
             )
-        if weights is not None and col + width > weights.shape[1]:
-            weights = np.concatenate([weights, np.zeros((size, _BLOCK))], axis=1)
+        if keep_weights and col:  # one more block of the late rows' own matrix
+            if col == first:
+                late, tail = rows, head[rows]
+            tail = np.concatenate([tail, np.zeros((late.size, _BLOCK))], axis=1)
         for start in range(0, rows.size, _ROWS):
             m = min(_ROWS, rows.size - start)
-            # the first block takes every row, so its chunks are slices: no gather or scatter
+            # the first block takes every row, so its chunks are slices: no gather or
+            # scatter, and a slice of the head is contiguous, so it is drawn into in place
             chunk = slice(start, start + m) if col == 0 else rows[start : start + m]
+            part = work[0, : m * width].reshape(m, width)
+            u = head[chunk] if keep_weights and col == 0 else part
             left = prefix[chunk]
-            u = work[0, : m * width].reshape(m, width)
-            cum = work[1, : m * (width + 1)].reshape(m, width + 1)
-            w = _sticks(rng, left, inv_theta, u, cum)
+            w = _sticks(rng, left, inv_theta, u, work[1, : m * (width + 1)].reshape(m, width + 1))
             prefix[chunk] = left
-            if weights is not None:
-                weights[chunk, col : col + width] = w
+            if keep_weights and col:
+                tail[np.searchsorted(late, chunk), col : col + width] = w
             sq = np.multiply(w, w, out=work[1, : m * width].reshape(m, width))
-            sums[:, chunk] += _split_sums(sq, w)
+            sums[:, chunk] += _split_sums(sq, part)  # overwrites part: w past the first block
         rows = rows[prefix[rows] >= epsilon]
         col += width
         width = _BLOCK
-    if weights is not None:  # a copy only where no row drew into the last block
-        weights = np.ascontiguousarray(weights[:, :col])
-    return _rounded_sum(*sums), prefix, weights
+    return _rounded_sum(*sums), prefix, (head, late, tail) if keep_weights else None
 
 
 def _draw(theta: float, n: int, seed: int, batch_statistic: Callable | None = None):
     """Refuse n > MAX_DRAWS, then return each of n GEM draws' H2 and
     batch_statistic (None without one).  Batch b holds _BATCH draws from
-    stream(seed, b), whatever the statistic, which maps one batch's stick
-    matrix, sorted descending along each row (one row per draw,
-    zero-padded), to one value per row; sticks are kept only for it.  The
-    matrix is C-contiguous and owned by the statistic, which may overwrite
-    it.  Up to _WORKERS batches are drawn at once on a thread pool of this
-    call's own, the statistic runs on the calling thread in batch order,
-    and the pool is shut down on return or error.
+    stream(seed, b), whatever the statistic; sticks are kept only for it.
+
+    batch_statistic(ordered, rows) maps rows `rows` (an index array) of a
+    stick matrix to one value each.  Each row of `ordered` is a draw's
+    sticks sorted descending, zero-padded; the matrix is C-contiguous and
+    owned by the statistic, which may overwrite it.  It is called twice
+    per batch: on the head with the rows that drew no block past their
+    first, then on the late rows' whole sticks with every row.  So each
+    draw is valued once, on all its sticks; the head's other rows hold
+    only a late draw's first block, and a statistic may compute over them
+    in bulk but must not value them.
+
+    Up to _WORKERS batches are drawn and sorted at once on a thread pool of
+    this call's own, the statistic runs on the calling thread in batch
+    order, and the pool is shut down on return or error.
     """
     if n > MAX_DRAWS:
         raise DomainError(f"{n} draws need {8 * n / 1e9:.3g} GB per array (limit {MAX_DRAWS})")
@@ -202,24 +220,31 @@ def _draw(theta: float, n: int, seed: int, batch_statistic: Callable | None = No
 
     def draw(b: int):
         size = min(_BATCH, n - b * _BATCH)
-        bh2, _, weights = _gem_batch(theta, size, DEFAULT_EPSILON, stream(seed, b), f is not None)
-        if weights is not None:  # descending in place: negation is exact, and -(-0.0) is +0.0
-            np.negative(weights, out=weights)
-            weights.sort(axis=1)
-            np.negative(weights, out=weights)
-        return bh2, weights
+        bh2, _, sticks = _gem_batch(theta, size, DEFAULT_EPSILON, stream(seed, b), f is not None)
+        if sticks is not None:
+            head, _, tail = sticks
+            for ordered in (head, tail):  # descending in place: negation is exact, -(-0.0) is +0.0
+                np.negative(ordered, out=ordered)
+                ordered.sort(axis=1)
+                np.negative(ordered, out=ordered)
+        return bh2, sticks
 
     pool = concurrent.futures.ThreadPoolExecutor(max_workers=_WORKERS)
     try:
         pending = {b: pool.submit(draw, b) for b in range(min(_WORKERS, count))}
         for b in range(count):
-            bh2, weights = pending.pop(b).result()
+            bh2, sticks = pending.pop(b).result()
             if b + _WORKERS < count:
                 pending[b + _WORKERS] = pool.submit(draw, b + _WORKERS)
             lo = b * _BATCH
             h2[lo : lo + len(bh2)] = bh2
             if f is not None:
-                f[lo : lo + len(bh2)] = batch_statistic(weights)
+                head, late, tail = sticks
+                out = f[lo : lo + len(bh2)]
+                early = np.ones(len(bh2), dtype=bool)
+                early[late] = False
+                out[early] = batch_statistic(head, np.flatnonzero(early))
+                out[late] = batch_statistic(tail, np.arange(late.size))
     finally:
         pool.shutdown(cancel_futures=True)
     return h2, f
@@ -232,8 +257,9 @@ def sample_gem(theta: float, epsilon: float = DEFAULT_EPSILON, *, seed: int) -> 
         raise DomainError(f"theta must lie in (0, 1], got {theta}")
     if not (0.0 < epsilon < 1.0):
         raise DomainError(f"epsilon must lie in (0, 1), got {epsilon}")
-    _, residual, weights = _gem_batch(theta, 1, epsilon, stream(seed), keep_weights=True)
-    return GemSample(theta=theta, weights=weights[0], residual=float(residual[0]))
+    _, residual, (head, late, tail) = _gem_batch(theta, 1, epsilon, stream(seed), keep_weights=True)
+    return GemSample(theta=theta, weights=tail[0] if late.size else head[0],
+                     residual=float(residual[0]))
 
 
 _h2_cache: OrderedDict[tuple[float, int, int], np.ndarray] = OrderedDict()
@@ -311,13 +337,13 @@ def tilted_estimate(
         f = np.asarray(statistic.fn(h2), dtype=float)
         return _weighted_estimate(f, _weights(spec, h2))
 
-    def per_draw(ordered: np.ndarray) -> np.ndarray:
+    def per_draw(ordered: np.ndarray, rows: np.ndarray) -> np.ndarray:
         # sorted descending, so each row's positive sticks lead it
-        counts = np.count_nonzero(ordered > 0.0, axis=1)
-        out = np.empty(len(ordered))
-        for i, m in enumerate(counts):
-            entries = tuple(ordered[i, :m].tolist())
-            out[i] = statistic(Configuration(entries=entries, validate=False))
+        counts = np.count_nonzero(ordered > 0.0, axis=1).tolist()
+        out = np.empty(len(rows))
+        for j, i in enumerate(rows.tolist()):
+            entries = tuple(ordered[i, : counts[i]].tolist())
+            out[j] = statistic(Configuration(entries=entries, validate=False))
         return out
 
     h2, f = _draw(spec.theta, n, seed, per_draw)
@@ -365,7 +391,8 @@ def ball_probability(
     if n < 1000:
         raise DomainError(f"n must be >= 1000, got {n}")
 
-    def inside(ordered: np.ndarray) -> np.ndarray:
+    def inside(ordered: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        # over every row at once, the rows not asked for dropped at the end:
         # |x - c| in place on the first k columns, where the center c is 1/k;
         # past them c = 0, and |x - c| = x as every stick x >= 0
         cols = ordered.shape[1]
@@ -374,7 +401,7 @@ def ball_probability(
         d = ordered @ np.exp2(-np.arange(1, cols + 1, dtype=float))
         if cols < k:  # unsampled coordinates of the center still count: sum_{i=cols+1}^k 2^-i/k
             d += (2.0**-cols - 2.0**-k) / k
-        return (d < delta).astype(float)
+        return (d[rows] < delta).astype(float)
 
     h2, f = _draw(spec.theta, n, seed, inside)
     return _weighted_estimate(f, _weights(spec, h2))

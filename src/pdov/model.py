@@ -26,6 +26,10 @@ class SelectionSpec:
             raise DomainError(f"lam must be finite and > 0, got {self.lam}")
         if not (0.0 < self.theta <= 1.0):
             raise DomainError(f"theta must lie in (0, 1], got {self.theta}")
+        if not math.isfinite(self.sigma):
+            raise DomainError(
+                f"x = lam log(1/theta) overflows at lam={self.lam}, theta={self.theta}"
+            )
 
     @property
     def sigma(self) -> float:

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import ldp
+from . import coefficients, ldp
 from .coefficients import cached_table, lgamma_lookup, log_sum_exp
 from .errors import DomainError, PrecisionError
 from .model import SelectionSpec
@@ -192,9 +192,16 @@ def _column_sums(theta: float, x: float, ls: range, shifts) -> list[np.ndarray]:
 
 
 def _floor_lam(lam: float) -> int:
+    """floor(lam), the columns a series over l = 1..floor(lam) reads,
+    refused before any column array is built where no table could be: a
+    table of cols columns has kmax >= cols rows, so kmax^2 cols >= cols^3."""
     lf = math.floor(lam)
     if lf < 1:
         raise DomainError(f"series over l = 1..floor(lam) is empty for lam={lam}")
+    if lf**3 > coefficients.MAX_TABLE_WORK:
+        raise DomainError(
+            f"floor(lam) = {lf:.3g} columns: kmax^2 cols >= cols^3 > {coefficients.MAX_TABLE_WORK:.3g}"
+        )
     return lf
 
 

@@ -308,6 +308,11 @@ def test_phase_sweep_of_one_row(capsys, lo, hi, step):
           "--hist-bins", "1000001"), "more than 1000000"),
         # refused before the configuration's K entries are built
         (("rate", "--lambda", "6", "--uniform", "1000000000"), "more than 1000000"),
+        # refused before an array over the floor(lam) columns is built
+        (("kn", "--lambda", "1e20", "--n", "1", "--theta", "0.5"), "cols^3 > 1e+10"),
+        (("tails", "--lambda", "1e12", "--theta", "0.5"), "cols^3 > 1e+10"),
+        # x = lam log(1/theta) = inf
+        (("mgf", "--lambda", "1e306", "--theta", "1e-300", "--t", "1"), "overflows"),
     ],
 )
 def test_resource_guards_refuse_up_front(capsys, argv, estimate):

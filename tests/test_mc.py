@@ -3,7 +3,7 @@
 import math
 import threading
 import tracemalloc
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 
 import numpy as np
 import pytest
@@ -29,10 +29,32 @@ def test_sample_gem_determinism():
     assert not np.array_equal(a.weights, c.weights)
 
 
+def _padded(head, late, tail):
+    """Each row's sticks as one matrix, zero-padded to the widest row: the
+    head's rows, with the late rows' whole sticks in place of theirs."""
+    w = np.zeros((len(head), max(head.shape[1], tail.shape[1])))
+    w[:, : head.shape[1]] = head
+    w[late] = tail
+    return w
+
+
 @pytest.mark.parametrize("theta", [0.01, 0.1, 0.3, 1.0])
 def test_gem_batch_invariants(theta):
     eps = mc.DEFAULT_EPSILON
-    h2, residual, w = mc._gem_batch(theta, mc._BATCH, eps, mc.stream(5, 0), keep_weights=True)
+    a = theta * math.log(1.0 / eps)
+    first = math.floor(a + 2.0 * math.sqrt(a)) + 3
+    h2, residual, (head, late, tail) = mc._gem_batch(
+        theta, mc._BATCH, eps, mc.stream(5, 0), keep_weights=True
+    )
+    # the head is exactly the first block wide; the late rows' own matrix
+    # starts with their first block, and grows by whole blocks
+    assert head.shape == (mc._BATCH, first) and head.flags.c_contiguous
+    assert tail.flags.c_contiguous and len(tail) == len(late)
+    assert np.all(np.diff(late) > 0)
+    assert tail[:, :first].tobytes() == head[late].tobytes()
+    if late.size:
+        assert tail.shape[1] > first and (tail.shape[1] - first) % mc._BLOCK == 0
+    w = _padded(head, late, tail)
     assert np.all(residual < eps)
     assert np.all(w >= 0.0)
     assert np.max(np.abs(w.sum(axis=1) + residual - 1.0)) < 1e-12
@@ -44,10 +66,10 @@ def test_gem_batch_invariants(theta):
     # the zero padding only follows a row's sticks, which come in draw order
     positive = w > 0.0
     assert np.all(positive[:, 1:] <= positive[:, :-1])
-    # a row drew a block past its first only while its mass left was >= eps
-    a = theta * math.log(1.0 / eps)
-    first = math.floor(a + 2.0 * math.sqrt(a)) + 3
+    # a row drew a block past its first only while its mass left was >= eps,
+    # and the late rows are those that did
     drawn = positive.sum(axis=1)
+    assert np.array_equal(np.flatnonzero(drawn > first), late)
     late = drawn > first
     block_start = first + (drawn[late] - first - 1) // mc._BLOCK * mc._BLOCK
     before = 1.0 - np.cumsum(w[late], axis=1)[np.arange(late.sum()), block_start - 1]
@@ -196,20 +218,26 @@ def test_ball_probability_wrong_center_small():
 
 
 def test_ball_probability_centre_wider_than_the_draws():
-    spec, k = SelectionSpec(2.0, 0.1), 60
+    # every configuration lies within 1/2 - 2^-60/60 of the 60-uniform
+    # centre, so at radius 1/2 only rounding could leave a draw outside;
+    # at 0.49 a draw is inside as its first stick is near 1, and 29 of these
+    # draws lie closer to the radius than the centre's unsampled entries weigh
+    spec, k, delta = SelectionSpec(2.0, 0.1), 60, 0.49
     n = 2 * mc._BATCH + 7
-    inside = []
-    for _, ordered in _serial_sorted_batches(spec.theta, n, seed=8):
+
+    def distance(ordered):
         cols = ordered.shape[1]
         assert cols < k
         target = np.full(cols, 1.0 / k)
         d = np.abs(ordered - target[None, :]) @ np.exp2(-np.arange(1, cols + 1, dtype=float))
-        d += sum(2.0**-i for i in range(cols + 1, k + 1)) / k  # the centre's unsampled entries
-        inside.append((d < 0.5).astype(float))
+        return d + sum(2.0**-i for i in range(cols + 1, k + 1)) / k  # the centre's unsampled entries
+
+    inside = [(_by_row(distance, *sticks) < delta).astype(float)
+              for _, *sticks in _serial_sorted_batches(spec.theta, n, seed=8)]
     h2 = mc.h2_samples(spec.theta, n, seed=8)
     want = mc._weighted_estimate(np.concatenate(inside), np.exp(spec.sigma * h2))
     assert 0.0 < want.value < 1.0
-    assert mc.ball_probability(spec, k=k, delta=0.5, n=n, seed=8) == want
+    assert mc.ball_probability(spec, k=k, delta=delta, n=n, seed=8) == want
 
 
 def test_ball_probability_memory_does_not_grow_with_the_centre():
@@ -223,8 +251,11 @@ def test_ball_probability_memory_does_not_grow_with_the_centre():
 
 
 def test_ball_probability_peak_memory_under_two_stick_matrices(monkeypatch):
-    # the distance is taken in place on the batch's own matrix: at theta = 1
-    # that is 16,384 x 46 sticks (a first block of 30, one more of 16)
+    # the distance is taken in place on the batch's own head, 16,384 x 30
+    # sticks at theta = 1 (3.75 MiB), and on the few late rows' whole sticks
+    # (30 + 16 wide); the batch peaks at ~6.7 MiB.  The bound, two heads
+    # (7.5 MiB), sits below the ~8.6 MiB that one 16,384 x 46 matrix for
+    # every row took, so a return to that layout fails here
     monkeypatch.setattr(mc, "_WORKERS", 1)
     tracemalloc.start()
     try:
@@ -232,7 +263,7 @@ def test_ball_probability_peak_memory_under_two_stick_matrices(monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2 * mc._BATCH * 46 * 8
+    assert peak < 2 * mc._BATCH * 30 * 8
 
 
 def test_draw_count_is_refused_before_any_allocation():
@@ -287,32 +318,67 @@ POOL_N = 3 * mc._BATCH + 5
 
 
 def _serial_sorted_batches(theta, n, seed):
-    """Batch b drawn from stream(seed, b) one after another, sorted descending."""
+    """Batch b drawn from stream(seed, b) one after another: its H2, head,
+    late rows and their whole sticks, each stick matrix sorted descending."""
     for b, lo in enumerate(range(0, n, mc._BATCH)):
         size = min(n, lo + mc._BATCH) - lo
-        h2, _, w = mc._gem_batch(theta, size, mc.DEFAULT_EPSILON, mc.stream(seed, b), True)
-        yield h2, -np.sort(-w, axis=1)
+        h2, _, (head, late, tail) = mc._gem_batch(
+            theta, size, mc.DEFAULT_EPSILON, mc.stream(seed, b), True
+        )
+        yield h2, -np.sort(-head, axis=1), late, -np.sort(-tail, axis=1)
+
+
+def _by_row(fn, head, late, tail):
+    """fn of each row of the head, but of the late rows' whole sticks for
+    theirs: the rows as the batch statistic values them."""
+    out = fn(head)
+    out[late] = fn(tail)
+    return out
 
 
 @pytest.mark.parametrize("theta, n", [(0.01, 1000), (1.0, mc._BATCH + 5)])
 def test_batch_statistic_owns_a_contiguous_descending_matrix(theta, n):
-    # at theta = 0.01 no row of 1,000 draws a second block, so the sticks
-    # fill only part of the buffer they were drawn into
+    # at theta = 0.01 no row of 1,000 draws a second block, so the late
+    # rows' matrix is empty; at theta = 1 some rows of the first batch draw on
     got = []
 
-    def stat(ordered):
-        got.append((ordered.flags.c_contiguous, ordered.flags.writeable, ordered.copy()))
+    def stat(ordered, rows):
+        got.append((ordered.flags.c_contiguous, ordered.flags.writeable, ordered.copy(), rows))
         ordered[:] = np.nan  # the statistic owns the matrix
-        return np.zeros(len(ordered))
+        return np.zeros(len(rows))
 
-    h2, _ = mc._draw(theta, n, seed=5, batch_statistic=stat)
+    h2, f = mc._draw(theta, n, seed=5, batch_statistic=stat)
     serial = list(_serial_sorted_batches(theta, n, seed=5))
-    assert np.array_equal(h2, np.concatenate([h for h, _ in serial]))
-    want = [ordered for _, ordered in serial]
+    assert np.array_equal(h2, np.concatenate([h for h, *_ in serial]))
+    assert np.array_equal(f, np.zeros(n))
+    want = []
+    for _, head, late, tail in serial:
+        # the head valued on its rows that drew no late block, the late rows on their whole sticks
+        want += [(head, np.setdiff1d(np.arange(len(head)), late)), (tail, np.arange(len(late)))]
     assert len(got) == len(want)
-    for (contiguous, writeable, ordered), w in zip(got, want):
+    assert theta != 1.0 or len(want[1][1])  # the theta = 1 batch has late rows
+    for (contiguous, writeable, ordered, rows), (w, w_rows) in zip(got, want):
         assert contiguous and writeable
         assert ordered.shape == w.shape and ordered.tobytes() == w.tobytes()
+        assert np.array_equal(rows, w_rows)
+
+
+def test_generic_statistic_is_valued_once_per_draw_on_its_whole_sticks():
+    n = mc._BATCH + 5
+    calls = []
+
+    def stat(config):
+        calls.append(config.entries)
+        return 0.0
+
+    mc.tilted_estimate(SelectionSpec(2.0, 1.0), stat, n=n, seed=5)
+    want = [tuple(row[row > 0.0].tolist())
+            for _, *sticks in _serial_sorted_batches(1.0, n, seed=5) for row in _padded(*sticks)]
+    assert len(calls) == n
+    # each draw's positive sticks, sorted descending, once: never a late row's first block alone
+    assert Counter(calls) == Counter(want)
+    assert Counter(map(len, calls)) == Counter(map(len, want))
+    assert max(map(len, want)) > 30  # some draws are late: the first block holds 30 sticks
 
 
 def _pool_stat(config):
@@ -324,15 +390,18 @@ def serial_reference(request):
     theta = request.param
     spec = SelectionSpec(2.0, theta)
     h2_parts, balls, stats = [], [], []
-    for h2, ordered in _serial_sorted_batches(theta, POOL_N, seed=5):
-        h2_parts.append(h2)
+
+    def distance(ordered):
         cols = ordered.shape[1]
         target = np.zeros(cols)
         target[0] = 1.0  # the 1-uniform configuration
-        d = np.abs(ordered - target[None, :]) @ np.exp2(-np.arange(1, cols + 1, dtype=float))
-        balls.append((d < 0.2).astype(float))
+        return np.abs(ordered - target[None, :]) @ np.exp2(-np.arange(1, cols + 1, dtype=float))
+
+    for h2, *sticks in _serial_sorted_batches(theta, POOL_N, seed=5):
+        h2_parts.append(h2)
+        balls.append((_by_row(distance, *sticks) < 0.2).astype(float))
         stats.append([_pool_stat(ldp.Configuration(tuple(row[row > 0.0]), validate=False))
-                      for row in ordered])
+                      for row in _padded(*sticks)])
     h2 = np.concatenate(h2_parts)
     w = np.exp(spec.sigma * h2)
     ball = mc._weighted_estimate(np.concatenate(balls), w)
@@ -383,3 +452,66 @@ def test_h2_cache_bounded_by_bytes(monkeypatch):
     again = mc.h2_samples(0.5, 2001, seed=1)
     assert again is not big and np.array_equal(again, big)
     assert sum(x.nbytes for x in mc._h2_cache.values()) <= mc.H2_CACHE_BYTES
+
+
+# -- golden values: one seed's estimates and sticks, bit for bit --------------
+# Recorded by float.hex from the layout that padded every row of a batch to
+# its widest.  How the sticks are laid out moves no draw, H2 or stick, so
+# these stay exact (the ball distance may round by an ulp on a narrower
+# matrix, which moves the estimate only where a distance lies that close to
+# the radius; none of these does).
+
+GOLDEN_N = 2 * mc._BATCH + 17
+GOLDEN_ESTIMATES = {  # (theta, statistic): (value, std_error, effective_sample_size)
+    (0.1, "ball"): ("0x1.2a9a943994777p-1", "0x1.40157dbfeafd1p-8", "0x1.8dc5bd88587a6p+13"),
+    (0.1, "generic"): ("0x1.939e5ce62e93cp-1", "0x1.fe8d069a36c3ap-10", "0x1.8dc5bd88587a6p+13"),
+    (1.0, "ball"): ("0x1.65488c5d5b99dp-2", "0x1.59062b2a1f169p-9", "0x1.0022000000000p+15"),
+    (1.0, "generic"): ("0x1.408de48e75eccp-1", "0x1.160a44222107bp-10", "0x1.0022000000000p+15"),
+}
+GOLDEN_GEM_WEIGHTS = {  # sample_gem(theta, seed=seed).weights, in stick order
+    (0.5, 11): [
+        "0x1.e738f5d0c8284p-3", "0x1.5f62d02c7b326p-1", "0x1.0dc72cd360e5bp-4",
+        "0x1.176811f4adcc9p-7", "0x1.300a1d907bf69p-10", "0x1.ab51648a2e73dp-16",
+        "0x1.952866d89fa57p-13", "0x1.4b456a3f45b7cp-16", "0x1.3aebaee6071acp-22",
+        "0x1.a2f37875a042fp-19", "0x1.ae4f303107c44p-19", "0x1.62cfe25073544p-20",
+        "0x1.a1d8d331e14eap-23", "0x1.66a7e429c84d6p-22", "0x1.64ed9f5c7db82p-23",
+        "0x1.1f0723715145bp-23", "0x1.fd3f6972b93fep-26", "0x1.eca403c8af793p-28",
+    ],
+    (1.0, 68): [
+        "0x1.ec5e8693e87eep-2", "0x1.c1d1c6f543c1fp-5", "0x1.8c3c89aae7b65p-5",
+        "0x1.f1cb27d446dc1p-3", "0x1.09c8ffecab389p-5", "0x1.27f85a065533ap-8",
+        "0x1.dfa1d918d13afp-4", "0x1.c9b2d46e1cf46p-8", "0x1.5119161be53d0p-9",
+        "0x1.d25886aff445bp-13", "0x1.c675066ca9a42p-8", "0x1.6914a5704a305p-10",
+        "0x1.ddb4c4e0a7b1fp-12", "0x1.c6baf5d0dac81p-16", "0x1.f185652fee83dp-14",
+        "0x1.33b0b7bc1f940p-15", "0x1.48305bf9f500ap-19", "0x1.c02ad287e3869p-17",
+        "0x1.da943d851db8cp-17", "0x1.685a052cdfc73p-17", "0x1.48be175d934d2p-21",
+        "0x1.fb19c7f030ddep-25", "0x1.246e1c72c1651p-20", "0x1.a450a7f648fecp-24",
+        "0x1.6a4ff4a90fa53p-28", "0x1.01f099832c7c4p-27", "0x1.27a950137586fp-24",
+        "0x1.88d280844bda4p-26", "0x1.db0efacc3d534p-25", "0x1.002f89318336bp-32",
+        "0x1.ac22e30f3251bp-26", "0x1.dc1941225234ap-27", "0x1.41ee51f0dbd74p-30",
+        "0x1.79e9cd09bafa0p-33", "0x1.3c1b7da706757p-32", "0x1.7714d3002a894p-34",
+        "0x1.7f1294417258bp-35", "0x1.6741f7de5aec3p-37", "0x1.9d2f30fbeea18p-38",
+        "0x1.bb8005ec7e545p-40", "0x1.4417859238f26p-39", "0x1.0dadf3252e83cp-41",
+        "0x1.3c47d978018fdp-41", "0x1.466c668aef007p-43", "0x1.1eff1c64b0aa6p-44",
+        "0x1.1d48595660a60p-46",
+    ],
+}
+
+
+@pytest.mark.parametrize("theta, statistic", sorted(GOLDEN_ESTIMATES))
+def test_estimates_equal_their_golden_values(theta, statistic):
+    spec = SelectionSpec(2.0, theta)
+    if statistic == "ball":
+        est = mc.ball_probability(spec, k=1, delta=0.2, n=GOLDEN_N, seed=31)
+    else:
+        est = mc.tilted_estimate(spec, _pool_stat, n=GOLDEN_N, seed=31)
+    got = (est.value, est.std_error, est.effective_sample_size)
+    assert tuple(x.hex() for x in got) == GOLDEN_ESTIMATES[theta, statistic]
+
+
+@pytest.mark.parametrize("theta, seed", sorted(GOLDEN_GEM_WEIGHTS))
+def test_sample_gem_equals_its_golden_sticks(theta, seed):
+    # at theta = 0.5 the draw ends within its first block of 18 sticks; at
+    # theta = 1 it is late, its first block of 30 then one block of 16
+    weights = mc.sample_gem(theta, seed=seed).weights
+    assert [float(x).hex() for x in weights] == GOLDEN_GEM_WEIGHTS[theta, seed]
