@@ -90,26 +90,38 @@ class CoeffTable:
 
 
 @lru_cache(maxsize=16)
-def _lgamma_slot(theta: float) -> list[np.ndarray]:
-    """One slot: the read-only lgamma(n + theta), n = 0, 1, ..., held for
-    theta, replaced when grown."""
-    return [np.empty(0)]
+def _store(theta: float) -> dict:
+    """Everything pdov grows at theta, for the 16 most recent theta, each
+    read-only and replaced when grown: the lgamma lookup, the coefficient
+    table, and the runs of log E(1-H2)^k ("log_m") and log E H2^k ("log_h")."""
+    return {}
+
+
+def _held_run(theta: float, kind: str, size: int, fill) -> np.ndarray:
+    """The first size entries of the run of this kind held at theta, a
+    read-only view.  A shorter run is replaced by a copy grown by zeros to
+    size, fill(run, start) computing run[start:] in place, each entry from
+    the entries below it and lookups alone: a grown run equals a fresh one."""
+    store = _store(float(theta))
+    held = store.get(kind, np.empty(0))
+    if len(held) < size:
+        start, held = len(held), np.concatenate([held, np.zeros(size - len(held))])
+        fill(held, start)
+        held.setflags(write=False)
+        store[kind] = held
+    return held[:size]
 
 
 def lgamma_lookup(theta: float, size: int) -> np.ndarray:
     """lgamma(n + theta) for n = 0..size-1, each math.lgamma(n + theta)
     (inf at the pole n + theta = 0): a read-only view of the lookup held
-    for theta, the 16 most recent, grown to size where it is shorter.
-    Each entry is computed on its own, so a grown lookup equals a fresh one."""
-    slot = _lgamma_slot(float(theta))
-    held = slot[0]
-    if len(held) < size:
-        more = [math.lgamma(n + theta) if n + theta > 0.0 else math.inf
-                for n in range(len(held), size)]
-        held = np.concatenate([held, more])
-        held.setflags(write=False)
-        slot[0] = held
-    return held[:size]
+    at theta, grown to size where it is shorter."""
+
+    def fill(run, start):
+        run[start:] = [math.lgamma(n + theta) if n + theta > 0.0 else math.inf
+                       for n in range(start, len(run))]
+
+    return _held_run(theta, "lgamma", size, fill)
 
 
 def log_w_parts(theta: float, k, l) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -248,35 +260,29 @@ def log_asymptotic_A(k: int, p: int) -> float:
     return float(log)
 
 
-@lru_cache(maxsize=16)
-def _table_slot(theta: float) -> list[CoeffTable | None]:
-    """One slot: the table held for theta, replaced when grown."""
-    return [None]
-
-
 def cached_table(theta: float, kmax: int, cols: int | None = None) -> CoeffTable:
     """The table held for theta, with at least kmax rows and columns
     1..min(cols, kmax) (all kmax of them by default).
 
-    One table is held per theta, for the 16 most recent; it may hold more
-    rows and columns than asked.  A request it does not cover grows it to
-    the larger rows and the larger columns of the two, through _extend,
-    bit-identical to a fresh build of that shape.  Where that shape passes
-    MAX_TABLE_WORK, the slot holds a fresh build of the request instead, or
-    the request is refused if it passes too.
+    One table is held per theta, in the store; it may hold more rows and
+    columns than asked.  A request it does not cover grows it to the larger
+    rows and the larger columns of the two, through _extend, bit-identical
+    to a fresh build of that shape.  Where that shape passes
+    MAX_TABLE_WORK, the store holds a fresh build of the request instead,
+    or the request is refused if it passes too.
     """
     width = kmax if cols is None else min(int(cols), kmax)
-    slot = _table_slot(float(theta))
-    held = slot[0]
+    store = _store(float(theta))
+    held = store.get("table")
     if held is None:
-        slot[0] = build_coeff_table(theta, kmax, width)
+        store["table"] = build_coeff_table(theta, kmax, width)
     elif held.kmax < kmax or held.cols < width:
         rows, wide = max(held.kmax, kmax), max(held.cols, width)
         if rows**2 * wide > MAX_TABLE_WORK:
-            slot[0] = build_coeff_table(theta, kmax, width)
+            store["table"] = build_coeff_table(theta, kmax, width)
         else:
-            slot[0] = _extend(held, theta, rows, wide)
-    return slot[0]
+            store["table"] = _extend(held, theta, rows, wide)
+    return store["table"]
 
 
 def log_c_combined(k: int, l: int, lam: float, table: CoeffTable | None = None) -> float:

@@ -8,14 +8,14 @@ configurations use floating point.
 
 The row forms (phi2_rows, total_mass_rows, j_rate_rows, s_rate_rows,
 metric_d_rows) take many configurations at once, as the rows of one
-descending, zero-padded float matrix, and refuse, with DomainError, any
-row that Configuration refuses.  Each gives on every row the float
-its scalar form gives on that row's Configuration, bit for bit: a sum of
-entries or of squares is rounded once, as math.fsum rounds it (by a split
-sum, and by math.fsum itself on the rare row the split sum cannot
-certify), and the metric's terms are added left to right, as its loop
-adds them.  The scalar forms stay the exact reference, and the only path
-to the rational values of uniform configurations.
+descending, zero-padded float matrix, and refuse, with DomainError, an
+input that is not 2-D and any row that Configuration refuses.  Each gives
+on every row the float its scalar form gives on that row's Configuration,
+bit for bit: a sum of entries or of squares is rounded once, as math.fsum
+rounds it (by a split sum, and by math.fsum itself on the rare row the
+split sum cannot certify), and the metric's terms are added left to right,
+as its loop adds them.  The scalar forms stay the exact reference, and
+the only path to the rational values of uniform configurations.
 """
 
 from __future__ import annotations
@@ -244,11 +244,13 @@ def _fsum_rows(v: np.ndarray) -> np.ndarray:
 def _checked_rows(x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """x as a float matrix, and each row's total mass and phi2 (math.fsum
     of its entries and of their squares, summed as the rows of one matrix),
-    refused where Configuration refuses a row: a NaN or negative entry,
-    entries not descending, or mass above 1 + MASS_TOL.  A row's largest
-    entry is checked against that bound before any sum, so the split sums
-    only see entries in [0, 1 + MASS_TOL]."""
+    refused where x is not 2-D or Configuration refuses a row: a NaN or
+    negative entry, entries not descending, or mass above 1 + MASS_TOL.  A
+    row's largest entry is checked against that bound before any sum, so
+    the split sums only see entries in [0, 1 + MASS_TOL]."""
     x = np.asarray(x, dtype=float)
+    if x.ndim != 2:
+        raise DomainError(f"configurations must be the rows of a matrix, got a {x.ndim}-D array")
     if not np.all(x >= 0.0):  # NaN fails too
         raise DomainError("configuration entries must be nonnegative")
     if np.any(x[:, :-1] < x[:, 1:]):

@@ -15,12 +15,11 @@ stick U ~ Beta(1, theta) off the rest: H2 = U^2 + (1-U)^2 H2'.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
 from . import mc
-from .coefficients import CoeffTable, lgamma_lookup, log_sum_exp, log_w, log_w_parts
+from .coefficients import CoeffTable, _held_run, lgamma_lookup, log_sum_exp, log_w, log_w_parts
 from .errors import DomainError
 
 __all__ = [
@@ -62,32 +61,23 @@ def moments_from_table(table: CoeffTable, kmax: int) -> np.ndarray:
     return np.exp(log_moments_from_table(table, kmax))
 
 
-@lru_cache(maxsize=16)
-def _log_moment_memo(theta: float) -> list[np.ndarray]:
-    """One slot: the read-only log m_0..log m_k computed so far at theta."""
-    return [np.zeros(1)]
-
-
 def log_moments(theta: float, k: int) -> np.ndarray:
     """log m_j for j = 0..k (m_0 = 1, k >= 1) by the moment recursion
 
         m_j = theta sum_{l<j} w(j,l) m_l,
 
-    one log_sum_exp per row over slices of log_w_parts, O(k^2) in all,
-    memoized per theta (the 16 most recent); more than MAX_MOMENTS moments
-    are refused up front.
+    one log_sum_exp per row over slices of log_w_parts, O(k^2) in all, each
+    row computed once per theta held; more than MAX_MOMENTS are refused up front.
     """
     _check_moment_run(theta, k)
-    memo = _log_moment_memo(theta)
-    if len(memo[0]) <= k:
-        logm = np.concatenate([memo[0], np.empty(k + 1 - len(memo[0]))])
+
+    def fill(logm, start):
         n = np.arange(k + 1)
         row, col, g = log_w_parts(theta, n[1:], n)  # log w(j,l) = row[j-1] + col[l] + g[j+l]
-        for j in range(len(memo[0]), k + 1):
+        for j in range(max(start, 1), k + 1):  # log m_0 = 0, as grown
             logm[j] = math.log(theta) + log_sum_exp(row[j - 1] + col[:j] + g[j : 2 * j] + logm[:j])
-        logm.setflags(write=False)
-        memo[0] = logm
-    return memo[0][: k + 1]
+
+    return _held_run(theta, "log_m", k + 1, fill)
 
 
 def _check_moment_run(theta: float, k: int) -> None:
@@ -105,18 +95,20 @@ def log_homozygosity_moments(theta: float, k: int) -> np.ndarray:
 
         h_j 2j/(2j+theta) = sum_{i<j} C(j,i) theta B(2j-2i+1, 2i+theta) h_i:
 
-    one log_sum_exp per row, O(k^2) in all and not memoized; more than
-    MAX_MOMENTS moments are refused up front, as in log_moments."""
+    one log_sum_exp per row, O(k^2) in all, held and grown as log_moments
+    holds its run; more than MAX_MOMENTS moments are refused up front."""
     _check_moment_run(theta, k)
-    fact, g = lgamma_lookup(1.0, 2 * k + 1), lgamma_lookup(theta, 2 * k + 2)
-    by_gap = fact[::2] - fact[: k + 1]  # log (2n)!/n!, n = j - i
-    by_low = math.log(theta) + g[: 2 * k : 2] - fact[:k]  # log theta Gamma(2i+theta)/i!
-    by_low[0] = g[1]  # theta Gamma(theta) = Gamma(1+theta), free of a cancelling log theta
-    logh = np.zeros(k + 1)
-    for j in range(1, k + 1):
-        lse = log_sum_exp(by_gap[j:0:-1] + by_low[:j] + logh[:j])
-        logh[j] = math.log1p(theta / (2 * j)) + fact[j] - g[2 * j + 1] + lse
-    return logh
+
+    def fill(logh, start):
+        fact, g = lgamma_lookup(1.0, 2 * k + 1), lgamma_lookup(theta, 2 * k + 2)
+        by_gap = fact[::2] - fact[: k + 1]  # log (2n)!/n!, n = j - i
+        by_low = math.log(theta) + g[: 2 * k : 2] - fact[:k]  # log theta Gamma(2i+theta)/i!
+        by_low[0] = g[1]  # theta Gamma(theta) = Gamma(1+theta), free of a cancelling log theta
+        for j in range(max(start, 1), k + 1):  # log h_0 = 0, as grown
+            lse = log_sum_exp(by_gap[j:0:-1] + by_low[:j] + logh[:j])
+            logh[j] = math.log1p(theta / (2 * j)) + fact[j] - g[2 * j + 1] + lse
+
+    return _held_run(theta, "log_h", k + 1, fill)
 
 
 def moment_via_recursion(theta: float, k: int) -> float:

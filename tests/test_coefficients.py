@@ -199,9 +199,9 @@ def test_c_combined_domain_error():
 
 @pytest.fixture
 def fresh_tables():
-    coefs._table_slot.cache_clear()
+    coefs._store.cache_clear()
     yield
-    coefs._table_slot.cache_clear()
+    coefs._store.cache_clear()
 
 
 def test_cached_table_grows_by_rows_and_serves_smaller_requests(fresh_tables):
@@ -217,11 +217,11 @@ def test_cached_table_grows_by_rows_and_serves_smaller_requests(fresh_tables):
 def test_table_grown_by_rows_and_columns_equals_fresh_build(fresh_tables, theta):
     rng = np.random.default_rng(17)
     for _ in range(6):
-        coefs._table_slot.cache_clear()
+        coefs._store.cache_clear()
         for _ in range(4):
             kmax = int(rng.integers(1, 120))
             cols = None if rng.random() < 0.2 else int(rng.integers(1, 30))
-            held = coefs._table_slot(theta)[0]
+            held = coefs._store(theta).get("table")
             grown = coefs.cached_table(theta, kmax, cols=cols)
             width = kmax if cols is None else min(cols, kmax)
             # the held table, grown to the larger rows and the larger columns
@@ -236,11 +236,11 @@ def test_table_too_large_to_grow_is_replaced_by_the_request(fresh_tables, monkey
     coefs.cached_table(0.5, 30)  # 30^2 30 = 27,000
     table = coefs.cached_table(0.5, 60, cols=3)  # alone 10,800; grown to 60 x 30, 108,000
     assert (table.kmax, table.cols) == (60, 3)
-    assert coefs._table_slot(0.5)[0] is table
+    assert coefs._store(0.5)["table"] is table
     assert np.array_equal(table.log_entries, coefs.build_coeff_table(0.5, 60, cols=3).log_entries)
     with pytest.raises(DomainError):
         coefs.cached_table(0.5, 300, cols=3)  # 270,000 alone
-    assert coefs._table_slot(0.5)[0] is table
+    assert coefs._store(0.5)["table"] is table
 
 
 @pytest.mark.parametrize("theta", [0.0, 1e-5, 0.5, 1.0])
@@ -322,17 +322,17 @@ def test_export_matches_csv_writer_and_indexing_reference():
 @pytest.mark.parametrize("theta", [0.0, 1e-100, 1e-5, 0.5, 1.0])
 def test_lgamma_lookup_is_math_lgamma_grown_or_fresh(theta):
     want = [math.lgamma(n + theta) if n + theta > 0.0 else math.inf for n in range(300)]
-    coefs._lgamma_slot.cache_clear()
+    coefs._store.cache_clear()
     try:
         for size in (1, 7, 40, 41, 300):  # grown
             got = coefs.lgamma_lookup(theta, size)
             assert got.tolist() == want[:size]  # bit for bit
         assert not got.flags.writeable
-        coefs._lgamma_slot.cache_clear()
+        coefs._store.cache_clear()
         assert coefs.lgamma_lookup(theta, 300).tolist() == want  # fresh
         assert len(coefs.lgamma_lookup(theta, 5)) == 5  # a view of the held lookup
     finally:
-        coefs._lgamma_slot.cache_clear()
+        coefs._store.cache_clear()
 
 
 def test_csv_json_roundtrip(tmp_path):

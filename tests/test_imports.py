@@ -1,6 +1,7 @@
 """Every name a pdov module imports is read in it or listed in its __all__,
 every private module-level helper is referred to outside its own
-definition, and every log-gamma is read from coefficients.lgamma_lookup."""
+definition, every log-gamma is read from coefficients.lgamma_lookup, and
+functools caches sit only on coefficients._store and ldp._inf_exact."""
 
 import ast
 from pathlib import Path
@@ -125,3 +126,55 @@ def test_lgamma_calls_are_found():
 def test_every_lgamma_comes_from_the_lookup(path):
     allowed = "lgamma_lookup" if path.name == "coefficients.py" else None
     assert lgamma_calls(path.read_text(), allowed) == []
+
+
+CACHES = {"lru_cache", "cache"}
+
+
+def cache_sites(source: str) -> list[str]:
+    """The functions source decorates with functools' lru_cache or cache,
+    by name, and each other use of either (a call lru_cache(16)(f), say) by
+    its line."""
+    tree = ast.parse(source)
+    names = {alias.asname or alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "functools"
+             for alias in node.names if alias.name in CACHES}
+
+    def is_cache(node):
+        if isinstance(node, ast.Attribute):
+            return (node.attr in CACHES and isinstance(node.value, ast.Name)
+                    and node.value.id == "functools")
+        return isinstance(node, ast.Name) and node.id in names
+
+    sites, decorators = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for dec in node.decorator_list:
+                target = dec.func if isinstance(dec, ast.Call) else dec
+                if is_cache(target):
+                    sites.append(node.name)
+                    decorators.add(target)
+    others = [node for node in ast.walk(tree) if is_cache(node) and node not in decorators]
+    return sites + [f"line {node.lineno}" for node in others]
+
+
+def test_cache_sites_are_found():
+    source = (
+        "import functools\n"
+        "from functools import lru_cache as memo, partial\n"
+        "@memo(maxsize=16)\n"
+        "def _store(theta): return {}\n"
+        "@functools.cache\n"
+        "def _other(n): return n\n"
+        "@partial\n"
+        "def plain(): pass\n"
+        "held = functools.lru_cache(4)(plain)\n"
+    )
+    assert cache_sites(source) == ["_store", "_other", "line 9"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_caches_only_on_the_store_and_inf_exact(path):
+    # every per-theta run belongs in coefficients._store, under its one bound
+    allowed = {"coefficients.py": ["_store"], "ldp.py": ["_inf_exact"]}
+    assert cache_sites(path.read_text()) == allowed.get(path.name, [])

@@ -314,6 +314,15 @@ def test_row_forms_refuse_rows_that_configuration_refuses(form):
     form(np.array([[0.6, 0.4 + 0.5 * ldp.MASS_TOL], [0.5, 0.0]]))  # rows Configuration takes
 
 
+@pytest.mark.parametrize(
+    "form", ROW_FORMS, ids=["phi2", "total_mass", "j_rate", "s_rate", "metric_d"]
+)
+def test_row_forms_refuse_input_that_is_not_2d(form):
+    for x in ([0.5, 0.5], np.array([[[0.5, 0.5]]]), 0.5):
+        with pytest.raises(DomainError, match="rows of a matrix"):
+            form(x)
+
+
 def _perturbed_configs_scalar(n_parts, count, rng):
     """verify.perturbed_configs as a list of Configurations, one per draw."""
     out = []

@@ -140,3 +140,39 @@ def test_log_moments_shape():
     assert logm.shape == (7,)
     assert logm[0] == 0.0
     assert np.all(np.diff(logm) < 0.0)
+
+
+RUNS = (moments.log_moments, moments.log_homozygosity_moments)
+
+
+@pytest.mark.parametrize("theta", [1e-100, 1e-5, 0.5, 1.0])
+@pytest.mark.parametrize("run", RUNS, ids=["log_m", "log_h"])
+def test_moment_run_grown_or_fresh_is_bit_identical(run, theta):
+    coefs._store.cache_clear()
+    try:
+        for k in (1, 7, 40, 41, 300):  # grown
+            got = run(theta, k)
+            assert len(got) == k + 1
+        assert not got.flags.writeable
+        coefs._store.cache_clear()
+        fresh = run(theta, 300)
+        assert got.tolist() == fresh.tolist()  # bit for bit
+        assert run(theta, 5).base is fresh.base  # a view of the held run
+    finally:
+        coefs._store.cache_clear()
+
+
+def test_store_holds_16_theta_and_rebuilds_an_evicted_one_identically():
+    coefs._store.cache_clear()
+    try:
+        first = [run(0.5, 60).copy() for run in RUNS]
+        for i in range(20):
+            theta = 0.01 * (i + 2)
+            for run in RUNS:
+                run(theta, 30)
+            assert coefs._store.cache_info().currsize <= 16
+        assert not coefs._store(0.5)  # evicted: held anew, empty
+        for run, want in zip(RUNS, first):
+            assert run(0.5, 60).tolist() == want.tolist()
+    finally:
+        coefs._store.cache_clear()

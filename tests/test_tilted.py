@@ -218,14 +218,10 @@ def _small_x_results():
 
 
 def test_series_do_not_depend_on_the_rows_held():
-    def clear():
-        coefs._table_slot.cache_clear()
-        moments._log_moment_memo.cache_clear()
-
-    clear()
+    coefs._store.cache_clear()
     try:
         fresh = _small_x_results()
-        clear()
+        coefs._store.cache_clear()
         # larger-x calls first grow the tables and moments the small-x calls read:
         # the limit table is shared across theta, tail_bound at lam 6.9 holds the
         # same columns as at lam 6, and mgf at t = -20 sums its series at
@@ -237,7 +233,7 @@ def test_series_do_not_depend_on_the_rows_held():
         coefs.cached_table(0.0, 300, cols=40)
         assert _small_x_results() == fresh
     finally:
-        clear()
+        coefs._store.cache_clear()
 
 
 def test_tail_bound_holds_one_table_and_computes_no_row_twice(monkeypatch):
@@ -250,11 +246,12 @@ def test_tail_bound_holds_one_table_and_computes_no_row_twice(monkeypatch):
         return table
 
     monkeypatch.setattr(coefs, "_extend", recording_extend)
-    coefs._table_slot.cache_clear()
+    coefs._store.cache_clear()
     try:
         tilted.tail_bound(SelectionSpec(1.0, 0.125))
-        assert coefs._table_slot.cache_info().currsize == 1
-        held = coefs._table_slot(0.125)[0]
+        # only theta = 0.125 holds a table; theta = 1 holds the factorials alone
+        assert coefs._store.cache_info().currsize == 2 and set(coefs._store(1.0)) == {"lgamma"}
+        held = coefs._store(0.125)["table"]
         assert held.cols == 16  # the last block of columns, 9..16
         # each build grows the table the one before it returned
         assert calls[0][0] is None and len(calls) > 3
@@ -263,7 +260,7 @@ def test_tail_bound_holds_one_table_and_computes_no_row_twice(monkeypatch):
         assert np.array_equal(held.log_entries,
                               coefs.build_coeff_table(0.125, held.kmax, held.cols).log_entries)
     finally:
-        coefs._table_slot.cache_clear()
+        coefs._store.cache_clear()
 
 
 def _more_terms_over_the_whole_range(x, k_last, log_peaks, log_caps):
@@ -293,18 +290,14 @@ def test_more_terms_in_doubling_windows_matches_the_whole_range():
 def test_k_ratio_grows_the_factorial_lookup_only_as_far_as_it_reads():
     spec = SelectionSpec(6.0, 1e-5)
 
-    def clear():
-        coefs._table_slot.cache_clear()
-        coefs._lgamma_slot.cache_clear()
-
-    clear()
+    coefs._store.cache_clear()
     try:
         tilted.k_ratio(spec, 1)
-        kmax = coefs._table_slot(spec.theta)[0].kmax
+        kmax = coefs._store(spec.theta)["table"].kmax
         # each certificate reads log k! a few rows past the table, not 2 kmax past it
-        assert len(coefs._lgamma_slot(1.0)[0]) <= 2 * kmax + 2
+        assert len(coefs._store(1.0)["lgamma"]) <= 2 * kmax + 2
     finally:
-        clear()
+        coefs._store.cache_clear()
 
 
 def test_k_ratio_matches_full_table():
@@ -343,6 +336,56 @@ def test_mgf_rejects_huge_t():
         with pytest.raises(DomainError, match="finite"):
             tilted.mgf(spec, t)
     assert tilted.mgf(spec, 700.0) < np.finfo(float).max
+
+
+def test_mgf_refuses_past_the_jensen_line_before_any_h_run(monkeypatch):
+    spec = SelectionSpec(6.0, 0.1)  # E H2 = 0.4539 under the tilt: t past ~1,564 is refused
+    assert tilted.mgf(spec, 700.0) == 3.380320471810575e+301
+
+    def no_h_run(theta, k):
+        raise AssertionError("the h run was called")
+
+    monkeypatch.setattr(tilted, "log_homozygosity_moments", no_h_run)
+    for t in (1570.0, 15000.0):
+        with pytest.raises(DomainError, match="largest float"):
+            tilted.mgf(spec, t)
+    with pytest.raises(AssertionError):  # under the line, the h run is summed
+        tilted.mgf(spec, 1550.0)
+
+
+def test_a_second_mgf_computes_no_held_moment_again(monkeypatch):
+    rows = []  # each moment row, of either run, is one log_sum_exp
+
+    def counting(a, axis=None):
+        rows.append(1)
+        return coefs.log_sum_exp(a, axis)
+
+    monkeypatch.setattr(moments, "log_sum_exp", counting)
+    spec = SelectionSpec(6.0, 0.1)
+
+    def held():
+        store = coefs._store(spec.theta)
+        return len(store["log_m"]) + len(store["log_h"])
+
+    coefs._store.cache_clear()
+    try:
+        first = tilted.mgf(spec, 400.0)
+        assert len(rows) == held() - 2  # every row past m_0 and h_0, once
+        before = held()
+        rows.clear()
+        assert tilted.mgf(spec, 400.0) == first and rows == []
+        tilted.mgf(spec, 700.0)
+        assert 0 < len(rows) == held() - before  # only the rows past those held
+    finally:
+        coefs._store.cache_clear()
+
+
+def test_s0_summed_with_s1_equals_s0_alone():
+    for lam in (0.5, 2.0, 6.0, 12.0, 30.5):
+        for theta in (1.0, 0.5, 0.1, 1e-3, 1e-30, 1e-100):
+            x = SelectionSpec(lam, theta).x
+            (alone,) = tilted._log_moment_series(theta, x, [(0, 0.0)])
+            assert tilted._log_moment_series(theta, x, [(0, 0.0), (1, 0.0)])[0] == alone
 
 
 def test_mgf_is_a_log_convex_mgf_across_t_equal_x():
