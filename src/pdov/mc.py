@@ -4,9 +4,9 @@ the tilted measure.
 Sampling is deterministic per (seed, parameters): every estimator draws
 through one batch driver, _draw, whose fixed-size batches each have their
 own Philox stream, derived from the root seed by counter offsetting, so one
-seed fixes the same draws for every statistic.  Batches are drawn
-concurrently on the CPUs this process may use and handed to the statistic
-in batch order, so the draws are the same for any CPU count.
+seed fixes the same draws for every statistic.  Batches are drawn one at a
+time on the calling thread and each is handed to the statistic before the
+next is drawn, so one batch's sticks are alive at a time.
 Beta(1,theta) sticks come from the exact inverse CDF U = 1-(1-V)^{1/theta}.
 Each draw takes sticks until its own residual mass is below epsilon: a
 first block sized from the Poisson law of the sticks it needs, then short
@@ -23,9 +23,7 @@ re-sum such a row (test_row_sums_equal_fsum_where_the_split_sum_is_not_certified
 
 from __future__ import annotations
 
-import concurrent.futures  # loads its thread pool module on first use, not with pdov
 import math
-import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -58,8 +56,6 @@ _ROWS = 1 << 11  # rows of a block drawn at once, so that its buffers stay in ca
 MAX_DRAWS = 10**8  # an estimate holds a few n-long float arrays
 MAX_HIST_BINS = 10**6  # a histogram holds one edge and one mass per bin
 H2_CACHE_BYTES = 256 << 20  # total bytes of the cached h2 arrays
-# batches drawn at once: the CPUs this process may use
-_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -115,7 +111,8 @@ def _sticks(
     cum[:, 0] = prefix
     rest = cum[:, 1:]
     np.subtract(1.0, u, out=rest)
-    rest **= inv_theta
+    if inv_theta != 1.0:  # x ** 1.0 is x
+        rest **= inv_theta
     np.subtract(1.0, rest, out=u)
     for j in range(u.shape[1]):
         np.multiply(cum[:, j], cum[:, j + 1], out=cum[:, j + 1])
@@ -190,7 +187,9 @@ def _gem_batch(
         rows = rows[prefix[rows] >= epsilon]
         col += width
         width = _BLOCK
-    return _rounded_sum(*sums), prefix, (head, late, tail) if keep_weights else None
+    # rounded a chunk at a time, so that the temporaries stay in cache
+    h2 = np.concatenate([_rounded_sum(*sums[:, i : i + _ROWS]) for i in range(0, size, _ROWS)])
+    return h2, prefix, (head, late, tail) if keep_weights else None
 
 
 def _draw(theta: float, n: int, seed: int, batch_statistic: Callable | None = None):
@@ -208,45 +207,35 @@ def _draw(theta: float, n: int, seed: int, batch_statistic: Callable | None = No
     only a late draw's first block, and a statistic may compute over them
     in bulk but must not value them.
 
-    Up to _WORKERS batches are drawn and sorted at once on a thread pool of
-    this call's own, the statistic runs on the calling thread in batch
-    order, and the pool is shut down on return or error.
+    Batches are drawn in order on the calling thread, each valued before
+    the next is drawn; a batch's arrays are locals of one draw() call, freed
+    on its return, so one batch is alive at a time.
     """
     if n > MAX_DRAWS:
         raise DomainError(f"{n} draws need {8 * n / 1e9:.3g} GB per array (limit {MAX_DRAWS})")
     h2 = np.empty(n)
     f = None if batch_statistic is None else np.empty(n)
-    count = -(-n // _BATCH)
 
-    def draw(b: int):
-        size = min(_BATCH, n - b * _BATCH)
-        bh2, _, sticks = _gem_batch(theta, size, DEFAULT_EPSILON, stream(seed, b), f is not None)
-        if sticks is not None:
-            head, _, tail = sticks
-            for ordered in (head, tail):  # descending in place: negation is exact, -(-0.0) is +0.0
-                np.negative(ordered, out=ordered)
-                ordered.sort(axis=1)
-                np.negative(ordered, out=ordered)
-        return bh2, sticks
+    def draw(b: int, lo: int) -> None:
+        size = min(_BATCH, n - lo)
+        h2[lo : lo + size], _, sticks = _gem_batch(
+            theta, size, DEFAULT_EPSILON, stream(seed, b), f is not None
+        )
+        if sticks is None:
+            return
+        head, late, tail = sticks
+        for ordered in (head, tail):  # descending in place: negation is exact, -(-0.0) is +0.0
+            np.negative(ordered, out=ordered)
+            ordered.sort(axis=1)
+            np.negative(ordered, out=ordered)
+        out = f[lo : lo + size]
+        early = np.ones(size, dtype=bool)
+        early[late] = False
+        out[early] = batch_statistic(head, np.flatnonzero(early))
+        out[late] = batch_statistic(tail, np.arange(late.size))
 
-    pool = concurrent.futures.ThreadPoolExecutor(max_workers=_WORKERS)
-    try:
-        pending = {b: pool.submit(draw, b) for b in range(min(_WORKERS, count))}
-        for b in range(count):
-            bh2, sticks = pending.pop(b).result()
-            if b + _WORKERS < count:
-                pending[b + _WORKERS] = pool.submit(draw, b + _WORKERS)
-            lo = b * _BATCH
-            h2[lo : lo + len(bh2)] = bh2
-            if f is not None:
-                head, late, tail = sticks
-                out = f[lo : lo + len(bh2)]
-                early = np.ones(len(bh2), dtype=bool)
-                early[late] = False
-                out[early] = batch_statistic(head, np.flatnonzero(early))
-                out[late] = batch_statistic(tail, np.arange(late.size))
-    finally:
-        pool.shutdown(cancel_futures=True)
+    for b, lo in enumerate(range(0, n, _BATCH)):
+        draw(b, lo)
     return h2, f
 
 

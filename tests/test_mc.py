@@ -250,20 +250,30 @@ def test_ball_probability_memory_does_not_grow_with_the_centre():
     assert peak < 4 << 20  # a sum over the centre's 10^9 entries would take ~14 GB
 
 
-def test_ball_probability_peak_memory_under_two_stick_matrices(monkeypatch):
-    # the distance is taken in place on the batch's own head, 16,384 x 30
-    # sticks at theta = 1 (3.75 MiB), and on the few late rows' whole sticks
-    # (30 + 16 wide); the batch peaks at ~6.7 MiB.  The bound, two heads
-    # (7.5 MiB), sits below the ~8.6 MiB that one 16,384 x 46 matrix for
-    # every row took, so a return to that layout fails here
-    monkeypatch.setattr(mc, "_WORKERS", 1)
+def _ball_peak(n):
+    """tracemalloc's peak over one ball probability of n draws at theta = 1."""
     tracemalloc.start()
     try:
-        mc.ball_probability(SelectionSpec(2.0, 1.0), 1, 0.2, n=mc._BATCH, seed=3)
+        mc.ball_probability(SelectionSpec(2.0, 1.0), 1, 0.2, n=n, seed=3)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2 * mc._BATCH * 30 * 8
+    return peak
+
+
+def test_ball_probability_peak_memory_under_two_stick_matrices():
+    # the distance is taken in place on the batch's own head, 16,384 x 30
+    # sticks at theta = 1 (3.75 MiB), and on the few late rows' whole sticks
+    # (30 + 16 wide); the batch peaks at ~6.5 MiB.  The bound, two heads
+    # (7.5 MiB), sits below the ~8.6 MiB that one 16,384 x 46 matrix for
+    # every row took, so a return to that layout fails here
+    assert _ball_peak(mc._BATCH) < 2 * mc._BATCH * 30 * 8
+
+
+def test_one_batch_is_alive_at_a_time():
+    # three batches peak about where one does, as only the n-long outputs
+    # grow with n; a second batch alive would add its 3.75 MiB head
+    assert _ball_peak(3 * mc._BATCH) < 1.25 * _ball_peak(mc._BATCH)
 
 
 def test_draw_count_is_refused_before_any_allocation():
@@ -312,9 +322,9 @@ def test_weights_that_all_underflow_are_refused():
         mc.homozygosity_histogram(spec, n=10**4, bins=5, seed=1)
 
 
-# -- concurrent batches: the same draws for any worker count -----------------
+# -- batches drawn in order: the same draws as a serial reference -------------
 
-POOL_N = 3 * mc._BATCH + 5
+SERIAL_N = 3 * mc._BATCH + 5
 
 
 def _serial_sorted_batches(theta, n, seed):
@@ -381,7 +391,7 @@ def test_generic_statistic_is_valued_once_per_draw_on_its_whole_sticks():
     assert max(map(len, want)) > 30  # some draws are late: the first block holds 30 sticks
 
 
-def _pool_stat(config):
+def _generic_stat(config):
     return config.entries[-1] * len(config.entries) + config.entries[0]
 
 
@@ -397,10 +407,10 @@ def serial_reference(request):
         target[0] = 1.0  # the 1-uniform configuration
         return np.abs(ordered - target[None, :]) @ np.exp2(-np.arange(1, cols + 1, dtype=float))
 
-    for h2, *sticks in _serial_sorted_batches(theta, POOL_N, seed=5):
+    for h2, *sticks in _serial_sorted_batches(theta, SERIAL_N, seed=5):
         h2_parts.append(h2)
         balls.append((_by_row(distance, *sticks) < 0.2).astype(float))
-        stats.append([_pool_stat(ldp.Configuration(tuple(row[row > 0.0]), validate=False))
+        stats.append([_generic_stat(ldp.Configuration(tuple(row[row > 0.0]), validate=False))
                       for row in _padded(*sticks)])
     h2 = np.concatenate(h2_parts)
     w = np.exp(spec.sigma * h2)
@@ -409,18 +419,20 @@ def serial_reference(request):
     return spec, h2, ball, generic
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3])
-def test_pool_draws_match_serial_reference(serial_reference, workers, monkeypatch):
+def test_draws_match_serial_reference(serial_reference, monkeypatch):
     spec, h2, ball, generic = serial_reference
-    monkeypatch.setattr(mc, "_WORKERS", workers)
     monkeypatch.setattr(mc, "_h2_cache", OrderedDict())  # draw afresh, not from the cache
-    assert np.array_equal(mc.h2_samples(spec.theta, POOL_N, seed=5), h2)
-    assert mc.ball_probability(spec, k=1, delta=0.2, n=POOL_N, seed=5) == ball
-    assert mc.tilted_estimate(spec, _pool_stat, n=POOL_N, seed=5) == generic
+    assert np.array_equal(mc.h2_samples(spec.theta, SERIAL_N, seed=5), h2)
+    assert mc.ball_probability(spec, k=1, delta=0.2, n=SERIAL_N, seed=5) == ball
+    assert mc.tilted_estimate(spec, _generic_stat, n=SERIAL_N, seed=5) == generic
 
 
 def test_raising_statistic_propagates_and_stops_the_pool(monkeypatch):
-    monkeypatch.setattr(mc, "_WORKERS", 2)
+    # every batch is drawn on the calling thread, so starting one fails here
+    def no_thread(thread):
+        raise AssertionError(f"mc started thread {thread.name}")
+
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
     calls = []
 
     def stat(config):
@@ -429,13 +441,10 @@ def test_raising_statistic_propagates_and_stops_the_pool(monkeypatch):
             raise RuntimeError("statistic failed")
         return config.entries[0]
 
-    before = threading.active_count()
-    with pytest.raises(RuntimeError, match="statistic failed") as caught:
-        mc.tilted_estimate(SelectionSpec(6.0, 0.3), stat, n=POOL_N, seed=3)
-    assert threading.active_count() == before  # while the traceback is still held
-    del caught
-    mc.h2_samples(0.3, 2 * mc._BATCH + 1, seed=3)  # and after an estimate that returns
-    assert threading.active_count() == before
+    with pytest.raises(RuntimeError, match="statistic failed"):
+        mc.tilted_estimate(SelectionSpec(6.0, 0.3), stat, n=SERIAL_N, seed=3)
+    mc.h2_samples(0.3, 2 * mc._BATCH + 1, seed=3)  # and an estimate that returns
+    mc.ball_probability(SelectionSpec(6.0, 0.3), k=1, delta=0.2, n=SERIAL_N, seed=3)
 
 
 def test_h2_cache_bounded_by_bytes(monkeypatch):
@@ -504,7 +513,7 @@ def test_estimates_equal_their_golden_values(theta, statistic):
     if statistic == "ball":
         est = mc.ball_probability(spec, k=1, delta=0.2, n=GOLDEN_N, seed=31)
     else:
-        est = mc.tilted_estimate(spec, _pool_stat, n=GOLDEN_N, seed=31)
+        est = mc.tilted_estimate(spec, _generic_stat, n=GOLDEN_N, seed=31)
     got = (est.value, est.std_error, est.effective_sample_size)
     assert tuple(x.hex() for x in got) == GOLDEN_ESTIMATES[theta, statistic]
 
