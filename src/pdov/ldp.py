@@ -51,6 +51,7 @@ MASS_TOL = 1e-12
 MAX_UNIFORM_K = 10**6  # one entry per allele, 8 bytes each
 # (x + g) - g rounds x to a multiple of 2^-40 for x in [0, 1] (hi), of 2^-80 for |x| <= 2^-41 (mid)
 _GRID_HI, _GRID_MID = 2.0**12, 1.5 * 2.0**-28
+_ROWS = 1 << 11  # rows rounded (and drawn, in mc) at once, so that the temporaries stay in cache
 
 
 @dataclass(frozen=True)
@@ -204,16 +205,20 @@ def _rounded_sum(hi: np.ndarray, mid: np.ndarray, lo: np.ndarray) -> np.ndarray:
     as math.fsum rounds the entries it sums: the exact hi + mid as s + e,
     then e + lo as t + f, and a tie in s + t broken by the sign of f, as in
     math.fsum.  This needs the sum far from a rounding boundary, as
-    measured in lo's own rounding (see _fsum_rows)."""
-    s = hi + mid
-    e = (hi - s) + mid
-    t = e + lo
-    z = t - e
-    f = (e - (t - z)) + (lo - z)
-    r = s + t
-    half = 2.0 * (t - (r - s))  # twice the rounding error of s + t
-    tie = (half * np.sign(f) > 0.0) & ((r + half) - r == half)
-    return np.where(tie, r + half, r)
+    measured in lo's own rounding (see _fsum_rows); _ROWS entries at a time."""
+    out = np.empty_like(hi)
+    for i in range(0, len(hi), _ROWS):
+        c = slice(i, i + _ROWS)
+        s = hi[c] + mid[c]
+        e = (hi[c] - s) + mid[c]
+        t = e + lo[c]
+        z = t - e
+        f = (e - (t - z)) + (lo[c] - z)
+        r = s + t
+        half = 2.0 * (t - (r - s))  # twice the rounding error of s + t
+        tie = (half * np.sign(f) > 0.0) & ((r + half) - r == half)
+        out[c] = np.where(tie, r + half, r)
+    return out
 
 
 def _fsum_rows(v: np.ndarray) -> np.ndarray:

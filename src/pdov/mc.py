@@ -19,20 +19,20 @@ once, on all its sticks (see _draw).  A draw's H2, the split sum of
 its squared sticks, is ldp.phi2 of the draw on every row whose exact sum is
 not within the split sum's own rounding of a tie; no sticks are kept to
 re-sum such a row (test_row_sums_equal_fsum_where_the_split_sum_is_not_certified).
+h2_samples holds one array: the H2 of the last (theta, n, seed) drawn.
 """
 
 from __future__ import annotations
 
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError
-from .ldp import Configuration, _rounded_sum, _split_sums, phi2
+from .ldp import _ROWS, Configuration, _rounded_sum, _split_sums, phi2
 from .model import SelectionSpec
 
 __all__ = [
@@ -52,10 +52,9 @@ ESS_WARN_THRESHOLD = 50.0
 STICK_CAP = 10**7
 _BATCH = 1 << 14
 _BLOCK = 16  # sticks of each block after a row's first
-_ROWS = 1 << 11  # rows of a block drawn at once, so that its buffers stay in cache
 MAX_DRAWS = 10**8  # an estimate holds a few n-long float arrays
 MAX_HIST_BINS = 10**6  # a histogram holds one edge and one mass per bin
-H2_CACHE_BYTES = 256 << 20  # total bytes of the cached h2 arrays
+H2_CACHE_BYTES = 256 << 20  # the largest h2 array h2_samples holds
 
 
 @dataclass(frozen=True)
@@ -187,9 +186,7 @@ def _gem_batch(
         rows = rows[prefix[rows] >= epsilon]
         col += width
         width = _BLOCK
-    # rounded a chunk at a time, so that the temporaries stay in cache
-    h2 = np.concatenate([_rounded_sum(*sums[:, i : i + _ROWS]) for i in range(0, size, _ROWS)])
-    return h2, prefix, (head, late, tail) if keep_weights else None
+    return _rounded_sum(*sums), prefix, (head, late, tail) if keep_weights else None
 
 
 def _draw(theta: float, n: int, seed: int, batch_statistic: Callable | None = None):
@@ -251,27 +248,22 @@ def sample_gem(theta: float, epsilon: float = DEFAULT_EPSILON, *, seed: int) -> 
                      residual=float(residual[0]))
 
 
-_h2_cache: OrderedDict[tuple[float, int, int], np.ndarray] = OrderedDict()
-_h2_lock = threading.Lock()  # callers on several threads share the cache
+_h2_last: tuple = (None, None)  # the last (theta, n, seed) drawn, and its read-only h2
 
 
 def h2_samples(theta: float, n: int, seed: int) -> np.ndarray:
-    """n homozygosity draws under PD(theta), cached per (theta, n, seed);
-    the read-only array is shared between hits.  The cache keeps the most
-    recently used arrays up to H2_CACHE_BYTES in all, and none larger."""
+    """n homozygosity draws under PD(theta).  The read-only array of the
+    last (theta, n, seed) drawn is held for a repeat, unless over H2_CACHE_BYTES;
+    the slot is one tuple, so a reader sees the old pair or the new one."""
+    global _h2_last
     key = (float(theta), int(n), int(seed))
-    with _h2_lock:
-        out = _h2_cache.get(key)
-        if out is not None:
-            _h2_cache.move_to_end(key)
-            return out
+    held, out = _h2_last
+    if held == key:
+        return out
     out, _ = _draw(*key)
     out.setflags(write=False)
     if out.nbytes <= H2_CACHE_BYTES:
-        with _h2_lock:
-            _h2_cache[key] = out
-            while sum(a.nbytes for a in _h2_cache.values()) > H2_CACHE_BYTES:
-                _h2_cache.popitem(last=False)
+        _h2_last = key, out
     return out
 
 
@@ -360,6 +352,25 @@ def homozygosity_histogram(
     return edges, masses
 
 
+def _inside_exactly(sticks: np.ndarray, k: int, delta: float) -> bool:
+    """Whether the exact distance of one draw's sticks (a zero-padded row)
+    to the k-uniform centre is below delta, in rational arithmetic.
+
+    The centre's coordinates past the row, m < i <= k with m the lesser
+    of k and the row's length, add sum 2^-i/k = (2^-m - 2^-k)/k.  With gap
+    = the rest + 2^-m/k - delta, the draw is inside where gap < 2^-k/k;
+    that lies below every positive gap once 2^k passes gap's denominator,
+    so no 2^k that large is formed."""
+    m = min(k, len(sticks))
+    c = Fraction(1, k)
+    gap = sum((abs(Fraction(x) - c) if i < k else Fraction(x)) / (2 << i)
+              for i, x in enumerate(sticks.tolist()))
+    gap += Fraction(1, k << m) - Fraction(delta)
+    if gap <= 0:
+        return True
+    return k < gap.denominator.bit_length() and gap.numerator * k << k < gap.denominator
+
+
 def ball_probability(
     spec: SelectionSpec,
     k: int,
@@ -371,7 +382,20 @@ def ball_probability(
     configuration, in the 2^{-i}-weighted l1 metric.
 
     GEM draws are sorted descending before the distance is evaluated;
-    PD(theta) lives on ordered configurations.
+    PD(theta) lives on ordered configurations.  A draw is inside where its
+    exact distance is below delta.  The float distance d of a draw whose
+    sticks fill a matrix `cols` wide is within (cols + 8) u of it, u =
+    2^-53, so d < delta decides every draw but those with |d - delta|
+    within that bound, which _inside_exactly decides.  The bound: every
+    stick x and the float c of 1/k lie in [0, 1], and c is off 1/k by at
+    most u/k, so each |x - c| is off |x - 1/k| by at most 2u, 2u in all
+    once weighted by 2^-i (which scales exactly, bar underflow under
+    2^-1074 a term).  d then sums cols + 1 nonnegative floats whose sum is
+    at most 1 + u: the weighted terms, each at most 2^-i, and the centre's
+    unsampled coordinates, at most 2^-cols and rounded by at most 2u of
+    themselves.  Added in any order, with or without fused multiply-adds,
+    each float passes through at most cols additions, which err by at most
+    cols u / (1 - cols u) of the sum.  So d errs by under (cols + 4) u.
     """
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
@@ -382,15 +406,24 @@ def ball_probability(
 
     def inside(ordered: np.ndarray, rows: np.ndarray) -> np.ndarray:
         # over every row at once, the rows not asked for dropped at the end:
-        # |x - c| in place on the first k columns, where the center c is 1/k;
-        # past them c = 0, and |x - c| = x as every stick x >= 0
+        # |x - c| on the first m columns, where the center c is 1/k, through a
+        # chunk-sized buffer, so that the sticks are kept; past them c = 0, and
+        # |x - c| = x as every stick x >= 0
         cols = ordered.shape[1]
-        head = ordered[:, : min(k, cols)]
-        np.abs(np.subtract(head, 1.0 / k, out=head), out=head)
-        d = ordered @ np.exp2(-np.arange(1, cols + 1, dtype=float))
-        if cols < k:  # unsampled coordinates of the center still count: sum_{i=cols+1}^k 2^-i/k
-            d += (2.0**-cols - 2.0**-k) / k
-        return (d[rows] < delta).astype(float)
+        m = min(k, cols)
+        weights = np.exp2(-np.arange(1, cols + 1, dtype=float))
+        part = np.empty((min(_ROWS, len(ordered)), m))
+        d = np.empty(len(ordered))
+        for i in range(0, len(ordered), _ROWS):
+            x = ordered[i : i + _ROWS]
+            head = np.subtract(x[:, :m], 1.0 / k, out=part[: len(x)])
+            d[i : i + len(x)] = np.abs(head, out=head) @ weights[:m] + x[:, m:] @ weights[m:]
+        d += (2.0**-m - 2.0**-k) / k  # unsampled coordinates of the center: sum_{i=m+1}^k 2^-i/k
+        d = d[rows]
+        out = (d < delta).astype(float)
+        for j in np.flatnonzero(np.abs(d - delta) <= (cols + 8) * 2.0**-53):
+            out[j] = _inside_exactly(ordered[rows[j]], k, delta)
+        return out
 
     h2, f = _draw(spec.theta, n, seed, inside)
     return _weighted_estimate(f, _weights(spec, h2))

@@ -319,11 +319,11 @@ def mgf(spec: SelectionSpec, t: float) -> float:
     and x itself) cancel in the ratio.  Where t > x, S(x - t) alternates:
     the numerator is e^x H(t - x) instead, H(s) = sum_k (s^k/k!) E H2^k =
     E e^{s H2}, a positive series.  An mgf past the largest float is
-    refused, and so is a run past MAX_MOMENTS.  Where t > x, a t with
-    t E H2 past the log of the largest float is refused before H is summed,
-    since mgf(t) >= e^{t E H2} (Jensen), with E H2 = 1 - S_1/S_0 under the
-    tilt and S_1 = sum_k (x^k/k!) m_{k+1} summed with S(x); a t whose H
-    needs a run past MAX_MOMENTS is refused before either.
+    refused, and so is a run past MAX_MOMENTS.  Where t > x, log H is
+    convex with slope E H2 = 1/(1+theta) at 0, so log mgf(t) lies above its
+    tangent at t = x, x - log S(x) + (t - x)/(1+theta); a t where that
+    passes the log of the largest float is refused before H is summed, and
+    a t whose H needs a run past MAX_MOMENTS before either.
     """
     if not math.isfinite(t):
         raise DomainError(f"t must be finite, got {t}")
@@ -333,10 +333,10 @@ def mgf(spec: SelectionSpec, t: float) -> float:
     log_max = math.log(np.finfo(float).max)
     if x < t:
         _check_moment_run(spec.theta, _bulk_terms(t - x))  # the h run's first size, up front
-        log_den, log_s1 = _log_moment_series(spec.theta, x, [(0, 0.0), (1, 0.0)])
-        # E H2 less its rounding: log S_1 - log S_0 holds ~1e-12 (the oracle tests)
-        if t * -math.expm1(log_s1 - log_den + 1e-9) > log_max:
-            raise DomainError(f"mgf at t={t} passes the largest float: t E H2 > {log_max:.6g}")
+        (log_den,) = _log_moment_series(spec.theta, x, [(0, 0.0)])
+        # less a margin far above log S(x)'s rounding, ~1e-12 of x in the oracle tests
+        if x - log_den + (t - x) / (1.0 + spec.theta) - 1e-9 * (1.0 + x) > log_max:
+            raise DomainError(f"mgf at t={t} passes the largest float: its tangent at t = x does")
         (log_num,) = _log_moment_series(spec.theta, t - x, [(0, 0.0)], log_homozygosity_moments)
         log_mgf = x + log_num - log_den
     else:

@@ -1,7 +1,8 @@
 """Every name a pdov module imports is read in it or listed in its __all__,
 every private module-level helper is referred to outside its own
-definition, every log-gamma is read from coefficients.lgamma_lookup, and
-functools caches sit only on coefficients._store and ldp._inf_exact."""
+definition, every log-gamma is read from coefficients.lgamma_lookup,
+functools caches sit only on coefficients._store and ldp._inf_exact, and
+no module imports threading or collections.OrderedDict."""
 
 import ast
 from pathlib import Path
@@ -178,3 +179,39 @@ def test_caches_only_on_the_store_and_inf_exact(path):
     # every per-theta run belongs in coefficients._store, under its one bound
     allowed = {"coefficients.py": ["_store"], "ldp.py": ["_inf_exact"]}
     assert cache_sites(path.read_text()) == allowed.get(path.name, [])
+
+
+def threads_and_ordered_dicts(source: str) -> list[int]:
+    """Lines of source that import threading (or a name from it) or
+    collections.OrderedDict, by import or as an attribute."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            hit = any(alias.name.split(".")[0] == "threading" for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            hit = node.module == "threading" or (
+                node.module == "collections" and any(a.name == "OrderedDict" for a in node.names))
+        else:
+            hit = (isinstance(node, ast.Attribute) and node.attr == "OrderedDict"
+                   and isinstance(node.value, ast.Name) and node.value.id == "collections")
+        if hit:
+            lines.append(node.lineno)
+    return lines
+
+
+def test_threads_and_ordered_dicts_are_found():
+    source = (
+        "import threading as th\n"
+        "from threading import Lock\n"
+        "from collections import Counter, OrderedDict as OD\n"
+        "import collections\n"
+        "held = collections.OrderedDict()\n"
+        "counts = collections.Counter()  # OrderedDict in a comment is no import\n"
+    )
+    assert threads_and_ordered_dicts(source) == [1, 2, 3, 5]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_threads_or_ordered_dicts(path):
+    # pdov draws on the calling thread, and its one cache is coefficients._store
+    assert threads_and_ordered_dicts(path.read_text()) == []

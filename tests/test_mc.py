@@ -3,12 +3,13 @@
 import math
 import threading
 import tracemalloc
-from collections import Counter, OrderedDict
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from pdov import ldp, mc, tilted
+from pdov import ldp, mc, moments, tilted
 from pdov.errors import DomainError
 from pdov.ldp import uniform_config
 from pdov.model import SelectionSpec
@@ -421,7 +422,7 @@ def serial_reference(request):
 
 def test_draws_match_serial_reference(serial_reference, monkeypatch):
     spec, h2, ball, generic = serial_reference
-    monkeypatch.setattr(mc, "_h2_cache", OrderedDict())  # draw afresh, not from the cache
+    monkeypatch.setattr(mc, "_h2_last", (None, None))  # draw afresh, not from the slot
     assert np.array_equal(mc.h2_samples(spec.theta, SERIAL_N, seed=5), h2)
     assert mc.ball_probability(spec, k=1, delta=0.2, n=SERIAL_N, seed=5) == ball
     assert mc.tilted_estimate(spec, _generic_stat, n=SERIAL_N, seed=5) == generic
@@ -447,20 +448,73 @@ def test_raising_statistic_propagates_and_stops_the_pool(monkeypatch):
     mc.ball_probability(SelectionSpec(6.0, 0.3), k=1, delta=0.2, n=SERIAL_N, seed=3)
 
 
-def test_h2_cache_bounded_by_bytes(monkeypatch):
-    monkeypatch.setattr(mc, "_h2_cache", OrderedDict())
-    monkeypatch.setattr(mc, "H2_CACHE_BYTES", 2 * 8 * 1000)  # two arrays of 1000 draws
+def test_h2_samples_holds_the_last_draw_only(monkeypatch):
+    monkeypatch.setattr(mc, "_h2_last", (None, None))
+    monkeypatch.setattr(mc, "H2_CACHE_BYTES", 8 * 1000)  # one array of 1000 draws
     a = mc.h2_samples(0.5, 1000, seed=1)
-    b = mc.h2_samples(0.5, 1000, seed=2)
-    assert mc.h2_samples(0.5, 1000, seed=1) is a  # hit; seed 1 is now the most recent
-    mc.h2_samples(0.5, 1000, seed=3)  # evicts seed 2, the least recently used
     assert mc.h2_samples(0.5, 1000, seed=1) is a
-    b2 = mc.h2_samples(0.5, 1000, seed=2)
-    assert b2 is not b and np.array_equal(b2, b)
-    big = mc.h2_samples(0.5, 2001, seed=1)  # larger than the whole bound: returned, not kept
-    again = mc.h2_samples(0.5, 2001, seed=1)
+    b = mc.h2_samples(0.5, 1000, seed=2)  # replaces seed 1
+    assert mc._h2_last[1] is b and mc.h2_samples(0.5, 1000, seed=2) is b
+    a2 = mc.h2_samples(0.5, 1000, seed=1)
+    assert a2 is not a and np.array_equal(a2, a)
+    big = mc.h2_samples(0.5, 1001, seed=1)  # larger than the bound: returned, not held
+    assert mc._h2_last[1] is a2
+    again = mc.h2_samples(0.5, 1001, seed=1)
     assert again is not big and np.array_equal(again, big)
-    assert sum(x.nbytes for x in mc._h2_cache.values()) <= mc.H2_CACHE_BYTES
+
+
+def test_a_repeated_key_costs_no_second_draw(monkeypatch):
+    monkeypatch.setattr(mc, "_h2_last", (None, None))
+    calls = []
+    draw = mc._draw
+
+    def counting(*args, **kwargs):
+        calls.append(args[:3])
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(mc, "_draw", counting)
+    spec = SelectionSpec(6.0, 0.3)
+    mc.tilted_estimate(spec, mc.H2Statistic(lambda h2: h2), 10**4, seed=7)
+    mc.homozygosity_histogram(spec, 10**4, bins=20, seed=7)  # the key just estimated
+    assert calls == [(0.3, 10**4, 7)]
+    for k in range(1, 7):
+        moments.mc_moment_oracle(0.5, k, 5000, seed=1)
+    assert calls == [(0.3, 10**4, 7), (0.5, 5000, 1)]
+
+
+@pytest.mark.parametrize("theta, k", [(0.5, 2), (0.1, 60)])  # at k = 60 the centre is wider than the draws
+def test_ball_membership_is_exact(theta, k):
+    # the float distance of a draw is off its exact distance by an ulp or
+    # so, either way; with delta the float just above a draw's exact
+    # distance, that draw is inside, whatever its float distance reads
+    spec, n, seed = SelectionSpec(2.0, theta), 1000, 4
+    (h2, *sticks), = _serial_sorted_batches(theta, n, seed)
+    rows = _padded(*sticks)
+    c = Fraction(1, k)
+
+    def exact(row):  # the centre's coordinates past the row count too
+        d = sum((abs(Fraction(x) - c) if i < k else Fraction(x)) / (2 << i)
+                for i, x in enumerate(row.tolist()))
+        return d + sum(c / (2 << i) for i in range(len(row), k))
+
+    dist = [exact(row) for row in rows]
+    w = np.exp(spec.sigma * h2)
+    for i in range(6):
+        delta = math.nextafter(float(dist[i]), math.inf)
+        if Fraction(float(dist[i])) > dist[i]:
+            delta = float(dist[i])
+        want = mc._weighted_estimate(np.array([float(d < delta) for d in dist]), w)
+        assert mc.ball_probability(spec, k, delta, n, seed) == want
+
+
+def test_exact_membership_with_a_centre_of_a_billion_entries():
+    # the centre's coordinates past the row weigh 2^-3/k - 2^-k/k, and its
+    # 2^-k/k lies below every gap a float delta leaves
+    row, k = np.array([0.5, 0.25, 0.125]), 10**9
+    near = sum((Fraction(x) - Fraction(1, k)) / (2 << i) for i, x in enumerate(row)) + Fraction(1, 8 * k)
+    below, above = math.nextafter(float(near), 0.0), math.nextafter(float(near), 2.0)
+    assert not mc._inside_exactly(row, k, below)
+    assert mc._inside_exactly(row, k, above)
 
 
 # -- golden values: one seed's estimates and sticks, bit for bit --------------

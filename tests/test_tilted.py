@@ -338,19 +338,21 @@ def test_mgf_rejects_huge_t():
     assert tilted.mgf(spec, 700.0) < np.finfo(float).max
 
 
-def test_mgf_refuses_past_the_jensen_line_before_any_h_run(monkeypatch):
-    spec = SelectionSpec(6.0, 0.1)  # E H2 = 0.4539 under the tilt: t past ~1,564 is refused
+def test_mgf_refuses_past_the_tangent_before_any_h_run(monkeypatch):
+    # log mgf >= x - log S(x) + (t - x)/1.1, its tangent at t = x; it passes
+    # the log of the largest float at t ~ 785, and log mgf itself at t ~ 716
+    spec = SelectionSpec(6.0, 0.1)
     assert tilted.mgf(spec, 700.0) == 3.380320471810575e+301
 
     def no_h_run(theta, k):
         raise AssertionError("the h run was called")
 
     monkeypatch.setattr(tilted, "log_homozygosity_moments", no_h_run)
-    for t in (1570.0, 15000.0):
+    for t in (800.0, 1000.0, 1550.0, 15000.0):
         with pytest.raises(DomainError, match="largest float"):
             tilted.mgf(spec, t)
-    with pytest.raises(AssertionError):  # under the line, the h run is summed
-        tilted.mgf(spec, 1550.0)
+    with pytest.raises(AssertionError):  # under the tangent, the h run is summed
+        tilted.mgf(spec, 780.0)
 
 
 def test_a_second_mgf_computes_no_held_moment_again(monkeypatch):
