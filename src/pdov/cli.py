@@ -316,8 +316,9 @@ def build_parser() -> _Parser:
     p.add_argument("--lambda", type=float, required=True, dest="lam")
     p.add_argument("--theta", type=float, required=True)
     p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--hist-bins", type=int, default=0, dest="hist_bins")
-    p.add_argument("--ball", type=_ball, default=None, help="K,DELTA ball probability")
+    what = p.add_mutually_exclusive_group()  # a histogram or one estimate
+    what.add_argument("--hist-bins", type=int, default=0, dest="hist_bins")
+    what.add_argument("--ball", type=_ball, default=None, help="K,DELTA ball probability")
     p.add_argument("--strict", action="store_true", help="escalate ESS warnings to exit 4")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_sample)

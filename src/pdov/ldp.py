@@ -51,7 +51,7 @@ MASS_TOL = 1e-12
 MAX_UNIFORM_K = 10**6  # one entry per allele, 8 bytes each
 # (x + g) - g rounds x to a multiple of 2^-40 for x in [0, 1] (hi), of 2^-80 for |x| <= 2^-41 (mid)
 _GRID_HI, _GRID_MID = 2.0**12, 1.5 * 2.0**-28
-_ROWS = 1 << 11  # rows rounded (and drawn, in mc) at once, so that the temporaries stay in cache
+_ROWS = 1 << 11  # rows rounded (and drawn and valued, in mc) at once: temporaries stay in cache
 
 
 @dataclass(frozen=True)

@@ -5,17 +5,18 @@ Sampling is deterministic per (seed, parameters): every estimator draws
 through one batch driver, _draw, whose fixed-size batches each have their
 own Philox stream, derived from the root seed by counter offsetting, so one
 seed fixes the same draws for every statistic.  Batches are drawn one at a
-time on the calling thread and each is handed to the statistic before the
-next is drawn, so one batch's sticks are alive at a time.
+time on the calling thread, and each is valued, chunk by chunk as it is
+drawn, before the next is drawn.
 Beta(1,theta) sticks come from the exact inverse CDF U = 1-(1-V)^{1/theta}.
 Each draw takes sticks until its own residual mass is below epsilon: a
 first block sized from the Poisson law of the sticks it needs, then short
 blocks for the draws still above epsilon alone, the late draws (~0.3-2%).
-A statistic that needs the sticks gets each batch's kept only as wide as
-its first block: a head matrix that wide, then the late draws' whole
-sticks in a small matrix of their own, each C-contiguous, sorted
-descending in place and owned by the statistic, which values each draw
-once, on all its sticks (see _draw).  A draw's H2, the split sum of
+A statistic that needs the sticks gets each _ROWS-row chunk of a batch's
+first block as it is drawn, in the sampler's work buffer, then the late
+draws' whole sticks in a small matrix of their own, each C-contiguous,
+sorted descending in place and owned by the statistic, which values each
+draw once, on all its sticks (see _draw); no batch-sized stick matrix is
+formed.  A draw's H2, the split sum of
 its squared sticks, is ldp.phi2 of the draw on every row whose exact sum is
 not within the split sum's own rounding of a tie; no sticks are kept to
 re-sum such a row (test_row_sums_equal_fsum_where_the_split_sum_is_not_certified).
@@ -124,7 +125,7 @@ def _gem_batch(
     size: int,
     epsilon: float,
     rng: np.random.Generator,
-    keep_weights: bool,
+    statistic: Callable | None = None,
 ):
     """Draw `size` GEM samples, each row's sticks until its own residual is
     below epsilon.
@@ -141,23 +142,25 @@ def _gem_batch(
     Each H2 is the split sum of its row's squared sticks, whatever their
     order; see the module docstring for where it may differ from ldp.phi2.
 
-    Returns (h2, residual, sticks-or-None).  The sticks, all in draw order,
-    are (head, late, tail): head (size x first, C-contiguous, the first
-    block drawn into it in place) holds every row's first block, late the
-    indices of the late rows, ascending, and tail (C-contiguous) those
-    rows' whole sticks, the first block then the later ones, zero-padded
-    to the widest of them.
+    statistic(sticks, rows, at) values rows `rows` (an index array) of a
+    C-contiguous stick matrix in draw order, zero-padded, which hold the
+    batch's draws `at`; it owns the matrix and may sort or overwrite it.
+    It is called on each first-block chunk as it is drawn, in the work
+    buffer, with the chunk's rows that ended there (its other rows, the
+    late ones, may be computed over in bulk but not valued), then once on
+    the late rows' whole sticks, the first block then the later ones, with
+    every row.  So each draw is valued once, on all its sticks.
+
+    Returns (h2, residual).
     """
     a = theta * math.log(1.0 / epsilon)
     inv_theta = 1.0 / theta
     first = math.floor(a + 2.0 * math.sqrt(a)) + 3
     prefix = np.ones(size)
     sums = np.zeros((3, size))  # hi, mid and lo of each row's sum of squares
-    head = np.empty((size, first)) if keep_weights else None
     work = np.empty((2, min(size, _ROWS) * (max(first, _BLOCK) + 1)))
     rows = np.arange(size)  # the rows still at or above epsilon
-    late = rows[:0]  # the rows still at or above epsilon after the first block
-    tail = head[late] if keep_weights else None  # and their whole sticks
+    tail = []  # the late rows' first blocks, then their whole sticks
     col, width = 0, first
     while rows.size:
         if col > STICK_CAP:
@@ -165,28 +168,33 @@ def _gem_batch(
                 f"stick count exceeded {STICK_CAP} before residual < {epsilon}; "
                 "pathological (theta, epsilon) combination"
             )
-        if keep_weights and col:  # one more block of the late rows' own matrix
-            if col == first:
-                late, tail = rows, head[rows]
+        if statistic and col:  # one more block of the late rows' own matrix
             tail = np.concatenate([tail, np.zeros((late.size, _BLOCK))], axis=1)
         for start in range(0, rows.size, _ROWS):
             m = min(_ROWS, rows.size - start)
-            # the first block takes every row, so its chunks are slices: no gather or
-            # scatter, and a slice of the head is contiguous, so it is drawn into in place
+            # the first block takes every row, so its chunks are slices: no gather or scatter
             chunk = slice(start, start + m) if col == 0 else rows[start : start + m]
-            part = work[0, : m * width].reshape(m, width)
-            u = head[chunk] if keep_weights and col == 0 else part
             left = prefix[chunk]
-            w = _sticks(rng, left, inv_theta, u, work[1, : m * (width + 1)].reshape(m, width + 1))
+            w = _sticks(rng, left, inv_theta, work[0, : m * width].reshape(m, width),
+                        work[1, : m * (width + 1)].reshape(m, width + 1))
             prefix[chunk] = left
-            if keep_weights and col:
-                tail[np.searchsorted(late, chunk), col : col + width] = w
             sq = np.multiply(w, w, out=work[1, : m * width].reshape(m, width))
-            sums[:, chunk] += _split_sums(sq, part)  # overwrites part: w past the first block
+            if statistic and col:
+                tail[np.searchsorted(late, chunk), col : col + width] = w
+            elif statistic:  # the late rows' first blocks kept, the rest valued
+                ended = left < epsilon
+                tail.append(w[~ended])
+                done = np.flatnonzero(ended)
+                statistic(w, done, start + done)
+            sums[:, chunk] += _split_sums(sq, w)  # overwrites w
         rows = rows[prefix[rows] >= epsilon]
+        if statistic and col == 0:  # the rows still at or above epsilon after the first block
+            late, tail = rows, np.concatenate(tail)
         col += width
         width = _BLOCK
-    return _rounded_sum(*sums), prefix, (head, late, tail) if keep_weights else None
+    if statistic:
+        statistic(tail, np.arange(late.size), late)
+    return _rounded_sum(*sums), prefix
 
 
 def _draw(theta: float, n: int, seed: int, batch_statistic: Callable | None = None):
@@ -195,44 +203,33 @@ def _draw(theta: float, n: int, seed: int, batch_statistic: Callable | None = No
     stream(seed, b), whatever the statistic; sticks are kept only for it.
 
     batch_statistic(ordered, rows) maps rows `rows` (an index array) of a
-    stick matrix to one value each.  Each row of `ordered` is a draw's
-    sticks sorted descending, zero-padded; the matrix is C-contiguous and
-    owned by the statistic, which may overwrite it.  It is called twice
-    per batch: on the head with the rows that drew no block past their
-    first, then on the late rows' whole sticks with every row.  So each
-    draw is valued once, on all its sticks; the head's other rows hold
-    only a late draw's first block, and a statistic may compute over them
-    in bulk but must not value them.
+    stick matrix to one value each.  It is called as _gem_batch calls its
+    statistic, on each chunk of at most _ROWS rows as it is drawn, then on
+    the batch's late rows, with each row of `ordered` a draw's sticks
+    sorted descending in place, zero-padded.  So each draw is valued once,
+    on all its sticks; a chunk's late rows hold only their first block,
+    and a statistic may compute over them in bulk but must not value them.
 
     Batches are drawn in order on the calling thread, each valued before
-    the next is drawn; a batch's arrays are locals of one draw() call, freed
-    on its return, so one batch is alive at a time.
+    the next is drawn; a batch's arrays are locals of one _gem_batch call,
+    freed on its return, so one batch is alive at a time.
     """
     if n > MAX_DRAWS:
         raise DomainError(f"{n} draws need {8 * n / 1e9:.3g} GB per array (limit {MAX_DRAWS})")
     h2 = np.empty(n)
     f = None if batch_statistic is None else np.empty(n)
 
-    def draw(b: int, lo: int) -> None:
-        size = min(_BATCH, n - lo)
-        h2[lo : lo + size], _, sticks = _gem_batch(
-            theta, size, DEFAULT_EPSILON, stream(seed, b), f is not None
-        )
-        if sticks is None:
-            return
-        head, late, tail = sticks
-        for ordered in (head, tail):  # descending in place: negation is exact, -(-0.0) is +0.0
-            np.negative(ordered, out=ordered)
-            ordered.sort(axis=1)
-            np.negative(ordered, out=ordered)
-        out = f[lo : lo + size]
-        early = np.ones(size, dtype=bool)
-        early[late] = False
-        out[early] = batch_statistic(head, np.flatnonzero(early))
-        out[late] = batch_statistic(tail, np.arange(late.size))
+    def descending(sticks: np.ndarray, rows: np.ndarray, at: np.ndarray) -> None:
+        # sorted in place: negation is exact, -(-0.0) is +0.0
+        np.negative(sticks, out=sticks)
+        sticks.sort(axis=1)
+        np.negative(sticks, out=sticks)
+        f[lo + at] = batch_statistic(sticks, rows)
 
+    statistic = None if batch_statistic is None else descending
     for b, lo in enumerate(range(0, n, _BATCH)):
-        draw(b, lo)
+        size = min(_BATCH, n - lo)
+        h2[lo : lo + size], _ = _gem_batch(theta, size, DEFAULT_EPSILON, stream(seed, b), statistic)
     return h2, f
 
 
@@ -243,9 +240,10 @@ def sample_gem(theta: float, epsilon: float = DEFAULT_EPSILON, *, seed: int) -> 
         raise DomainError(f"theta must lie in (0, 1], got {theta}")
     if not (0.0 < epsilon < 1.0):
         raise DomainError(f"epsilon must lie in (0, 1), got {epsilon}")
-    _, residual, (head, late, tail) = _gem_batch(theta, 1, epsilon, stream(seed), keep_weights=True)
-    return GemSample(theta=theta, weights=tail[0] if late.size else head[0],
-                     residual=float(residual[0]))
+    kept = []  # the one draw's sticks, in draw order, as it ends
+    _, residual = _gem_batch(theta, 1, epsilon, stream(seed),
+                             lambda sticks, rows, _: kept.extend(sticks[rows]))
+    return GemSample(theta=theta, weights=kept[0], residual=float(residual[0]))
 
 
 _h2_last: tuple = (None, None)  # the last (theta, n, seed) drawn, and its read-only h2
@@ -405,19 +403,15 @@ def ball_probability(
         raise DomainError(f"n must be >= 1000, got {n}")
 
     def inside(ordered: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        # over every row at once, the rows not asked for dropped at the end:
-        # |x - c| on the first m columns, where the center c is 1/k, through a
-        # chunk-sized buffer, so that the sticks are kept; past them c = 0, and
-        # |x - c| = x as every stick x >= 0
+        # over every row of the chunk at once, the rows not asked for dropped
+        # at the end: |x - c| on the first m columns, where the centre c is
+        # 1/k, in a temporary, so that the sticks are kept; past them c = 0,
+        # and |x - c| = x as every stick x >= 0
         cols = ordered.shape[1]
         m = min(k, cols)
         weights = np.exp2(-np.arange(1, cols + 1, dtype=float))
-        part = np.empty((min(_ROWS, len(ordered)), m))
-        d = np.empty(len(ordered))
-        for i in range(0, len(ordered), _ROWS):
-            x = ordered[i : i + _ROWS]
-            head = np.subtract(x[:, :m], 1.0 / k, out=part[: len(x)])
-            d[i : i + len(x)] = np.abs(head, out=head) @ weights[:m] + x[:, m:] @ weights[m:]
+        near = np.subtract(ordered[:, :m], 1.0 / k)
+        d = np.abs(near, out=near) @ weights[:m] + ordered[:, m:] @ weights[m:]
         d += (2.0**-m - 2.0**-k) / k  # unsampled coordinates of the center: sum_{i=m+1}^k 2^-i/k
         d = d[rows]
         out = (d < delta).astype(float)

@@ -214,15 +214,28 @@ def test_mgf_past_t_equal_x_exits_0(capsys):
 
 
 def test_strict_degenerate_exit(capsys):
+    # at lambda = 80, theta = 0.05 one weight dwarfs the rest: ESS 1.0
     code, out, _ = run(
         capsys, "sample", "--lambda", "80", "--theta", "0.05", "--samples", "1000",
         "--seed", "1", "--strict",
     )
     row = parse_csv(out)[0]
-    if float(row["ess"]) < 50:
-        assert code == 4
-    else:
-        assert code == 0
+    assert code == 4
+    assert float(row["ess"]) < 50 and row["warning"].startswith("importance weights degenerate")
+    code, out, _ = run(
+        capsys, "sample", "--lambda", "6", "--theta", "0.5", "--samples", "5000",
+        "--seed", "3", "--strict",
+    )
+    assert code == 0 and "warning" not in parse_csv(out)[0]
+
+
+def test_sample_takes_a_histogram_or_a_ball_not_both(capsys):
+    code, out, err = run(
+        capsys, "sample", "--lambda", "2", "--theta", "0.1", "--samples", "10000",
+        "--hist-bins", "2", "--ball", "1,0.2",
+    )
+    assert code == 1 and out == ""
+    assert "not allowed with argument --hist-bins" in err
 
 
 def test_out_writes_manifest(tmp_path, capsys):

@@ -3,6 +3,7 @@
 import math
 import threading
 import tracemalloc
+import weakref
 from collections import Counter
 from fractions import Fraction
 
@@ -30,32 +31,32 @@ def test_sample_gem_determinism():
     assert not np.array_equal(a.weights, c.weights)
 
 
-def _padded(head, late, tail):
-    """Each row's sticks as one matrix, zero-padded to the widest row: the
-    head's rows, with the late rows' whole sticks in place of theirs."""
-    w = np.zeros((len(head), max(head.shape[1], tail.shape[1])))
-    w[:, : head.shape[1]] = head
-    w[late] = tail
-    return w
-
-
 @pytest.mark.parametrize("theta", [0.01, 0.1, 0.3, 1.0])
 def test_gem_batch_invariants(theta):
     eps = mc.DEFAULT_EPSILON
     a = theta * math.log(1.0 / eps)
     first = math.floor(a + 2.0 * math.sqrt(a)) + 3
-    h2, residual, (head, late, tail) = mc._gem_batch(
-        theta, mc._BATCH, eps, mc.stream(5, 0), keep_weights=True
-    )
-    # the head is exactly the first block wide; the late rows' own matrix
-    # starts with their first block, and grows by whole blocks
-    assert head.shape == (mc._BATCH, first) and head.flags.c_contiguous
-    assert tail.flags.c_contiguous and len(tail) == len(late)
+    calls, valued = [], []
+
+    def keep(sticks, rows, at):  # each draw's sticks, in draw order, by index in the batch
+        calls.append((sticks.shape, sticks.flags.c_contiguous, at))
+        valued.extend(zip(at.tolist(), sticks[rows]))
+
+    h2, residual = mc._gem_batch(theta, mc._BATCH, eps, mc.stream(5, 0), keep)
+    # each first-block chunk is valued as it is drawn, at most _ROWS rows
+    # exactly the first block wide; then the late rows' own matrix, which
+    # starts with their first block and grows by whole blocks
+    *chunks, (late_shape, late_contiguous, late) = calls
+    assert len(chunks) == -(-mc._BATCH // mc._ROWS)
+    assert all(c and rows <= mc._ROWS and cols == first for (rows, cols), c, _ in chunks)
+    assert late_contiguous and len(late) == late_shape[0]
+    assert (late_shape[1] - first) % mc._BLOCK == 0 and (late_shape[1] > first or not late.size)
     assert np.all(np.diff(late) > 0)
-    assert tail[:, :first].tobytes() == head[late].tobytes()
-    if late.size:
-        assert tail.shape[1] > first and (tail.shape[1] - first) % mc._BLOCK == 0
-    w = _padded(head, late, tail)
+    # every draw is valued once
+    assert sorted(i for i, _ in valued) == list(range(mc._BATCH))
+    w = np.zeros((mc._BATCH, max(len(row) for _, row in valued)))
+    for i, row in valued:
+        w[i, : len(row)] = row
     assert np.all(residual < eps)
     assert np.all(w >= 0.0)
     assert np.max(np.abs(w.sum(axis=1) + residual - 1.0)) < 1e-12
@@ -85,7 +86,7 @@ def test_stick_cap_refuses(monkeypatch):
     a = math.log(1.0 / mc.DEFAULT_EPSILON)
     monkeypatch.setattr(mc, "STICK_CAP", math.floor(a + 2.0 * math.sqrt(a)) + 2)
     with pytest.raises(DomainError, match="stick count exceeded"):
-        mc._gem_batch(1.0, mc._BATCH, mc.DEFAULT_EPSILON, mc.stream(5, 0), keep_weights=False)
+        mc._gem_batch(1.0, mc._BATCH, mc.DEFAULT_EPSILON, mc.stream(5, 0))
 
 
 def test_small_theta_first_stick_dominates():
@@ -233,8 +234,8 @@ def test_ball_probability_centre_wider_than_the_draws():
         d = np.abs(ordered - target[None, :]) @ np.exp2(-np.arange(1, cols + 1, dtype=float))
         return d + sum(2.0**-i for i in range(cols + 1, k + 1)) / k  # the centre's unsampled entries
 
-    inside = [(_by_row(distance, *sticks) < delta).astype(float)
-              for _, *sticks in _serial_sorted_batches(spec.theta, n, seed=8)]
+    inside = [(_each(distance, rows) < delta).astype(float)
+              for _, rows in _serial_sorted_batches(spec.theta, n, seed=8)]
     h2 = mc.h2_samples(spec.theta, n, seed=8)
     want = mc._weighted_estimate(np.concatenate(inside), np.exp(spec.sigma * h2))
     assert 0.0 < want.value < 1.0
@@ -262,19 +263,37 @@ def _ball_peak(n):
     return peak
 
 
-def test_ball_probability_peak_memory_under_two_stick_matrices():
-    # the distance is taken in place on the batch's own head, 16,384 x 30
-    # sticks at theta = 1 (3.75 MiB), and on the few late rows' whole sticks
-    # (30 + 16 wide); the batch peaks at ~6.5 MiB.  The bound, two heads
-    # (7.5 MiB), sits below the ~8.6 MiB that one 16,384 x 46 matrix for
-    # every row took, so a return to that layout fails here
-    assert _ball_peak(mc._BATCH) < 2 * mc._BATCH * 30 * 8
+def test_ball_probability_peak_memory_under_one_stick_matrix():
+    # each 2,048 x 30 chunk of a theta = 1 batch is valued as it is drawn,
+    # in the sampler's work buffer, with |x - 1/k| in a temporary of the
+    # chunk's size, and the few late rows on their whole sticks (30 + 16
+    # wide); the batch peaks at ~2.1 MiB.  The bound, one 16,384 x 30 matrix
+    # (3.75 MiB), fails a return to a batch-sized matrix of sticks
+    assert _ball_peak(mc._BATCH) < mc._BATCH * 30 * 8
 
 
-def test_one_batch_is_alive_at_a_time():
-    # three batches peak about where one does, as only the n-long outputs
-    # grow with n; a second batch alive would add its 3.75 MiB head
-    assert _ball_peak(3 * mc._BATCH) < 1.25 * _ball_peak(mc._BATCH)
+def test_one_batch_is_alive_at_a_time(monkeypatch):
+    # every matrix that batch b hands the statistic (the work buffer a chunk
+    # is a view of, the late rows' matrix) is freed by reference counting
+    # before batch b + 1 values its first chunk
+    batch, alive = [None], {}
+    stream = mc.stream
+
+    def counted(seed, index=0):
+        batch[0] = index
+        return stream(seed, index)
+
+    def stat(ordered, rows):
+        for b, refs in alive.items():
+            assert b == batch[0] or all(r() is None for r in refs), f"batch {b} is alive"
+        while ordered.base is not None:
+            ordered = ordered.base
+        alive.setdefault(batch[0], []).append(weakref.ref(ordered))
+        return np.zeros(len(rows))
+
+    monkeypatch.setattr(mc, "stream", counted)
+    mc._draw(1.0, 3 * mc._BATCH, seed=3, batch_statistic=stat)
+    assert sorted(alive) == [0, 1, 2]
 
 
 def test_draw_count_is_refused_before_any_allocation():
@@ -329,21 +348,28 @@ SERIAL_N = 3 * mc._BATCH + 5
 
 
 def _serial_sorted_batches(theta, n, seed):
-    """Batch b drawn from stream(seed, b) one after another: its H2, head,
-    late rows and their whole sticks, each stick matrix sorted descending."""
+    """Batch b drawn from stream(seed, b) one after another: its H2 and, by
+    index in the batch, each draw's whole sticks sorted descending, as wide
+    as the matrix it was valued in, captured through _gem_batch's hook."""
     for b, lo in enumerate(range(0, n, mc._BATCH)):
-        size = min(n, lo + mc._BATCH) - lo
-        h2, _, (head, late, tail) = mc._gem_batch(
-            theta, size, mc.DEFAULT_EPSILON, mc.stream(seed, b), True
-        )
-        yield h2, -np.sort(-head, axis=1), late, -np.sort(-tail, axis=1)
+        size = min(n - lo, mc._BATCH)
+        kept = [None] * size
+
+        def keep(sticks, rows, at):
+            for i, row in zip(at.tolist(), -np.sort(-sticks[rows], axis=1)):
+                kept[i] = row
+
+        h2, _ = mc._gem_batch(theta, size, mc.DEFAULT_EPSILON, mc.stream(seed, b), keep)
+        yield h2, kept
 
 
-def _by_row(fn, head, late, tail):
-    """fn of each row of the head, but of the late rows' whole sticks for
-    theirs: the rows as the batch statistic values them."""
-    out = fn(head)
-    out[late] = fn(tail)
+def _each(fn, rows):
+    """fn of each row, the rows of one width stacked in one matrix: each
+    draw as the batch statistic values it, a late one on its whole sticks."""
+    out = np.empty(len(rows))
+    for width in {len(row) for row in rows}:
+        at = [i for i, row in enumerate(rows) if len(row) == width]
+        out[at] = fn(np.array([rows[i] for i in at]))
     return out
 
 
@@ -351,27 +377,35 @@ def _by_row(fn, head, late, tail):
 def test_batch_statistic_owns_a_contiguous_descending_matrix(theta, n):
     # at theta = 0.01 no row of 1,000 draws a second block, so the late
     # rows' matrix is empty; at theta = 1 some rows of the first batch draw on
-    got = []
+    a = theta * math.log(1.0 / mc.DEFAULT_EPSILON)
+    first = math.floor(a + 2.0 * math.sqrt(a)) + 3
+    shapes, valued = [], []
 
-    def stat(ordered, rows):
-        got.append((ordered.flags.c_contiguous, ordered.flags.writeable, ordered.copy(), rows))
+    def stat(ordered, rows):  # a row's value is its index in valued
+        assert ordered.flags.c_contiguous and ordered.flags.writeable
+        assert np.all(ordered[:, 1:] <= ordered[:, :-1])
+        shapes.append(ordered.shape)
+        valued.extend(ordered[rows])
         ordered[:] = np.nan  # the statistic owns the matrix
-        return np.zeros(len(rows))
+        return np.arange(len(valued) - len(rows), len(valued), dtype=float)
 
     h2, f = mc._draw(theta, n, seed=5, batch_statistic=stat)
     serial = list(_serial_sorted_batches(theta, n, seed=5))
-    assert np.array_equal(h2, np.concatenate([h for h, *_ in serial]))
-    assert np.array_equal(f, np.zeros(n))
+    assert np.array_equal(h2, np.concatenate([h for h, _ in serial]))
+    # each batch: a call per chunk of at most _ROWS rows, the first block
+    # wide, as it is drawn, then one on the late rows' whole sticks
     want = []
-    for _, head, late, tail in serial:
-        # the head valued on its rows that drew no late block, the late rows on their whole sticks
-        want += [(head, np.setdiff1d(np.arange(len(head)), late)), (tail, np.arange(len(late)))]
-    assert len(got) == len(want)
-    assert theta != 1.0 or len(want[1][1])  # the theta = 1 batch has late rows
-    for (contiguous, writeable, ordered, rows), (w, w_rows) in zip(got, want):
-        assert contiguous and writeable
-        assert ordered.shape == w.shape and ordered.tobytes() == w.tobytes()
-        assert np.array_equal(rows, w_rows)
+    for lo, (_, rows) in zip(range(0, n, mc._BATCH), serial):
+        size = min(mc._BATCH, n - lo)
+        want += [(min(mc._ROWS, size - start), first) for start in range(0, size, mc._ROWS)]
+        late = [row for row in rows if len(row) > first]
+        want.append((len(late), len(late[0]) if late else first))
+    assert shapes == want
+    assert theta != 1.0 or want[-3][0]  # the theta = 1 batch has late rows
+    # every draw valued once, on the sticks the serial reference holds for it
+    assert sorted(f.tolist()) == list(range(n))
+    got = [valued[i] for i in f.astype(int).tolist()]
+    assert [row.tobytes() for row in got] == [row.tobytes() for _, rows in serial for row in rows]
 
 
 def test_generic_statistic_is_valued_once_per_draw_on_its_whole_sticks():
@@ -384,7 +418,7 @@ def test_generic_statistic_is_valued_once_per_draw_on_its_whole_sticks():
 
     mc.tilted_estimate(SelectionSpec(2.0, 1.0), stat, n=n, seed=5)
     want = [tuple(row[row > 0.0].tolist())
-            for _, *sticks in _serial_sorted_batches(1.0, n, seed=5) for row in _padded(*sticks)]
+            for _, rows in _serial_sorted_batches(1.0, n, seed=5) for row in rows]
     assert len(calls) == n
     # each draw's positive sticks, sorted descending, once: never a late row's first block alone
     assert Counter(calls) == Counter(want)
@@ -408,11 +442,11 @@ def serial_reference(request):
         target[0] = 1.0  # the 1-uniform configuration
         return np.abs(ordered - target[None, :]) @ np.exp2(-np.arange(1, cols + 1, dtype=float))
 
-    for h2, *sticks in _serial_sorted_batches(theta, SERIAL_N, seed=5):
+    for h2, rows in _serial_sorted_batches(theta, SERIAL_N, seed=5):
         h2_parts.append(h2)
-        balls.append((_by_row(distance, *sticks) < 0.2).astype(float))
+        balls.append((_each(distance, rows) < 0.2).astype(float))
         stats.append([_generic_stat(ldp.Configuration(tuple(row[row > 0.0]), validate=False))
-                      for row in _padded(*sticks)])
+                      for row in rows])
     h2 = np.concatenate(h2_parts)
     w = np.exp(spec.sigma * h2)
     ball = mc._weighted_estimate(np.concatenate(balls), w)
@@ -428,8 +462,9 @@ def test_draws_match_serial_reference(serial_reference, monkeypatch):
     assert mc.tilted_estimate(spec, _generic_stat, n=SERIAL_N, seed=5) == generic
 
 
-def test_raising_statistic_propagates_and_stops_the_pool(monkeypatch):
-    # every batch is drawn on the calling thread, so starting one fails here
+def test_raising_statistic_propagates_from_the_calling_thread(monkeypatch):
+    # every batch is drawn and valued on the calling thread, so starting a
+    # thread fails here; the raise comes from a chunk call inside batch 2
     def no_thread(thread):
         raise AssertionError(f"mc started thread {thread.name}")
 
@@ -488,8 +523,7 @@ def test_ball_membership_is_exact(theta, k):
     # so, either way; with delta the float just above a draw's exact
     # distance, that draw is inside, whatever its float distance reads
     spec, n, seed = SelectionSpec(2.0, theta), 1000, 4
-    (h2, *sticks), = _serial_sorted_batches(theta, n, seed)
-    rows = _padded(*sticks)
+    (h2, rows), = _serial_sorted_batches(theta, n, seed)
     c = Fraction(1, k)
 
     def exact(row):  # the centre's coordinates past the row count too
