@@ -139,12 +139,12 @@ def cmd_moments(args) -> int:
     table = coefs.build_coeff_table(args.theta, args.kmax)
     vec = moments.moments_from_table(table, args.kmax)
     header = ["k", "m_exact", "m_recursion"]
-    if args.mc_check:
+    if args.mc_check is not None:
         header += ["m_mc", "se"]
     rows = []
     for k in range(1, args.kmax + 1):
         row = [k, vec[k], moments.moment_via_recursion(args.theta, k)]
-        if args.mc_check:
+        if args.mc_check is not None:
             est = moments.mc_moment_oracle(args.theta, k, args.mc_check, args.seed)
             row += [est.value, est.std_error]
         rows.append(row)
@@ -213,7 +213,7 @@ def cmd_rate(args) -> int:
 
 def cmd_sample(args) -> int:
     spec = SelectionSpec(lam=args.lam, theta=args.theta)
-    if args.hist_bins:
+    if args.hist_bins is not None:
         edges, masses = mc.homozygosity_histogram(spec, args.samples, args.hist_bins, args.seed)
         rows = [[edges[i], edges[i + 1], masses[i]] for i in range(len(masses))]
         _emit_rows(args, ["bin_lo", "bin_hi", "mass"], rows)
@@ -278,7 +278,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("moments", help="heterozygosity moments")
     p.add_argument("--theta", type=float, required=True)
     p.add_argument("--kmax", type=int, required=True)
-    p.add_argument("--mc-check", type=int, default=0, dest="mc_check")
+    p.add_argument("--mc-check", type=int, dest="mc_check")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_moments)
 
@@ -317,7 +317,7 @@ def build_parser() -> _Parser:
     p.add_argument("--theta", type=float, required=True)
     p.add_argument("--samples", type=int, required=True)
     what = p.add_mutually_exclusive_group()  # a histogram or one estimate
-    what.add_argument("--hist-bins", type=int, default=0, dest="hist_bins")
+    what.add_argument("--hist-bins", type=int, dest="hist_bins")
     what.add_argument("--ball", type=_ball, default=None, help="K,DELTA ball probability")
     p.add_argument("--strict", action="store_true", help="escalate ESS warnings to exit 4")
     p.add_argument("--seed", type=int, default=0)

@@ -285,8 +285,9 @@ def cached_table(theta: float, kmax: int, cols: int | None = None) -> CoeffTable
     return store["table"]
 
 
-def log_c_combined(k: int, l: int, lam: float, table: CoeffTable | None = None) -> float:
-    """log of sum_{s=0}^{k-l} binom(k,s) ((lam-l)/lam)^s A(k-s,l).
+def log_c_combined(k: int, l: int, lam: float) -> float:
+    """log of sum_{s=0}^{k-l} binom(k,s) ((lam-l)/lam)^s A(k-s,l), the
+    limit coefficients A read from the table the store holds at theta = 0.
 
     The binomial weight carries exponent s (the form consistent with the
     theta^{-(lam-l)} rescaling identity of the series it represents).
@@ -295,11 +296,7 @@ def log_c_combined(k: int, l: int, lam: float, table: CoeffTable | None = None) 
         raise DomainError(f"need 1 <= l <= k, got (k={k}, l={l})")
     if lam <= l:
         raise DomainError(f"need lam > l, got (lam={lam}, l={l})")
-    if table is None:
-        table = cached_table(0.0, k, cols=l)
-    elif not table.is_limit or table.kmax < k or table.cols < l:
-        raise DomainError("log_c_combined needs a limit table with kmax >= k and cols >= l")
-
+    table = cached_table(0.0, k, cols=l)
     s = np.arange(0, k - l + 1)
     fact = lgamma_lookup(1.0, k + 1)
     log_binom = fact[k] - fact[s] - fact[k - s]

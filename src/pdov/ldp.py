@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -119,34 +118,37 @@ def j_rate(x: Configuration) -> float:
 
 
 def _level(lam: float) -> int:
-    """The least whole u >= 1 with u(u+1) >= lam (finite lam > 0), exactly:
-    u(u+1) is whole, so it is the least with u(u+1) >= ceil(lam)."""
+    """The least whole u >= 1 with u(u+1) >= lam, exactly: u(u+1) is whole,
+    so it is the least with u(u+1) >= ceil(lam).  lam must be finite and
+    > 0; this is the one place every lam of the rate functions and phases
+    is checked, before math.ceil can raise on NaN or inf."""
+    if not 0.0 < lam < math.inf:
+        raise DomainError(f"lam must be finite and > 0, got {lam}")
     c = math.ceil(lam)
     u = (math.isqrt(4 * c + 1) - 1) // 2  # the greatest u >= 0 with u(u+1) <= c
     return u if u >= 1 and u * (u + 1) >= c else u + 1
 
 
-@lru_cache(maxsize=64)
-def _inf_exact(lam: float) -> tuple[Fraction, float, frozenset]:
-    """Exact min over integers n >= 1 of lam/n + n - 1, its nearest float,
-    and its minimizers, with lam taken at its binary-float value (memoized
-    per lam).  The objective changes by 1 - lam/(n(n+1)) from n to n + 1,
-    so it is least at u = _level(lam), and at u + 1 too where lam = u(u+1)."""
+def _inf_exact(lam: float) -> tuple[Fraction, frozenset]:
+    """Exact min over integers n >= 1 of lam/n + n - 1, and its minimizers,
+    with lam taken at its binary-float value; O(1), one isqrt and one
+    Fraction division.  The objective changes by 1 - lam/(n(n+1)) from n to
+    n + 1, so it is least at u = _level(lam), and at u + 1 too where
+    lam = u(u+1)."""
     u = _level(lam)
     best = Fraction(lam) / u + u - 1
-    return best, float(best), frozenset({u, u + 1} if u * (u + 1) == lam else {u})
+    return best, frozenset({u, u + 1} if u * (u + 1) == lam else {u})
 
 
 def inf_term(lam: float) -> tuple[float, frozenset]:
-    """min over integers n >= 1 of lam/n + n - 1, with all minimizers.
+    """min over integers n >= 1 of lam/n + n - 1 (the nearest float to the
+    exact value), with all minimizers; lam is refused by _level.
 
     Ties (the critical lam = k(k+1)) are detected exactly: lam is taken
     at its binary-float value and compared in rational arithmetic.
     """
-    if not 0.0 < lam < math.inf:
-        raise DomainError(f"lam must be finite and > 0, got {lam}")
-    _, best, argmin = _inf_exact(float(lam))
-    return best, argmin
+    best, argmin = _inf_exact(float(lam))
+    return float(best), argmin
 
 
 def s_rate(x: Configuration, lam: float) -> float | Fraction:
@@ -154,17 +156,17 @@ def s_rate(x: Configuration, lam: float) -> float | Fraction:
 
     Uniform configurations go through exact rational arithmetic (lam taken
     at its exact binary-float value) and return a Fraction, so the two-zero
-    structure at critical lam is exact; +inf off the simplex.
+    structure at critical lam is exact; +inf off the simplex.  The infimum
+    is taken first, so a bad lam is refused (by _level) on every x.
     """
-    if not 0.0 < lam < math.inf:
-        raise DomainError(f"lam must be finite and > 0, got {lam}")
+    best = _inf_exact(float(lam))[0]
     if x.uniform_k is not None:
         k = x.uniform_k
-        return (k - 1) + Fraction(lam) * Fraction(1, k) - _inf_exact(float(lam))[0]
+        return (k - 1) + Fraction(lam) * Fraction(1, k) - best
     j = j_rate(x)
     if math.isinf(j):
         return math.inf
-    return j + lam * phi2(x) - inf_term(lam)[0]
+    return j + lam * phi2(x) - float(best)
 
 
 def metric_d(x: Configuration, y: Configuration) -> float:

@@ -91,7 +91,10 @@ class H2Statistic:
 
 
 def stream(seed: int, index: int = 0) -> np.random.Generator:
-    """Counter-derived Philox stream #index under the given root seed."""
+    """Counter-derived Philox stream #index under the given root seed, a
+    Philox key: a seed outside [0, 2^128) is refused."""
+    if not 0 <= seed < 1 << 128:
+        raise DomainError(f"seed must lie in [0, 2^128), got {seed}")
     return np.random.Generator(np.random.Philox(key=seed, counter=index << 64))
 
 
@@ -120,15 +123,10 @@ def _sticks(
     return np.multiply(cum[:, :-1], u, out=u)
 
 
-def _gem_batch(
-    theta: float,
-    size: int,
-    epsilon: float,
-    rng: np.random.Generator,
-    statistic: Callable | None = None,
-):
-    """Draw `size` GEM samples, each row's sticks until its own residual is
-    below epsilon.
+def _gem_batch(theta: float, size: int, rng: np.random.Generator, statistic: Callable | None = None):
+    """Draw `size` GEM(theta) samples, each row's sticks until its own
+    residual is below epsilon = DEFAULT_EPSILON.  theta outside (0, 1] is
+    refused here, the one check of every draw's theta.
 
     A row needs 1 + Poisson(a) sticks, a = theta log(1/epsilon): with
     U ~ Beta(1, theta), -log(1 - U) is exponential of rate theta, and the
@@ -153,6 +151,9 @@ def _gem_batch(
 
     Returns (h2, residual).
     """
+    if not (0.0 < theta <= 1.0):
+        raise DomainError(f"theta must lie in (0, 1], got {theta}")
+    epsilon = DEFAULT_EPSILON
     a = theta * math.log(1.0 / epsilon)
     inv_theta = 1.0 / theta
     first = math.floor(a + 2.0 * math.sqrt(a)) + 3
@@ -198,7 +199,7 @@ def _gem_batch(
 
 
 def _draw(theta: float, n: int, seed: int, batch_statistic: Callable | None = None):
-    """Refuse n > MAX_DRAWS, then return each of n GEM draws' H2 and
+    """Refuse n outside 1..MAX_DRAWS, then return each of n GEM draws' H2 and
     batch_statistic (None without one).  Batch b holds _BATCH draws from
     stream(seed, b), whatever the statistic; sticks are kept only for it.
 
@@ -214,6 +215,8 @@ def _draw(theta: float, n: int, seed: int, batch_statistic: Callable | None = No
     the next is drawn; a batch's arrays are locals of one _gem_batch call,
     freed on its return, so one batch is alive at a time.
     """
+    if n < 1:
+        raise DomainError(f"n must be >= 1, got {n}")
     if n > MAX_DRAWS:
         raise DomainError(f"{n} draws need {8 * n / 1e9:.3g} GB per array (limit {MAX_DRAWS})")
     h2 = np.empty(n)
@@ -229,19 +232,15 @@ def _draw(theta: float, n: int, seed: int, batch_statistic: Callable | None = No
     statistic = None if batch_statistic is None else descending
     for b, lo in enumerate(range(0, n, _BATCH)):
         size = min(_BATCH, n - lo)
-        h2[lo : lo + size], _ = _gem_batch(theta, size, DEFAULT_EPSILON, stream(seed, b), statistic)
+        h2[lo : lo + size], _ = _gem_batch(theta, size, stream(seed, b), statistic)
     return h2, f
 
 
-def sample_gem(theta: float, epsilon: float = DEFAULT_EPSILON, *, seed: int) -> GemSample:
-    """One truncated GEM draw from stream(seed); sticks until the residual
-    mass < epsilon."""
-    if not (0.0 < theta <= 1.0):
-        raise DomainError(f"theta must lie in (0, 1], got {theta}")
-    if not (0.0 < epsilon < 1.0):
-        raise DomainError(f"epsilon must lie in (0, 1), got {epsilon}")
+def sample_gem(theta: float, *, seed: int) -> GemSample:
+    """One truncated GEM(theta) draw from stream(seed): sticks until the
+    residual mass < DEFAULT_EPSILON (theta is checked by _gem_batch)."""
     kept = []  # the one draw's sticks, in draw order, as it ends
-    _, residual = _gem_batch(theta, 1, epsilon, stream(seed),
+    _, residual = _gem_batch(theta, 1, stream(seed),
                              lambda sticks, rows, _: kept.extend(sticks[rows]))
     return GemSample(theta=theta, weights=kept[0], residual=float(residual[0]))
 

@@ -135,9 +135,8 @@ def beta_factor(k: int, l: int, theta: float) -> float:
 
 
 def mc_moment_oracle(theta: float, k: int, n: int, seed: int) -> mc.TiltedEstimate:
-    """Sample mean of (1-H2)^k over n independent GEM draws."""
-    if not (0.0 < theta <= 1.0):
-        raise DomainError(f"theta must lie in (0, 1], got {theta}")
+    """Sample mean of (1-H2)^k over n independent GEM draws (theta is
+    checked where they are drawn)."""
     if n < 1000:
         raise DomainError(f"n must be >= 1000, got {n}")
     if k < 1:

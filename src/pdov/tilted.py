@@ -144,19 +144,13 @@ def _more_terms(x: float, k_last: int, log_peaks: np.ndarray, log_caps: np.ndarr
     DEFAULT_RTOL then meets with room to spare.  A series' largest term only
     grows with more terms and its cap does not, so the count never
     overshoots once the terms held include each series' largest.  The
-    bounds are searched in windows from lo that double until one holds
-    every answer, so the log k! lookup grows only as far as the count needs.
+    bounds are searched over [lo, lo + 2 k_last + 3) at once.
     """
     lo = max(k_last, math.floor(x) - 1)  # k + 2 > x from here on: the bound falls in k
-    span = 2 * k_last + 3
+    k = np.arange(lo, lo + 2 * k_last + 3, dtype=float)
     allowance = math.log(DEFAULT_RTOL / 2) + log_peaks - log_caps
-    width = min(span, 64)
-    while True:
-        k = np.arange(lo, lo + width, dtype=float)
-        need = np.searchsorted(-_log_tail(x, k, 0.0), -allowance).max()
-        if need < width or width == span:
-            return int(k[min(need, width - 1)]) - k_last
-        width = min(2 * width, span)
+    need = np.searchsorted(-_log_tail(x, k, 0.0), -allowance).max()
+    return int(k[min(need, len(k) - 1)]) - k_last
 
 
 def _bulk_terms(x: float) -> int:
@@ -361,10 +355,9 @@ def classify_phase(lam: float) -> PhaseResult:
 
     Critical values lam = u(u+1) belong to phase u (closed right
     endpoint): the tie between the two candidate series bases is broken
-    by the polynomial prefactor, which favors the smaller level.
+    by the polynomial prefactor, which favors the smaller level.  lam must
+    be finite and > 0 (refused by ldp._level).
     """
-    if not 0.0 < lam < math.inf:
-        raise DomainError(f"lam must be finite and > 0, got {lam}")
     return PhaseResult(lam, ldp._level(lam))
 
 

@@ -165,6 +165,48 @@ def test_malformed_values_exit_usage(capsys, argv):
     assert out == "" and "error: argument" in err and "Traceback" not in err
 
 
+# each subcommand's minimal valid arguments, and the numeric options set to a
+# bad value against them; --ball takes its K and its DELTA in turn
+BAD_VALUE_BASES = [
+    (("coeffs", "--kmax", "2"), ("--theta", "--kmax")),
+    (("moments", "--theta", "0.5", "--kmax", "1"), ("--theta", "--kmax", "--mc-check")),
+    (("moments", "--theta", "0.5", "--kmax", "1", "--mc-check", "1000"), ("--seed",)),
+    (("kn", "--lambda", "6", "--n", "1", "--theta", "0.1"), ("--lambda", "--n", "--theta")),
+    (("mgf", "--lambda", "6", "--theta", "0.1", "--t", "1"), ("--lambda", "--theta", "--t")),
+    (("phase", "--lambda-min", "1", "--lambda-max", "2", "--step", "0.5"),
+     ("--lambda-min", "--lambda-max", "--step")),
+    (("tails", "--lambda", "6", "--theta", "0.1"), ("--lambda", "--theta")),
+    (("rate", "--lambda", "6", "--uniform", "2"), ("--lambda", "--uniform")),
+    (("rate", "--lambda", "6"), ("--config",)),
+    (("sample", "--lambda", "6", "--theta", "0.5", "--samples", "1000"),
+     ("--lambda", "--theta", "--samples", "--seed", "--ball K", "--ball DELTA")),
+    (("sample", "--lambda", "6", "--theta", "0.5", "--samples", "10000"), ("--hist-bins",)),
+    (("verify", "--suite", "inclusion"), ("--seed",)),
+]
+BAD_VALUES = {"-1": "-1", "nan": "nan", "inf": "inf", "2^130": str(2**130)}
+
+
+def bad_value_cases():
+    for base, options in BAD_VALUE_BASES:
+        for option in options:
+            for name, bad in BAD_VALUES.items():
+                flag, _, field = option.partition(" ")
+                value = {"K": f"{bad},0.1", "DELTA": f"1,{bad}"}.get(field, bad)
+                argv = list(base)
+                if flag in argv:
+                    argv[argv.index(flag) + 1] = value
+                else:
+                    argv += [flag, value]
+                yield pytest.param(argv, id=f"{base[0]} {option}={name}")
+
+
+@pytest.mark.parametrize("argv", bad_value_cases())
+def test_bad_values_exit_with_a_code_not_a_traceback(capsys, argv):
+    # -1, nan, inf or 2^130 in any numeric option: an answer, a usage error
+    # or a domain error, never an exception out of main
+    assert run(capsys, *argv)[0] in (0, 1, 2)
+
+
 def test_exit_domain(capsys):
     for argv in (
         ("moments", "--theta", "1.5", "--kmax", "2"),
@@ -179,6 +221,9 @@ def test_exit_domain(capsys):
         ("rate", "--lambda", "inf", "--uniform", "2"),
         # every importance weight theta^(lam H2) underflows to 0
         ("sample", "--lambda", "6", "--theta", "1e-300", "--samples", "1000"),
+        # a count of 0 is refused, not taken for the flag left out
+        ("sample", "--lambda", "6", "--theta", "0.5", "--samples", "10000", "--hist-bins", "0"),
+        ("moments", "--theta", "0.5", "--kmax", "1", "--mc-check", "0"),
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2

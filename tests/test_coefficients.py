@@ -151,10 +151,6 @@ def test_column_truncated_table_domain_errors():
     small = coefs.build_coeff_table(0.5, 3)
     assert np.array_equal(moments.log_moments_from_table(table, 3),
                           moments.log_moments_from_table(small, 3))
-    limit = coefs.build_coeff_table(0.0, 16, cols=2)
-    assert coefs.log_c_combined(8, 2, 6.0, table=limit) == coefs.log_c_combined(8, 2, 6.0)
-    with pytest.raises(DomainError):
-        coefs.log_c_combined(8, 3, 6.0, table=limit)  # column 3 not built
 
 
 def test_asymptotic_A_accuracy_at_k400():
@@ -171,7 +167,7 @@ def test_c_combined_two_term():
 
 def test_c_combined_degenerate_k_equals_l():
     table = coefs.cached_table(0.0, 16)
-    got = coefs.log_c_combined(3, 3, 7.0, table=table)
+    got = coefs.log_c_combined(3, 3, 7.0)
     assert got == pytest.approx(table.log_entry(3, 3), abs=1e-12)
 
 

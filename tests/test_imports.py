@@ -1,8 +1,8 @@
 """Every name a pdov module imports is read in it or listed in its __all__,
 every private module-level helper is referred to outside its own
 definition, every log-gamma is read from coefficients.lgamma_lookup,
-functools caches sit only on coefficients._store and ldp._inf_exact, and
-no module imports threading or collections.OrderedDict."""
+the one functools cache sits on coefficients._store, and no module
+imports threading or collections.OrderedDict."""
 
 import ast
 from pathlib import Path
@@ -176,8 +176,9 @@ def test_cache_sites_are_found():
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_caches_only_on_the_store_and_inf_exact(path):
+    # (the name is kept for its test ids: ldp._inf_exact holds no cache)
     # every per-theta run belongs in coefficients._store, under its one bound
-    allowed = {"coefficients.py": ["_store"], "ldp.py": ["_inf_exact"]}
+    allowed = {"coefficients.py": ["_store"]}
     assert cache_sites(path.read_text()) == allowed.get(path.name, [])
 
 

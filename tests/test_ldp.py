@@ -178,6 +178,13 @@ def test_infinite_lambda_refused():
         ldp.s_rate(ldp.uniform_config(2), math.inf)
 
 
+@pytest.mark.parametrize("lam", [-1.0, math.nan, math.inf])
+def test_s_rate_refuses_lambda_off_the_simplex_too(lam):
+    # the infimum is taken, and lam refused, before the off-simplex +inf
+    with pytest.raises(DomainError, match="lam must be finite and > 0"):
+        ldp.s_rate(cfg(0.4, 0.3), lam)
+
+
 def test_rate_domain_errors():
     with pytest.raises(DomainError):
         ldp.rate_I1(-0.5, 0.5)

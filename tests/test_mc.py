@@ -42,7 +42,7 @@ def test_gem_batch_invariants(theta):
         calls.append((sticks.shape, sticks.flags.c_contiguous, at))
         valued.extend(zip(at.tolist(), sticks[rows]))
 
-    h2, residual = mc._gem_batch(theta, mc._BATCH, eps, mc.stream(5, 0), keep)
+    h2, residual = mc._gem_batch(theta, mc._BATCH, mc.stream(5, 0), keep)
     # each first-block chunk is valued as it is drawn, at most _ROWS rows
     # exactly the first block wide; then the late rows' own matrix, which
     # starts with their first block and grows by whole blocks
@@ -86,7 +86,7 @@ def test_stick_cap_refuses(monkeypatch):
     a = math.log(1.0 / mc.DEFAULT_EPSILON)
     monkeypatch.setattr(mc, "STICK_CAP", math.floor(a + 2.0 * math.sqrt(a)) + 2)
     with pytest.raises(DomainError, match="stick count exceeded"):
-        mc._gem_batch(1.0, mc._BATCH, mc.DEFAULT_EPSILON, mc.stream(5, 0))
+        mc._gem_batch(1.0, mc._BATCH, mc.stream(5, 0))
 
 
 def test_small_theta_first_stick_dominates():
@@ -315,11 +315,18 @@ def test_domain_errors():
     with pytest.raises(DomainError):
         mc.sample_gem(0.0, seed=1)
     with pytest.raises(DomainError):
-        mc.sample_gem(0.5, epsilon=0.0, seed=1)
-    with pytest.raises(DomainError):
         mc.ball_probability(SelectionSpec(2.0, 0.5), k=0, delta=0.2, n=10**4, seed=1)
     with pytest.raises(DomainError):
         mc.homozygosity_histogram(SelectionSpec(2.0, 0.5), n=100, bins=5, seed=1)
+    for theta in (0.0, -0.5, math.nan, 2.0):  # refused where every draw is made
+        with pytest.raises(DomainError, match="theta must lie in"):
+            mc.h2_samples(theta, 1000, seed=1)
+    for n in (0, -3):
+        with pytest.raises(DomainError, match="n must be >= 1"):
+            mc.h2_samples(0.5, n, seed=1)
+    for seed in (-1, 1 << 128, 1 << 130):  # not a Philox key
+        with pytest.raises(DomainError, match="seed must lie in"):
+            mc.stream(seed)
 
 
 def test_histogram_bins_are_refused_before_any_draw(monkeypatch):
@@ -359,7 +366,7 @@ def _serial_sorted_batches(theta, n, seed):
             for i, row in zip(at.tolist(), -np.sort(-sticks[rows], axis=1)):
                 kept[i] = row
 
-        h2, _ = mc._gem_batch(theta, size, mc.DEFAULT_EPSILON, mc.stream(seed, b), keep)
+        h2, _ = mc._gem_batch(theta, size, mc.stream(seed, b), keep)
         yield h2, kept
 
 

@@ -263,16 +263,7 @@ def test_tail_bound_holds_one_table_and_computes_no_row_twice(monkeypatch):
         coefs._store.cache_clear()
 
 
-def _more_terms_over_the_whole_range(x, k_last, log_peaks, log_caps):
-    """The count searched over all of [lo, lo + 2 k_last + 3) at once."""
-    lo = max(k_last, math.floor(x) - 1)
-    k = np.arange(lo, lo + 2 * k_last + 3, dtype=float)
-    allowance = math.log(tilted.DEFAULT_RTOL / 2) + log_peaks - log_caps
-    need = np.searchsorted(-tilted._log_tail(x, k, 0.0), -allowance).max()
-    return int(k[min(need, len(k) - 1)]) - k_last
-
-
-def test_more_terms_in_doubling_windows_matches_the_whole_range():
+def test_more_terms_is_the_fewest_that_bound_every_tail():
     rng = np.random.default_rng(3)
     answers = set()
     for _ in range(400):
@@ -281,9 +272,18 @@ def test_more_terms_in_doubling_windows_matches_the_whole_range():
         peaks = rng.normal(x, 30.0, 3)
         caps = rng.normal(0.0, 5.0, 3)
         got = tilted._more_terms(x, k_last, peaks, caps)
-        assert got == _more_terms_over_the_whole_range(x, k_last, peaks, caps)
-        lo = max(k_last, math.floor(x) - 1)
-        answers.add("none" if got == lo - k_last else "all" if got == lo + k_last + 2 else "some")
+        allowance = math.log(tilted.DEFAULT_RTOL / 2) + peaks - caps
+
+        def holds(k):  # every series' tail bound past k within its allowance
+            return np.all(tilted._log_tail(x, np.array([float(k)]), 0.0) <= allowance)
+
+        lo, k = max(k_last, math.floor(x) - 1), k_last + got
+        last = lo + 2 * k_last + 2
+        assert lo <= k <= last
+        # the bound holds at k and fails one term earlier, bar the search's ends
+        assert holds(k) or k == last
+        assert k == lo or not holds(k - 1)
+        answers.add("none" if k == lo else "all" if k == last else "some")
     assert answers == {"none", "some", "all"}  # certified at once, inside, and at the end
 
 
