@@ -169,6 +169,9 @@ def cmd_mgf(args) -> int:
 
 
 def cmd_phase(args) -> int:
+    if not -math.inf < args.lambda_min <= args.lambda_max < math.inf:
+        raise DomainError(f"lambda range [{args.lambda_min}, {args.lambda_max}] "
+                          "is empty or not finite")
     if not (args.step > 0.0 and (args.lambda_max - args.lambda_min) / args.step < MAX_PHASE_ROWS):
         raise DomainError(f"step {args.step} is <= 0 or makes more than {MAX_PHASE_ROWS} rows")
     rows = []

@@ -21,7 +21,7 @@ the only path to the rational values of uniform configurations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -59,15 +59,16 @@ class Configuration:
 
     uniform_k marks the exact k-uniform configuration (1/k, ..., 1/k),
     which unlocks the rational-arithmetic path of s_rate; validation
-    refuses it on any other entries.
+    refuses it on any other entries.  validate=False skips the checks; it
+    is no field, so it takes no part in equality, hash or repr.
     """
 
     entries: tuple
     uniform_k: int | None = None
-    validate: bool = True
+    validate: InitVar[bool] = True
 
-    def __post_init__(self):
-        if self.validate:
+    def __post_init__(self, validate: bool):
+        if validate:
             e = self.entries
             if any(not v >= 0.0 for v in e):  # NaN fails too
                 raise DomainError("configuration entries must be nonnegative")
@@ -92,6 +93,21 @@ class Configuration:
 
     def on_simplex(self) -> bool:
         return abs(self.total_mass - 1.0) <= MASS_TOL
+
+
+def _unchecked(entries: tuple) -> Configuration:
+    """Configuration(entries) built without the dataclass __init__ or
+    __post_init__: object.__new__ and the instance dict.  Only for entries
+    that pass validation by construction, such as a draw's positive sticks
+    sorted descending: nonnegative, descending, and of mass 1 - residual,
+    up to rounding far inside MASS_TOL.  There the checks would cost more
+    than the statistic valued on them.  Equal to, and hashed as,
+    Configuration(entries)."""
+    config = object.__new__(Configuration)
+    fields = config.__dict__
+    fields["entries"] = entries
+    fields["uniform_k"] = None
+    return config
 
 
 def uniform_config(k: int) -> Configuration:

@@ -33,7 +33,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError
-from .ldp import _ROWS, Configuration, _rounded_sum, _split_sums, phi2
+from .ldp import _ROWS, Configuration, _rounded_sum, _split_sums, _unchecked, phi2
 from .model import SelectionSpec
 
 __all__ = [
@@ -50,9 +50,9 @@ __all__ = [
 
 DEFAULT_EPSILON = 1e-8
 ESS_WARN_THRESHOLD = 50.0
-STICK_CAP = 10**7
 _BATCH = 1 << 14
 _BLOCK = 16  # sticks of each block after a row's first
+_LISTED = 128  # rows listed at once to value a generic statistic: bounds the Python floats alive
 MAX_DRAWS = 10**8  # an estimate holds a few n-long float arrays
 MAX_HIST_BINS = 10**6  # a histogram holds one edge and one mass per bin
 H2_CACHE_BYTES = 256 << 20  # the largest h2 array h2_samples holds
@@ -128,9 +128,9 @@ def _gem_batch(theta: float, size: int, rng: np.random.Generator, statistic: Cal
     residual is below epsilon = DEFAULT_EPSILON.  theta outside (0, 1] is
     refused here, the one check of every draw's theta.
 
-    A row needs 1 + Poisson(a) sticks, a = theta log(1/epsilon): with
-    U ~ Beta(1, theta), -log(1 - U) is exponential of rate theta, and the
-    residual passes epsilon at the first arrival past log(1/epsilon).  So
+    A row needs 1 + Poisson(a) sticks, a = theta log(1/epsilon) <= 18.4:
+    with U ~ Beta(1, theta), -log(1 - U) is exponential of rate theta, and
+    the residual passes epsilon at the first arrival past log(1/epsilon).  So
     every row gets a first block of floor(a + 2 sqrt(a)) + 3 sticks, which
     leaves ~1-2% of rows at or above epsilon, the late rows, and blocks of
     _BLOCK sticks then go to those rows alone.  Each block is drawn in row
@@ -164,11 +164,6 @@ def _gem_batch(theta: float, size: int, rng: np.random.Generator, statistic: Cal
     tail = []  # the late rows' first blocks, then their whole sticks
     col, width = 0, first
     while rows.size:
-        if col > STICK_CAP:
-            raise DomainError(
-                f"stick count exceeded {STICK_CAP} before residual < {epsilon}; "
-                "pathological (theta, epsilon) combination"
-            )
         if statistic and col:  # one more block of the late rows' own matrix
             tail = np.concatenate([tail, np.zeros((late.size, _BLOCK))], axis=1)
         for start in range(0, rows.size, _ROWS):
@@ -306,7 +301,10 @@ def tilted_estimate(
     Proposal PD(theta), weight w = exp(sigma * H2) = theta^(lam * H2),
     bounded in [theta^lam, 1].  Statistics wrapped as H2Statistic use the
     vectorized H2 path; arbitrary Configuration statistics are evaluated
-    sample by sample, on the positive sorted sticks as Python floats.
+    sample by sample, on the positive sorted sticks as Python floats, each
+    in a Configuration built unchecked (ldp._unchecked): the sticks of
+    _LISTED rows at a time are listed by one tolist call and each draw
+    takes its slice of that list.
     """
     if n < 1000:
         raise DomainError(f"n must be >= 1000, got {n}")
@@ -316,12 +314,16 @@ def tilted_estimate(
         return _weighted_estimate(f, _weights(spec, h2))
 
     def per_draw(ordered: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        # sorted descending, so each row's positive sticks lead it
-        counts = np.count_nonzero(ordered > 0.0, axis=1).tolist()
+        # sorted descending, so each row's positive sticks lead it, and the
+        # positive sticks of a block of rows, in row order, are its draws' in turn
         out = np.empty(len(rows))
-        for j, i in enumerate(rows.tolist()):
-            entries = tuple(ordered[i, : counts[i]].tolist())
-            out[j] = statistic(Configuration(entries=entries, validate=False))
+        for lo in range(0, len(rows), _LISTED):
+            block = ordered[rows[lo : lo + _LISTED]]
+            positive = block > 0.0
+            sticks = tuple(block[positive].tolist())
+            ends = np.cumsum(np.count_nonzero(positive, axis=1)).tolist()
+            out[lo : lo + _LISTED] = [statistic(_unchecked(sticks[start:end]))
+                                      for start, end in zip([0, *ends], ends)]
         return out
 
     h2, f = _draw(spec.theta, n, seed, per_draw)

@@ -224,6 +224,13 @@ def test_exit_domain(capsys):
         # a count of 0 is refused, not taken for the flag left out
         ("sample", "--lambda", "6", "--theta", "0.5", "--samples", "10000", "--hist-bins", "0"),
         ("moments", "--theta", "0.5", "--kmax", "1", "--mc-check", "0"),
+        # an empty or non-finite lambda range, not a header alone
+        ("phase", "--lambda-min", "1", "--lambda-max", "-1", "--step", "0.5"),
+        ("phase", "--lambda-min", "inf", "--lambda-max", "2", "--step", "0.5"),
+        ("phase", "--lambda-min", str(2.0**130), "--lambda-max", "2", "--step", "0.5"),
+        ("phase", "--lambda-min=-inf", "--lambda-max", "2", "--step", "0.5"),
+        ("phase", "--lambda-min", "1", "--lambda-max", "inf", "--step", "0.5"),
+        ("phase", "--lambda-min", "nan", "--lambda-max", "2", "--step", "0.5"),
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2

@@ -210,6 +210,14 @@ def test_configuration_validation():
         ldp.Configuration((0.5, 0.5), uniform_k=5)
 
 
+def test_validation_flag_takes_no_part_in_equality():
+    checked = ldp.Configuration((0.5,))
+    unchecked = ldp.Configuration((0.5,), validate=False)
+    assert checked == unchecked and hash(checked) == hash(unchecked)
+    assert repr(checked) == repr(unchecked)
+    assert ldp._unchecked((0.5,)) == checked and hash(ldp._unchecked((0.5,))) == hash(checked)
+
+
 def test_uniform_config_refuses_more_than_max_entries():
     start = time.perf_counter()
     for k in (ldp.MAX_UNIFORM_K + 1, 10**12):

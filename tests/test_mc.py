@@ -81,14 +81,6 @@ def test_gem_batch_invariants(theta):
         assert drawn.mean() < 2.0 * (1.0 + a)
 
 
-def test_stick_cap_refuses(monkeypatch):
-    # at theta = 1 some rows of a batch are still above epsilon after the first block
-    a = math.log(1.0 / mc.DEFAULT_EPSILON)
-    monkeypatch.setattr(mc, "STICK_CAP", math.floor(a + 2.0 * math.sqrt(a)) + 2)
-    with pytest.raises(DomainError, match="stick count exceeded"):
-        mc._gem_batch(1.0, mc._BATCH, mc.stream(5, 0))
-
-
 def test_small_theta_first_stick_dominates():
     # U_1 ~ Beta(1, theta) has mean 1/(1+theta); at theta = 0.01 the first
     # stick carries nearly everything
@@ -431,6 +423,30 @@ def test_generic_statistic_is_valued_once_per_draw_on_its_whole_sticks():
     assert Counter(calls) == Counter(want)
     assert Counter(map(len, calls)) == Counter(map(len, want))
     assert max(map(len, want)) > 30  # some draws are late: the first block holds 30 sticks
+
+
+@pytest.mark.parametrize("theta", [0.1, 1.0])
+def test_generic_statistic_receives_configurations_equal_to_validated_ones(theta):
+    # the generic path builds each Configuration unchecked: it must be one a
+    # validated construction gives, first-block and late draws alike
+    a = theta * math.log(1.0 / mc.DEFAULT_EPSILON)
+    first = math.floor(a + 2.0 * math.sqrt(a)) + 3
+    seen = []
+
+    def stat(config):
+        seen.append(config)
+        return 0.0
+
+    mc.tilted_estimate(SelectionSpec(2.0, theta), stat, n=mc._BATCH + 5, seed=5)
+    assert len(seen) == mc._BATCH + 5
+    assert max(len(c.entries) for c in seen) > first  # late draws are among them
+    for config in seen:
+        assert type(config) is ldp.Configuration
+        assert type(config.entries) is tuple
+        assert all(type(v) is float for v in config.entries)
+        assert config.uniform_k is None
+        checked = ldp.Configuration(config.entries)
+        assert config == checked and hash(config) == hash(checked)
 
 
 def _generic_stat(config):
