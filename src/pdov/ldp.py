@@ -21,7 +21,7 @@ the only path to the rational values of uniform configurations.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -59,27 +59,24 @@ class Configuration:
 
     uniform_k marks the exact k-uniform configuration (1/k, ..., 1/k),
     which unlocks the rational-arithmetic path of s_rate; validation
-    refuses it on any other entries.  validate=False skips the checks; it
-    is no field, so it takes no part in equality, hash or repr.
+    refuses it on any other entries.
     """
 
     entries: tuple
     uniform_k: int | None = None
-    validate: InitVar[bool] = True
 
-    def __post_init__(self, validate: bool):
-        if validate:
-            e = self.entries
-            if any(not v >= 0.0 for v in e):  # NaN fails too
-                raise DomainError("configuration entries must be nonnegative")
-            if any(e[i] < e[i + 1] for i in range(len(e) - 1)):
-                raise DomainError("configuration entries must be descending")
-            if self.total_mass > 1.0 + MASS_TOL:
-                raise DomainError(f"total mass {self.total_mass} exceeds 1")
-            k = self.uniform_k
-            if k is not None and not (isinstance(k, int) and k >= 1
-                                      and len(e) == k and e.count(1.0 / k) == k):
-                raise DomainError(f"entries are not the {k}-uniform configuration")
+    def __post_init__(self):
+        e = self.entries
+        if any(not v >= 0.0 for v in e):  # NaN fails too
+            raise DomainError("configuration entries must be nonnegative")
+        if any(e[i] < e[i + 1] for i in range(len(e) - 1)):
+            raise DomainError("configuration entries must be descending")
+        if self.total_mass > 1.0 + MASS_TOL:
+            raise DomainError(f"total mass {self.total_mass} exceeds 1")
+        k = self.uniform_k
+        if k is not None and not (isinstance(k, int) and k >= 1
+                                  and len(e) == k and e.count(1.0 / k) == k):
+            raise DomainError(f"entries are not the {k}-uniform configuration")
 
     @property
     def total_mass(self) -> float:

@@ -210,12 +210,11 @@ def test_configuration_validation():
         ldp.Configuration((0.5, 0.5), uniform_k=5)
 
 
-def test_validation_flag_takes_no_part_in_equality():
-    checked = ldp.Configuration((0.5,))
-    unchecked = ldp.Configuration((0.5,), validate=False)
-    assert checked == unchecked and hash(checked) == hash(unchecked)
-    assert repr(checked) == repr(unchecked)
-    assert ldp._unchecked((0.5,)) == checked and hash(ldp._unchecked((0.5,))) == hash(checked)
+def test_unchecked_configuration_equals_the_validated_one():
+    checked, unchecked = ldp.Configuration((0.5, 0.25)), ldp._unchecked((0.5, 0.25))
+    assert type(unchecked) is ldp.Configuration
+    assert unchecked == checked and hash(unchecked) == hash(checked)
+    assert repr(unchecked) == repr(checked)
 
 
 def test_uniform_config_refuses_more_than_max_entries():
@@ -248,7 +247,7 @@ def _bits(values):
 
 def _assert_rows_match_scalar(x):
     """Every row form equals its scalar form on each row, bit for bit."""
-    configs = [ldp.Configuration(entries=tuple(row.tolist()), validate=False) for row in x]
+    configs = [ldp.Configuration(tuple(row.tolist())) for row in x]
     assert np.array_equal(_bits(ldp.phi2_rows(x)), _bits([ldp.phi2(c) for c in configs]))
     assert np.array_equal(_bits(ldp.total_mass_rows(x)), _bits([c.total_mass for c in configs]))
     assert np.array_equal(_bits(ldp.j_rate_rows(x)), _bits([ldp.j_rate(c) for c in configs]))
@@ -356,7 +355,7 @@ def _perturbed_configs_scalar(n_parts, count, rng):
         draws = rng.dirichlet(np.full(n_parts, alpha), size=per)
         draws = -np.sort(-draws, axis=1)
         for row in draws:
-            out.append(ldp.Configuration(entries=tuple(row.tolist()), validate=False))
+            out.append(ldp.Configuration(tuple(row.tolist())))
     return out
 
 

@@ -468,7 +468,7 @@ def serial_reference(request):
     for h2, rows in _serial_sorted_batches(theta, SERIAL_N, seed=5):
         h2_parts.append(h2)
         balls.append((_each(distance, rows) < 0.2).astype(float))
-        stats.append([_generic_stat(ldp.Configuration(tuple(row[row > 0.0]), validate=False))
+        stats.append([_generic_stat(ldp.Configuration(tuple(row[row > 0.0])))
                       for row in rows])
     h2 = np.concatenate(h2_parts)
     w = np.exp(spec.sigma * h2)
