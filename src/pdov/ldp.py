@@ -15,7 +15,8 @@ bit for bit: a sum of entries or of squares is rounded once, as math.fsum
 rounds it (by a split sum, and by math.fsum itself on the rare row the
 split sum cannot certify), and the metric's terms are added left to right,
 as its loop adds them.  The scalar forms stay the exact reference, and
-the only path to the rational values of uniform configurations.
+the only path to the rational values of uniform configurations.  mc rounds
+its draws' H2 by the same split sum, a chunk at a time, with no math.fsum.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ MASS_TOL = 1e-12
 MAX_UNIFORM_K = 10**6  # one entry per allele, 8 bytes each
 # (x + g) - g rounds x to a multiple of 2^-40 for x in [0, 1] (hi), of 2^-80 for |x| <= 2^-41 (mid)
 _GRID_HI, _GRID_MID = 2.0**12, 1.5 * 2.0**-28
-_ROWS = 1 << 11  # rows rounded (and drawn and valued, in mc) at once: temporaries stay in cache
 
 
 @dataclass(frozen=True)
@@ -220,20 +220,16 @@ def _rounded_sum(hi: np.ndarray, mid: np.ndarray, lo: np.ndarray) -> np.ndarray:
     as math.fsum rounds the entries it sums: the exact hi + mid as s + e,
     then e + lo as t + f, and a tie in s + t broken by the sign of f, as in
     math.fsum.  This needs the sum far from a rounding boundary, as
-    measured in lo's own rounding (see _fsum_rows); _ROWS entries at a time."""
-    out = np.empty_like(hi)
-    for i in range(0, len(hi), _ROWS):
-        c = slice(i, i + _ROWS)
-        s = hi[c] + mid[c]
-        e = (hi[c] - s) + mid[c]
-        t = e + lo[c]
-        z = t - e
-        f = (e - (t - z)) + (lo[c] - z)
-        r = s + t
-        half = 2.0 * (t - (r - s))  # twice the rounding error of s + t
-        tie = (half * np.sign(f) > 0.0) & ((r + half) - r == half)
-        out[c] = np.where(tie, r + half, r)
-    return out
+    measured in lo's own rounding (see _fsum_rows)."""
+    s = hi + mid
+    e = (hi - s) + mid
+    t = e + lo
+    z = t - e
+    f = (e - (t - z)) + (lo - z)
+    r = s + t
+    half = 2.0 * (t - (r - s))  # twice the rounding error of s + t
+    tie = (half * np.sign(f) > 0.0) & ((r + half) - r == half)
+    return np.where(tie, r + half, r)
 
 
 def _fsum_rows(v: np.ndarray) -> np.ndarray:

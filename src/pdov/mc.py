@@ -10,16 +10,16 @@ drawn, before the next is drawn.
 Beta(1,theta) sticks come from the exact inverse CDF U = 1-(1-V)^{1/theta}.
 Each draw takes sticks until its own residual mass is below epsilon: a
 first block sized from the Poisson law of the sticks it needs, then short
-blocks for the draws still above epsilon alone, the late draws (~0.3-2%).
-A statistic that needs the sticks gets each _ROWS-row chunk of a batch's
-first block as it is drawn, in the sampler's work buffer, then the late
-draws' whole sticks in a small matrix of their own, each C-contiguous,
-sorted descending in place and owned by the statistic, which values each
-draw once, on all its sticks (see _draw); no batch-sized stick matrix is
-formed.  A draw's H2, the split sum of
-its squared sticks, is ldp.phi2 of the draw on every row whose exact sum is
-not within the split sum's own rounding of a tie; no sticks are kept to
-re-sum such a row (test_row_sums_equal_fsum_where_the_split_sum_is_not_certified).
+blocks for the draws still above epsilon alone, the late draws (~0.3-2%),
+which fill a small matrix of their own.  Each draw is finished once, when
+it ends, on all its sticks: in its _ROWS-row chunk of the first block as
+that is drawn, or in the late draws' matrix at the end of the batch; no
+batch-sized stick matrix is formed (see _gem_batch).  A draw's H2, the
+split sum of its whole squared sticks rounded once, is ldp.phi2 of the
+draw on every row whose exact sum is not within the split sum's own
+rounding of a tie (test_row_sums_equal_fsum_where_the_split_sum_is_not_certified).
+Such a row could be summed again, as ldp._fsum_rows does, but only at the
+cost of certifying every chunk.
 h2_samples holds one array: the H2 of the last (theta, n, seed) drawn.
 """
 
@@ -33,7 +33,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError
-from .ldp import _ROWS, Configuration, _rounded_sum, _split_sums, _unchecked, phi2
+from .ldp import Configuration, _rounded_sum, _split_sums, _unchecked, phi2
 from .model import SelectionSpec
 
 __all__ = [
@@ -52,6 +52,7 @@ DEFAULT_EPSILON = 1e-8
 ESS_WARN_THRESHOLD = 50.0
 _BATCH = 1 << 14
 _BLOCK = 16  # sticks of each block after a row's first
+_ROWS = 1 << 11  # rows drawn and finished at once: temporaries stay in cache
 _LISTED = 128  # rows listed at once to value a generic statistic: bounds the Python floats alive
 MAX_DRAWS = 10**8  # an estimate holds a few n-long float arrays
 MAX_HIST_BINS = 10**6  # a histogram holds one edge and one mass per bin
@@ -99,17 +100,21 @@ def stream(seed: int, index: int = 0) -> np.random.Generator:
 
 
 def _sticks(
-    rng: np.random.Generator, prefix: np.ndarray, inv_theta: float, u: np.ndarray, cum: np.ndarray
+    rng: np.random.Generator, prefix: np.ndarray, inv_theta: float, width: int, work: np.ndarray
 ) -> np.ndarray:
-    """The next sticks of each row whose mass left is `prefix`, one row of
-    the stream per row, into the C-contiguous buffer u (rows x width), which
-    is returned; `prefix` is overwritten with the mass left after them.
+    """The next `width` sticks of each row whose mass left is `prefix`, one
+    row of the stream per row, as a C-contiguous view of work[0] (rows x
+    width); `prefix` is overwritten with the mass left after them.
 
-    cum (rows x width+1) is a buffer too.  cum[:, j] is the mass left
-    before stick j: the prefix times (1 - U) = (1 - V)^(1/theta) of each
-    stick before it, a running product taken column by column (cumprod's
-    products, in its order); stick j is cum[:, j] U_j.
+    cum, a view of work[1] (rows x width+1), is a buffer too.  cum[:, j]
+    is the mass left before stick j: the prefix times
+    (1 - U) = (1 - V)^(1/theta) of each stick before it, a running product
+    taken column by column (cumprod's products, in its order); stick j is
+    cum[:, j] U_j.
     """
+    m = len(prefix)
+    u = work[0, : m * width].reshape(m, width)
+    cum = work[1, : m * (width + 1)].reshape(m, width + 1)
     rng.random(out=u)
     cum[:, 0] = prefix
     rest = cum[:, 1:]
@@ -117,7 +122,7 @@ def _sticks(
     if inv_theta != 1.0:  # x ** 1.0 is x
         rest **= inv_theta
     np.subtract(1.0, rest, out=u)
-    for j in range(u.shape[1]):
+    for j in range(width):
         np.multiply(cum[:, j], cum[:, j + 1], out=cum[:, j + 1])
     prefix[:] = cum[:, -1]
     return np.multiply(cum[:, :-1], u, out=u)
@@ -133,21 +138,21 @@ def _gem_batch(theta: float, size: int, rng: np.random.Generator, statistic: Cal
     the residual passes epsilon at the first arrival past log(1/epsilon).  So
     every row gets a first block of floor(a + 2 sqrt(a)) + 3 sticks, which
     leaves ~1-2% of rows at or above epsilon, the late rows, and blocks of
-    _BLOCK sticks then go to those rows alone.  Each block is drawn in row
-    order, _ROWS rows at a time; which rows draw on follows from the
-    stream, so one stream fixes every draw.
+    _BLOCK sticks then go to those rows alone, straight into their own
+    matrix.  Each block is drawn in row order, _ROWS rows at a time; which
+    rows draw on follows from the stream, so one stream fixes every draw.
 
-    Each H2 is the split sum of its row's squared sticks, whatever their
-    order; see the module docstring for where it may differ from ldp.phi2.
+    Each draw is finished once, when it ends: in its chunk as that is
+    drawn, or in the late rows' matrix at the end.  Its H2 is the split sum
+    of its whole squared sticks, rounded once (see the module docstring).
 
     statistic(sticks, rows, at) values rows `rows` (an index array) of a
     C-contiguous stick matrix in draw order, zero-padded, which hold the
     batch's draws `at`; it owns the matrix and may sort or overwrite it.
-    It is called on each first-block chunk as it is drawn, in the work
-    buffer, with the chunk's rows that ended there (its other rows, the
-    late ones, may be computed over in bulk but not valued), then once on
-    the late rows' whole sticks, the first block then the later ones, with
-    every row.  So each draw is valued once, on all its sticks.
+    It is called on each first-block chunk, in the work buffer, with the
+    chunk's rows that ended there (its other rows, the late ones, may be
+    computed over in bulk but not valued), then once on the late rows'
+    matrix, with every row.  So each draw is valued once, on all its sticks.
 
     Returns (h2, residual).
     """
@@ -158,53 +163,48 @@ def _gem_batch(theta: float, size: int, rng: np.random.Generator, statistic: Cal
     inv_theta = 1.0 / theta
     first = math.floor(a + 2.0 * math.sqrt(a)) + 3
     prefix = np.ones(size)
-    sums = np.zeros((3, size))  # hi, mid and lo of each row's sum of squares
+    h2 = np.empty(size)
     work = np.empty((2, min(size, _ROWS) * (max(first, _BLOCK) + 1)))
-    rows = np.arange(size)  # the rows still at or above epsilon
-    tail = []  # the late rows' first blocks, then their whole sticks
-    col, width = 0, first
+
+    def finish(sticks: np.ndarray, squares: np.ndarray, rows: np.ndarray, at: np.ndarray) -> None:
+        # the statistic first: the split sums overwrite the sticks
+        if statistic:
+            statistic(sticks, rows, at)
+        h2[at] = _rounded_sum(*_split_sums(squares, sticks))[rows]
+
+    heads = []  # the late rows' first blocks
+    for start in range(0, size, _ROWS):
+        left = prefix[start : start + _ROWS]  # a view: _sticks updates prefix
+        w = _sticks(rng, left, inv_theta, first, work)
+        ended = left < epsilon
+        heads.append(w[~ended])
+        done = np.flatnonzero(ended)
+        finish(w, np.multiply(w, w, out=work[1, : w.size].reshape(w.shape)), done, start + done)
+    late = np.flatnonzero(prefix >= epsilon)
+    tail, rest = np.concatenate(heads), prefix[late]
+    rows = np.arange(late.size)  # the rows of tail still at or above epsilon
     while rows.size:
-        if statistic and col:  # one more block of the late rows' own matrix
-            tail = np.concatenate([tail, np.zeros((late.size, _BLOCK))], axis=1)
+        tail = np.concatenate([tail, np.zeros((late.size, _BLOCK))], axis=1)
         for start in range(0, rows.size, _ROWS):
-            m = min(_ROWS, rows.size - start)
-            # the first block takes every row, so its chunks are slices: no gather or scatter
-            chunk = slice(start, start + m) if col == 0 else rows[start : start + m]
-            left = prefix[chunk]
-            w = _sticks(rng, left, inv_theta, work[0, : m * width].reshape(m, width),
-                        work[1, : m * (width + 1)].reshape(m, width + 1))
-            prefix[chunk] = left
-            sq = np.multiply(w, w, out=work[1, : m * width].reshape(m, width))
-            if statistic and col:
-                tail[np.searchsorted(late, chunk), col : col + width] = w
-            elif statistic:  # the late rows' first blocks kept, the rest valued
-                ended = left < epsilon
-                tail.append(w[~ended])
-                done = np.flatnonzero(ended)
-                statistic(w, done, start + done)
-            sums[:, chunk] += _split_sums(sq, w)  # overwrites w
-        rows = rows[prefix[rows] >= epsilon]
-        if statistic and col == 0:  # the rows still at or above epsilon after the first block
-            late, tail = rows, np.concatenate(tail)
-        col += width
-        width = _BLOCK
-    if statistic:
-        statistic(tail, np.arange(late.size), late)
-    return _rounded_sum(*sums), prefix
+            chunk = rows[start : start + _ROWS]
+            left = rest[chunk]
+            tail[chunk, -_BLOCK:] = _sticks(rng, left, inv_theta, _BLOCK, work)
+            rest[chunk] = left
+        rows = rows[rest[rows] >= epsilon]
+    prefix[late] = rest
+    finish(tail, tail * tail, np.arange(late.size), late)
+    return h2, prefix
 
 
 def _draw(theta: float, n: int, seed: int, batch_statistic: Callable | None = None):
     """Refuse n outside 1..MAX_DRAWS, then return each of n GEM draws' H2 and
     batch_statistic (None without one).  Batch b holds _BATCH draws from
-    stream(seed, b), whatever the statistic; sticks are kept only for it.
+    stream(seed, b), whatever the statistic.
 
     batch_statistic(ordered, rows) maps rows `rows` (an index array) of a
-    stick matrix to one value each.  It is called as _gem_batch calls its
-    statistic, on each chunk of at most _ROWS rows as it is drawn, then on
-    the batch's late rows, with each row of `ordered` a draw's sticks
-    sorted descending in place, zero-padded.  So each draw is valued once,
-    on all its sticks; a chunk's late rows hold only their first block,
-    and a statistic may compute over them in bulk but must not value them.
+    stick matrix to one value each; it is called as _gem_batch calls its
+    statistic, with each row of `ordered` a draw's sticks sorted descending
+    in place, zero-padded.
 
     Batches are drawn in order on the calling thread, each valued before
     the next is drawn; a batch's arrays are locals of one _gem_batch call,

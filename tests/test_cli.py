@@ -83,6 +83,15 @@ def test_kn_command(capsys):
     assert [float(r["K"]) for r in rows] == [1.0, 1.0]
 
 
+def test_kn_limit_coeffs_command(capsys):
+    code, out, _ = run(capsys, "kn", "--lambda", "6", "--n", "1", "--theta", "1e-3,1e-5",
+                       "--limit-coeffs")
+    assert code == 0
+    want = [f"{tilted.k_ratio(pdov.SelectionSpec(6.0, theta), 1, use_limit_coeffs=True):.17g}"
+            for theta in (1e-3, 1e-5)]
+    assert [r["K"] for r in parse_csv(out)] == want
+
+
 def test_phase_sweep_jumps(capsys):
     code, out, _ = run(
         capsys, "phase", "--lambda-min", "0.5", "--lambda-max", "13", "--step", "0.5"

@@ -1,7 +1,8 @@
 """Every name a pdov module imports is read in it or listed in its __all__,
 every private module-level helper is referred to outside its own
 definition, every log-gamma is read from coefficients.lgamma_lookup,
-the one functools cache sits on coefficients._store, and no module
+the one functools cache sits on coefficients._store, a module takes
+another's private names only as an allow-list has them, and no module
 imports threading or collections.OrderedDict."""
 
 import ast
@@ -175,11 +176,49 @@ def test_cache_sites_are_found():
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
-def test_caches_only_on_the_store_and_inf_exact(path):
-    # (the name is kept for its test ids: ldp._inf_exact holds no cache)
+def test_caches_only_on_the_store(path):
     # every per-theta run belongs in coefficients._store, under its one bound
     allowed = {"coefficients.py": ["_store"]}
     assert cache_sites(path.read_text()) == allowed.get(path.name, [])
+
+
+def private_imports(source: str) -> list[str]:
+    """The names with one leading underscore that source takes from another
+    pdov module, as module._name, sorted: by `from .module import _name`,
+    or as an attribute of a module bound by `from . import module`."""
+    tree = ast.parse(source)
+    relative = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level == 1]
+    modules = {alias.asname or alias.name: alias.name
+               for node in relative if node.module is None for alias in node.names}
+    taken = {(node.module, alias.name) for node in relative if node.module for alias in node.names}
+    taken |= {(modules[node.value.id], node.attr) for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in modules}
+    return sorted(f"{module}.{name}" for module, name in taken
+                  if name.startswith("_") and not name.startswith("__"))
+
+
+def test_private_imports_are_found():
+    source = (
+        "import numpy as np\n"
+        "from . import __version__, ldp\n"
+        "from . import coefficients as coefs\n"
+        "from .moments import _check_moment_run, log_moments\n"
+        "def f(h): return coefs._store(1.0) + coefs.cached_table + np._private + ldp.__name__\n"
+    )
+    assert private_imports(source) == ["coefficients._store", "moments._check_moment_run"]
+
+
+# what each module takes of another's private names: a change here is a change of interface
+PRIVATE_IMPORTS = {
+    "mc.py": ["ldp._rounded_sum", "ldp._split_sums", "ldp._unchecked"],
+    "moments.py": ["coefficients._held_run"],
+    "tilted.py": ["ldp._level", "moments._check_moment_run"],
+}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_private_imports_are_on_the_allow_list(path):
+    assert private_imports(path.read_text()) == PRIVATE_IMPORTS.get(path.name, [])
 
 
 def threads_and_ordered_dicts(source: str) -> list[int]:

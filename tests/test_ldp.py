@@ -281,12 +281,12 @@ def test_row_forms_equal_scalar_forms(n):
         assert np.all(ldp.s_rate_rows(light, 6.0) == math.inf)
 
 
-def test_row_forms_equal_scalar_forms_across_chunk_edges():
-    # the sums are rounded ldp._ROWS rows at a time: 5,000 configurations
-    # and their 5,000 rows of squares make 10,000 rows, five chunks
+def test_row_forms_equal_scalar_forms_on_ten_thousand_rows():
+    # 5,000 configurations and their 5,000 rows of squares make 10,000 rows
+    # summed and rounded at once
     rng = np.random.Generator(np.random.Philox(key=26))
     x = verify.perturbed_configs(5, 5000, rng)
-    assert len(x) > 2 * ldp._ROWS and len(x) % ldp._ROWS
+    assert x.shape == (5000, 5)
     _assert_rows_match_scalar(x)
 
 

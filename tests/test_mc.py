@@ -259,7 +259,7 @@ def test_ball_probability_peak_memory_under_one_stick_matrix():
     # each 2,048 x 30 chunk of a theta = 1 batch is valued as it is drawn,
     # in the sampler's work buffer, with |x - 1/k| in a temporary of the
     # chunk's size, and the few late rows on their whole sticks (30 + 16
-    # wide); the batch peaks at ~2.1 MiB.  The bound, one 16,384 x 30 matrix
+    # wide); the batch peaks at ~1.7 MiB.  The bound, one 16,384 x 30 matrix
     # (3.75 MiB), fails a return to a batch-sized matrix of sticks
     assert _ball_peak(mc._BATCH) < mc._BATCH * 30 * 8
 
