@@ -128,8 +128,12 @@ def _ball(text: str) -> tuple[int, float]:
 def cmd_coeffs(args) -> int:
     table = coefs.build_coeff_table(0.0 if args.limit else args.theta, args.kmax)
     if args.format == "json":
-        payload = coefs.table_to_json(table)
-        _emit(args, lambda fp: _write_json(payload, fp))
+
+        def write(fp):
+            coefs.write_table_json(table, fp)
+            fp.write("\n")
+
+        _emit(args, write)
     else:
         _emit(args, lambda fp: coefs.table_to_csv(table, fp))
     return EXIT_OK
@@ -138,12 +142,13 @@ def cmd_coeffs(args) -> int:
 def cmd_moments(args) -> int:
     table = coefs.build_coeff_table(args.theta, args.kmax)
     vec = moments.moments_from_table(table, args.kmax)
+    run = moments.log_moments(args.theta, args.kmax).tolist()  # log m_k, k = 0..kmax
     header = ["k", "m_exact", "m_recursion"]
     if args.mc_check is not None:
         header += ["m_mc", "se"]
     rows = []
     for k in range(1, args.kmax + 1):
-        row = [k, vec[k], moments.moment_via_recursion(args.theta, k)]
+        row = [k, vec[k], math.exp(run[k])]
         if args.mc_check is not None:
             est = moments.mc_moment_oracle(args.theta, k, args.mc_check, args.seed)
             row += [est.value, est.std_error]

@@ -26,6 +26,12 @@ goes through log_sum_exp.
 cached_table holds one table per theta and grows it by rows and by columns
 through the same kernel as a fresh build, _extend, so the series that read
 different columns at one theta share its rows and no row is computed twice.
+
+table_to_csv and write_table_json write an export a row at a time, each
+entry as 17 significant digits of A, or as mantissa-e-exponent where
+|log A| >= 700 puts A beyond doubles.  A row whose entries all lie within
+doubles is formatted by one %.17g format of their exps; table_to_json holds
+the same text as a dict, the reference the streamed JSON equals.
 """
 
 from __future__ import annotations
@@ -53,6 +59,7 @@ __all__ = [
     "cached_table",
     "table_to_csv",
     "table_to_json",
+    "write_table_json",
 ]
 
 _LN2 = math.log(2.0)
@@ -338,21 +345,50 @@ def _linear_repr(log_value: float) -> str:
 
 
 def _export_rows(table: CoeffTable):
-    """(k, [log A(k,1), ..., log A(k,k)]) for k = 1..kmax, as Python floats."""
+    """(k, [log A(k,1), ..., log A(k,k)]) for k = 1..kmax, as Python floats,
+    from a table that holds every column (a partial one is refused here)."""
     if table.cols < table.kmax:
         raise DomainError(f"export needs every column; table holds 1..{table.cols} of {table.kmax}")
-    for k in range(1, table.kmax + 1):
-        yield k, table.log_entries[k, 1 : k + 1].tolist()
+    return ((k, table.log_entries[k, 1 : k + 1].tolist()) for k in range(1, table.kmax + 1))
+
+
+def _row_text(template: str, logs: list[float]) -> str:
+    """template, which holds one %.17g per entry of the row and no other %,
+    filled with the entries' _linear_repr text: by one format of their exps
+    where every |log A| < 700, as _linear_repr writes them there, else by
+    _linear_repr of each entry."""
+    if -700.0 < min(logs) and max(logs) < 700.0:
+        return template % tuple(map(math.exp, logs))
+    return template.replace("%.17g", "%s") % tuple(map(_linear_repr, logs))
 
 
 def table_to_csv(table: CoeffTable, fp) -> None:
-    """Write the triangle as rows k,l,A, in csv.writer's default dialect."""
+    """Write the triangle as rows k,l,A, in csv.writer's default dialect,
+    a row of the table at a time."""
+    rows = _export_rows(table)
     fp.write("k,l,A\r\n")
-    for k, logs in _export_rows(table):
-        fp.write("".join([f"{k},{l},{_linear_repr(x)}\r\n" for l, x in enumerate(logs, 1)]))
+    cells = [f",{l},%.17g\r\n" for l in range(1, table.kmax + 1)]
+    for k, logs in rows:
+        lead = str(k)
+        fp.write(_row_text(lead + lead.join(cells[:k]), logs))
 
 
 def table_to_json(table: CoeffTable) -> dict:
-    """Triangular JSON mirror: {"theta", "kmax", "rows": [[A(k,1)..A(k,k)]...]}."""
-    rows = [[_linear_repr(x) for x in logs] for _, logs in _export_rows(table)]
+    """Triangular JSON mirror: {"theta", "kmax", "rows": [[A(k,1)..A(k,k)]...]},
+    each entry a number string; write_table_json writes its indented text."""
+    rows = [_row_text("\n".join(["%.17g"] * k), logs).split("\n")
+            for k, logs in _export_rows(table)]
     return {"theta": table.theta, "kmax": table.kmax, "rows": rows}
+
+
+def write_table_json(table: CoeffTable, fp) -> None:
+    """Write json.dump(table_to_json(table), fp, indent=2)'s text a row at a
+    time: the entries are number strings, which JSON never escapes, and theta
+    is a float, which json writes as its repr."""
+    rows = _export_rows(table)
+    fp.write(f'{{\n  "theta": {table.theta!r},\n  "kmax": {table.kmax},\n  "rows": [')
+    cell = '%.17g",\n      "'
+    for k, logs in rows:
+        sep = "," if k > 1 else ""
+        fp.write(_row_text(f'{sep}\n    [\n      "{cell * (k - 1)}%.17g"\n    ]', logs))
+    fp.write("\n  ]\n}")

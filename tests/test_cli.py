@@ -14,7 +14,8 @@ from pathlib import Path
 import pytest
 
 import pdov
-from pdov import cli, tilted
+from pdov import cli, moments, tilted
+from pdov import coefficients as coefs
 from pdov.errors import PrecisionError
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -326,6 +327,39 @@ def test_manifest_hashes_output_larger_than_one_chunk(tmp_path, capsys):
     manifest = json.loads((tmp_path / "a.csv.manifest.json").read_text())
     assert manifest["outputs"][str(out_file)] == hashlib.sha256(data).hexdigest()
     assert manifest["seed"] is None  # coeffs draws nothing, so it takes no seed
+
+
+def test_coeffs_json_out_is_the_reference_text_and_hashed(tmp_path, capsys):
+    import hashlib
+
+    out_file = tmp_path / "limit.json"
+    code, _, _ = run(
+        capsys, "coeffs", "--limit", "--kmax", "200", "--format", "json", "--out", str(out_file)
+    )
+    assert code == 0
+    table = coefs.build_limit_table(200)
+    data = out_file.read_bytes()
+    assert data.decode() == json.dumps(coefs.table_to_json(table), indent=2) + "\n"
+    manifest = json.loads((tmp_path / "limit.json.manifest.json").read_text())
+    assert manifest["outputs"][str(out_file)] == hashlib.sha256(data).hexdigest()
+
+
+def test_moments_takes_the_recursion_column_from_one_run(capsys, monkeypatch):
+    calls = []
+    log_moments = moments.log_moments
+
+    def counting(theta, k):
+        calls.append((theta, k))
+        return log_moments(theta, k)
+
+    monkeypatch.setattr(moments, "log_moments", counting)
+    code, out, _ = run(capsys, "moments", "--theta", "0.5", "--kmax", "200")
+    assert code == 0
+    assert calls == [(0.5, 200)]
+    rows = parse_csv(out)
+    assert [int(r["k"]) for r in rows] == list(range(1, 201))
+    for k, r in enumerate(rows, 1):
+        assert r["m_recursion"] == f"{moments.moment_via_recursion(0.5, k):.17g}"
 
 
 def test_verify_single_suite(capsys):

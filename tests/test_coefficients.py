@@ -315,6 +315,32 @@ def test_export_matches_csv_writer_and_indexing_reference():
         coefs.table_to_csv(coefs.build_coeff_table(0.5, 20, cols=3), io.StringIO())
 
 
+@pytest.mark.parametrize(
+    "theta, kmax", [(0.5, 200), (0.0, 200), (0.5, 1), (1e-300, 3)]
+)
+def test_streamed_json_equals_the_reference(theta, kmax):
+    import io
+
+    table = coefs.build_coeff_table(theta, kmax)
+    if kmax == 200:  # rows past double range take _linear_repr's mantissa-exponent form
+        assert np.abs(table.log_entries[np.isfinite(table.log_entries)]).max() > 700.0
+    got = io.StringIO()
+    coefs.write_table_json(table, got)
+    assert got.getvalue() == json.dumps(coefs.table_to_json(table), indent=2)
+    refused = io.StringIO()
+    with pytest.raises(DomainError):
+        coefs.write_table_json(coefs.build_coeff_table(theta, kmax + 1, cols=1), refused)
+    assert refused.getvalue() == ""  # refused before a byte is written
+
+
+def test_row_text_equals_linear_repr_of_each_entry():
+    logs = [0.5, -1e-300, -699.9999999999999, 699.9999999999999]  # the format's path
+    outer = [-700.0, 700.0, -1e4, -math.inf]  # _linear_repr's path
+    for row in [logs] + [r for x in outer for r in (logs + [x], [x])]:
+        template = "|".join(["%.17g"] * len(row))
+        assert coefs._row_text(template, row) == "|".join(map(coefs._linear_repr, row))
+
+
 @pytest.mark.parametrize("theta", [0.0, 1e-100, 1e-5, 0.5, 1.0])
 def test_lgamma_lookup_is_math_lgamma_grown_or_fresh(theta):
     want = [math.lgamma(n + theta) if n + theta > 0.0 else math.inf for n in range(300)]
