@@ -29,9 +29,10 @@ different columns at one theta share its rows and no row is computed twice.
 
 table_to_csv and write_table_json write an export a row at a time, each
 entry as 17 significant digits of A, or as mantissa-e-exponent where
-|log A| >= 700 puts A beyond doubles.  A row whose entries all lie within
-doubles is formatted by one %.17g format of their exps; table_to_json holds
-the same text as a dict, the reference the streamed JSON equals.
+|log A| >= 700 puts A beyond doubles.  The entries of a row that lie
+within doubles, all but a suffix near the diagonal, are formatted by one
+%.17g format of their exps; table_to_json holds the same text as a dict,
+the reference the streamed JSON equals.
 """
 
 from __future__ import annotations
@@ -354,12 +355,23 @@ def _export_rows(table: CoeffTable):
 
 def _row_text(template: str, logs: list[float]) -> str:
     """template, which holds one %.17g per entry of the row and no other %,
-    filled with the entries' _linear_repr text: by one format of their exps
-    where every |log A| < 700, as _linear_repr writes them there, else by
-    _linear_repr of each entry."""
-    if -700.0 < min(logs) and max(logs) < 700.0:
+    filled with the entries' _linear_repr text.  The entries past |log A|
+    = 700 are those near the diagonal, a suffix of the row: the entries
+    before it are written by one format of their exps, as _linear_repr
+    writes them there, and the suffix by _linear_repr of each entry.  A row
+    with an entry past 700 before one within it is written by _linear_repr
+    throughout."""
+    j = len(logs)  # the start of the suffix past 700
+    while j and not abs(logs[j - 1]) < 700.0:
+        j -= 1
+    head = logs[:j]
+    if head and not (-700.0 < min(head) and max(head) < 700.0):
+        j, head = 0, []
+    if j == len(logs):
         return template % tuple(map(math.exp, logs))
-    return template.replace("%.17g", "%s") % tuple(map(_linear_repr, logs))
+    rest = template.split("%.17g", j)[-1]  # the template past the head's entries
+    return (template[: len(template) - len(rest)] % tuple(map(math.exp, head))
+            + rest.replace("%.17g", "%s") % tuple(map(_linear_repr, logs[j:])))
 
 
 def table_to_csv(table: CoeffTable, fp) -> None:

@@ -16,7 +16,10 @@ rounds it (by a split sum, and by math.fsum itself on the rare row the
 split sum cannot certify), and the metric's terms are added left to right,
 as its loop adds them.  The scalar forms stay the exact reference, and
 the only path to the rational values of uniform configurations.  mc rounds
-its draws' H2 by the same split sum, a chunk at a time, with no math.fsum.
+its draws' H2 by a two-part split sum of its own (mc._h2_rows), also
+certified per row, with math.fsum on the rows it cannot certify: their
+squares rarely sum near a tie, while mass rows, which sum to ~1, often land
+on one, which only the three-part split here resolves without math.fsum.
 """
 
 from __future__ import annotations
@@ -201,9 +204,8 @@ def _split_sums(v: np.ndarray, part: np.ndarray) -> np.ndarray:
     Every entry is split into a multiple of 2^-40, a multiple of 2^-80
     below 2^-41 and a remainder below 2^-81, each exactly; hi and mid sum
     the first two parts exactly (for rows of under 2^14 entries that sum to
-    under 2^12; a GEM draw at epsilon > 5e-324 has ~900 sticks at most), and
-    lo the remainders, in floating point (see _fsum_rows); v is left
-    holding the remainders.
+    under 2^12), and lo the remainders, in floating point (see _fsum_rows);
+    v is left holding the remainders.
     """
     np.add(v, _GRID_HI, out=part)
     part -= _GRID_HI

@@ -14,12 +14,9 @@ blocks for the draws still above epsilon alone, the late draws (~0.3-2%),
 which fill a small matrix of their own.  Each draw is finished once, when
 it ends, on all its sticks: in its _ROWS-row chunk of the first block as
 that is drawn, or in the late draws' matrix at the end of the batch; no
-batch-sized stick matrix is formed (see _gem_batch).  A draw's H2, the
-split sum of its whole squared sticks rounded once, is ldp.phi2 of the
-draw on every row whose exact sum is not within the split sum's own
-rounding of a tie (test_row_sums_equal_fsum_where_the_split_sum_is_not_certified).
-Such a row could be summed again, as ldp._fsum_rows does, but only at the
-cost of certifying every chunk.
+batch-sized stick matrix is formed (see _gem_batch).  A draw's H2 is the
+sum of its whole squared sticks rounded once, certified equal to
+math.fsum of them, and so to ldp.phi2 of the draw (see _h2_rows).
 h2_samples holds one array: the H2 of the last (theta, n, seed) drawn.
 """
 
@@ -33,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError
-from .ldp import Configuration, _rounded_sum, _split_sums, _unchecked, phi2
+from .ldp import Configuration, _unchecked, phi2
 from .model import SelectionSpec
 
 __all__ = [
@@ -110,7 +107,9 @@ def _sticks(
     is the mass left before stick j: the prefix times
     (1 - U) = (1 - V)^(1/theta) of each stick before it, a running product
     taken column by column (cumprod's products, in its order); stick j is
-    cum[:, j] U_j.
+    cum[:, j] U_j.  At theta = 1, U is V itself: V is a multiple of 2^-53
+    in [0, 1), so 1 - V is exact and 1 - (1 - V) is V, and neither the
+    power nor the second subtraction is taken.
     """
     m = len(prefix)
     u = work[0, : m * width].reshape(m, width)
@@ -119,13 +118,46 @@ def _sticks(
     cum[:, 0] = prefix
     rest = cum[:, 1:]
     np.subtract(1.0, u, out=rest)
-    if inv_theta != 1.0:  # x ** 1.0 is x
+    if inv_theta != 1.0:
         rest **= inv_theta
-    np.subtract(1.0, rest, out=u)
+        np.subtract(1.0, rest, out=u)
     for j in range(width):
         np.multiply(cum[:, j], cum[:, j + 1], out=cum[:, j + 1])
     prefix[:] = cum[:, -1]
     return np.multiply(cum[:, :-1], u, out=u)
+
+
+def _h2_rows(squares: np.ndarray, part: np.ndarray) -> np.ndarray:
+    """math.fsum of each row of squares, whose entries lie in [0, 1] and
+    whose rows sum to at most 1; squares and the buffer part, of its shape,
+    are overwritten.
+
+    Each square is split exactly into part = (square + 2) - 2, a multiple
+    of 2^-51, and a remainder of at most 2^-52, left in squares.  A row's
+    parts sum exactly to s, in any order: every partial sum is a multiple
+    of 2^-51 below 4.  Its n remainders sum to r in floating point, in any
+    order, off their exact sum R by at most (n - 1) 2^-53 / (1 - (n - 1)
+    2^-53) times their sizes' sum, itself at most n 2^-52: by about
+    (n - 1) n 2^-105.  bound = n^2 2^-104 is more than twice that, so even
+    rounded, r - bound <= R <= r + bound.  Rounding is monotone, so
+    s + (r - bound) and s + (r + bound), each rounded once, bracket the
+    rounded exact sum s + R: where the two are equal, that is math.fsum of
+    the row.  Where they are not, a rounding boundary lies near the exact
+    sum, and the row is summed again by math.fsum of its parts and
+    remainders, which add up exactly to its squares.  That is ~1e-3 of the
+    draws at theta in [0.01, 0.1]: rows whose two largest squares sum to a
+    tie, and whose other squares add less than the bound.
+    """
+    np.add(squares, 2.0, out=part)
+    part -= 2.0
+    squares -= part
+    s = np.einsum("ij->i", part)
+    r = np.einsum("ij->i", squares)
+    bound = squares.shape[1] ** 2 * 2.0**-104
+    out = s + (r + bound)
+    for i in np.flatnonzero(s + (r - bound) != out):
+        out[i] = math.fsum(part[i].tolist() + squares[i].tolist())
+    return out
 
 
 def _gem_batch(theta: float, size: int, rng: np.random.Generator, statistic: Callable | None = None):
@@ -143,8 +175,10 @@ def _gem_batch(theta: float, size: int, rng: np.random.Generator, statistic: Cal
     rows draw on follows from the stream, so one stream fixes every draw.
 
     Each draw is finished once, when it ends: in its chunk as that is
-    drawn, or in the late rows' matrix at the end.  Its H2 is the split sum
-    of its whole squared sticks, rounded once (see the module docstring).
+    drawn, or in the late rows' matrix at the end.  Its H2 is math.fsum of
+    its whole squared sticks, by _h2_rows, which takes the sticks as its
+    buffer once the statistic is done with them.  At theta = 1 each stick
+    is the mass left times the uniform V itself (see _sticks).
 
     statistic(sticks, rows, at) values rows `rows` (an index array) of a
     C-contiguous stick matrix in draw order, zero-padded, which hold the
@@ -167,10 +201,10 @@ def _gem_batch(theta: float, size: int, rng: np.random.Generator, statistic: Cal
     work = np.empty((2, min(size, _ROWS) * (max(first, _BLOCK) + 1)))
 
     def finish(sticks: np.ndarray, squares: np.ndarray, rows: np.ndarray, at: np.ndarray) -> None:
-        # the statistic first: the split sums overwrite the sticks
+        # the statistic first: _h2_rows overwrites the sticks
         if statistic:
             statistic(sticks, rows, at)
-        h2[at] = _rounded_sum(*_split_sums(squares, sticks))[rows]
+        h2[at] = _h2_rows(squares, sticks)[rows]
 
     heads = []  # the late rows' first blocks
     for start in range(0, size, _ROWS):

@@ -341,6 +341,18 @@ def test_row_text_equals_linear_repr_of_each_entry():
         assert coefs._row_text(template, row) == "|".join(map(coefs._linear_repr, row))
 
 
+def test_row_text_splits_at_the_suffix_past_700_only():
+    # a suffix past 700 after an in-range head, and entries past 700 in the
+    # middle of a row, which is then written by _linear_repr throughout
+    for row in ([0.5, -1.0, -700.0, -1e4, -math.inf],
+                [0.5, -800.0, -1.0, -1e4],
+                [800.0, 0.5, -1.0],
+                [-math.inf, -1.0]):
+        template = "".join(f"<{i}:%.17g>" for i in range(len(row)))
+        want = "".join(f"<{i}:{coefs._linear_repr(v)}>" for i, v in enumerate(row))
+        assert coefs._row_text(template, row) == want
+
+
 @pytest.mark.parametrize("theta", [0.0, 1e-100, 1e-5, 0.5, 1.0])
 def test_lgamma_lookup_is_math_lgamma_grown_or_fresh(theta):
     want = [math.lgamma(n + theta) if n + theta > 0.0 else math.inf for n in range(300)]
