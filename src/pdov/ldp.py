@@ -14,12 +14,10 @@ on every row the float its scalar form gives on that row's Configuration,
 bit for bit: a sum of entries or of squares is rounded once, as math.fsum
 rounds it (by a split sum, and by math.fsum itself on the rare row the
 split sum cannot certify), and the metric's terms are added left to right,
-as its loop adds them.  The scalar forms stay the exact reference, and
-the only path to the rational values of uniform configurations.  mc rounds
-its draws' H2 by a two-part split sum of its own (mc._h2_rows), also
-certified per row, with math.fsum on the rows it cannot certify: their
-squares rarely sum near a tie, while mass rows, which sum to ~1, often land
-on one, which only the three-part split here resolves without math.fsum.
+as its loop adds them; a row's mass, tested only against 1 +- MASS_TOL, is
+a plain row sum, summed again by math.fsum within its error bound of either.
+The scalar forms are the exact reference, and the only path to the rational
+values of uniform configurations.  rate_I1 holds the last alpha's two logs.
 """
 
 from __future__ import annotations
@@ -259,13 +257,13 @@ def _fsum_rows(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _checked_rows(x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """x as a float matrix, and each row's total mass and phi2 (math.fsum
-    of its entries and of their squares, summed as the rows of one matrix),
-    refused where x is not 2-D or Configuration refuses a row: a NaN or
-    negative entry, entries not descending, or mass above 1 + MASS_TOL.  A
-    row's largest entry is checked against that bound before any sum, so
-    the split sums only see entries in [0, 1 + MASS_TOL]."""
+def _checked_rows(x) -> tuple[np.ndarray, np.ndarray]:
+    """x as a float matrix, and whether each row's mass is within MASS_TOL
+    of 1; refused where x is not 2-D or Configuration refuses a row (a NaN
+    or negative entry, entries not descending, mass above 1 + MASS_TOL).
+    The mass is a plain row sum, off by under n 2^-52 of itself over n
+    entries; a row within that plus 2^-50 (a few float spacings at 1) of a
+    threshold is summed again by math.fsum, so both tests see its value."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         raise DomainError(f"configurations must be the rows of a matrix, got a {x.ndim}-D array")
@@ -273,43 +271,44 @@ def _checked_rows(x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise DomainError("configuration entries must be nonnegative")
     if np.any(x[:, :-1] < x[:, 1:]):
         raise DomainError("configuration entries must be descending")
-    if np.any(x[:, :1] > 1.0 + MASS_TOL):
+    if np.any(x[:, :1] > 1.0 + MASS_TOL):  # so _fsum_rows sees entries in [0, 1 + MASS_TOL]
         raise DomainError(f"an entry {np.max(x[:, 0])} exceeds 1, and so does its row's mass")
-    mass, squares = np.split(_fsum_rows(np.concatenate([x, np.square(x)])), 2)
+    mass = np.einsum("ij->i", x)
+    near = np.abs(np.abs(mass - 1.0) - MASS_TOL) <= x.shape[1] * 2.0**-52 * mass + 2.0**-50
+    for i in np.flatnonzero(near):
+        mass[i] = math.fsum(x[i].tolist())
     if np.any(mass > 1.0 + MASS_TOL):
         raise DomainError(f"total mass {np.max(mass)} exceeds 1")
-    return x, mass, squares
+    return x, np.abs(mass - 1.0) <= MASS_TOL
 
 
-def _j_rate(x: np.ndarray, mass: np.ndarray) -> np.ndarray:
-    on_simplex = np.abs(mass - 1.0) <= MASS_TOL
+def _j_rate(x: np.ndarray, on_simplex: np.ndarray) -> np.ndarray:
     return np.where(on_simplex, np.count_nonzero(x > 0.0, axis=1) - 1.0, math.inf)
 
 
 def phi2_rows(x: np.ndarray) -> np.ndarray:
     """phi2 of each row of x (one configuration per row): math.fsum of its
     squares."""
-    return _checked_rows(x)[2]
+    return _fsum_rows(np.square(_checked_rows(x)[0]))
 
 
 def total_mass_rows(x: np.ndarray) -> np.ndarray:
     """Configuration.total_mass of each row of x: math.fsum of its entries."""
-    return _checked_rows(x)[1]
+    return _fsum_rows(_checked_rows(x)[0])
 
 
 def j_rate_rows(x: np.ndarray) -> np.ndarray:
     """j_rate of each row of x: its positive entries less one, +inf where
     its mass is off 1 by more than MASS_TOL."""
-    x, mass, _ = _checked_rows(x)
-    return _j_rate(x, mass)
+    return _j_rate(*_checked_rows(x))
 
 
 def s_rate_rows(x: np.ndarray, lam: float) -> np.ndarray:
     """s_rate of each row of x by its float path: J + lam * phi2 - inf_n
     {lam/n + n - 1}, +inf off the simplex."""
     best = inf_term(lam)[0]
-    x, mass, squares = _checked_rows(x)
-    return _j_rate(x, mass) + lam * squares - best
+    x, on_simplex = _checked_rows(x)
+    return _j_rate(x, on_simplex) + lam * _fsum_rows(np.square(x)) - best
 
 
 def metric_d_rows(x: np.ndarray, y: Configuration) -> np.ndarray:
@@ -327,24 +326,26 @@ def metric_d_rows(x: np.ndarray, y: Configuration) -> np.ndarray:
     return np.cumsum(terms, axis=1)[:, -1]
 
 
-def _xlogx(v: float) -> float:
-    return 0.0 if v == 0.0 else v * math.log(v)
+_log = math.log
+_alpha_logs = (math.nan, 0.0, 0.0)  # the last alpha rate_I1 took, log(1 - alpha) and log(alpha)
 
 
 def rate_I1(x: float, alpha: float) -> float:
     """Large-deviation rate of the mean of geometric(alpha) variables.
 
-    Zero exactly at the mean (1-alpha)/alpha; x log x := 0 at x = 0.
+    Zero exactly at the mean (1-alpha)/alpha; x log x := 0 at x = 0.  x is
+    refused past 2.5e305: from ~2.556e305 on, (x + 1) log(1 + x) overflows
+    and the rate is inf - inf.  The last alpha's two logs are held.
     """
-    if not (0.0 < alpha < 1.0):
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
-    if x < 0.0:
-        raise DomainError(f"x must be >= 0, got {x}")
-    return (
-        _xlogx(x)
-        - (x + 1.0) * math.log(1.0 + x)
-        - (x * math.log(1.0 - alpha) + math.log(alpha))
-    )
+    global _alpha_logs
+    held, log_q, log_a = _alpha_logs
+    if alpha != held:
+        if not 0.0 < alpha < 1.0:
+            raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
+        held, log_q, log_a = _alpha_logs = alpha, _log(1.0 - alpha), _log(alpha)
+    if not 0.0 <= x <= 2.5e305:
+        raise DomainError(f"x must lie in [0, 2.5e305], got {x}")
+    return (0.0 if x == 0.0 else x * _log(x)) - (x + 1.0) * _log(1.0 + x) - (x * log_q + log_a)
 
 
 def rate_I2(x: float, alpha: float) -> float:
@@ -356,6 +357,5 @@ def rate_I2(x: float, alpha: float) -> float:
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
     if not (0.0 <= x <= 1.0):
         raise DomainError(f"x must lie in [0, 1], got {x}")
-    term1 = 0.0 if x == 0.0 else x * math.log(x / alpha)
-    term2 = 0.0 if x == 1.0 else (1.0 - x) * math.log((1.0 - x) / (1.0 - alpha))
-    return term1 + term2
+    return ((0.0 if x == 0.0 else x * _log(x / alpha))
+            + (0.0 if x == 1.0 else (1.0 - x) * _log((1.0 - x) / (1.0 - alpha))))

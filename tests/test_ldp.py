@@ -194,6 +194,44 @@ def test_rate_domain_errors():
         ldp.rate_I1(1.0, 0.0)
 
 
+def _unheld_rate_I1(x, alpha):
+    """rate_I1 as one expression, its alpha's logs taken afresh."""
+    xlogx = 0.0 if x == 0.0 else x * math.log(x)
+    return xlogx - (x + 1.0) * math.log(1.0 + x) - (x * math.log(1.0 - alpha) + math.log(alpha))
+
+
+def test_rate_I1_refuses_x_past_its_bound():
+    # (x + 1) log(1 + x) overflows from ~2.556e305 on; the bound its docstring states is 2.5e305
+    for alpha in (0.5, 5e-324, math.nextafter(1.0, 0.0)):
+        assert math.isfinite(ldp.rate_I1(2.5e305, alpha))
+        assert ldp.rate_I1(2.5e305, alpha) == _unheld_rate_I1(2.5e305, alpha)
+        for x in (math.nextafter(2.5e305, math.inf), 1e308, math.inf, math.nan, -5e-324):
+            with pytest.raises(DomainError, match="x must lie in"):
+                ldp.rate_I1(x, alpha)
+
+
+def test_rate_I1_holds_its_alpha_and_gives_the_unheld_bits():
+    alphas = [0.3, 0.7, 0.3, 0.3, 1e-300, 0.5, math.nextafter(0.5, 1.0), 0.5, 0.7]
+    xs = [0.0, 5e-324, 1e-3, 0.5, 1.0, 7.0 / 3.0, 1e6, 1e300, 2.5e305]
+    for alpha in alphas:
+        got = [ldp.rate_I1(x, alpha) for x in xs]
+        assert np.array_equal(_bits(got), _bits([_unheld_rate_I1(x, alpha) for x in xs]))
+    # one alpha a call, alternating: each call takes the other alpha's logs
+    for i, x in enumerate(xs * 3):
+        alpha = alphas[i % len(alphas)]
+        assert np.array_equal(_bits([ldp.rate_I1(x, alpha)]), _bits([_unheld_rate_I1(x, alpha)]))
+    # a bad alpha is refused right after a valid call, at that call's x
+    for bad in (math.nan, 0.0, 1.0, -0.0, math.inf):
+        assert ldp.rate_I1(1.0, 0.25) == _unheld_rate_I1(1.0, 0.25)
+        with pytest.raises(DomainError, match="alpha must lie in"):
+            ldp.rate_I1(1.0, bad)
+    # an x refusal at a new alpha leaves a valid alpha held
+    with pytest.raises(DomainError, match="x must lie in"):
+        ldp.rate_I1(math.nan, 0.6)
+    assert ldp.rate_I1(2.0, 0.6) == _unheld_rate_I1(2.0, 0.6)
+    assert ldp.rate_I1(2.0, 0.25) == _unheld_rate_I1(2.0, 0.25)
+
+
 def test_configuration_validation():
     with pytest.raises(DomainError):
         cfg(0.5, 0.6)  # mass > 1
@@ -344,6 +382,62 @@ def test_row_forms_refuse_input_that_is_not_2d(form):
     for x in ([0.5, 0.5], np.array([[[0.5, 0.5]]]), 0.5):
         with pytest.raises(DomainError, match="rows of a matrix"):
             form(x)
+
+
+def _rows_summing_to(t):
+    """Descending rows whose math.fsum is exactly the float t (near 1): two
+    entries that sum to t exactly; t's predecessor with a tail of 2^-62
+    entries worth 0.55 of its ulp; and t with such a tail worth 0.45 of its
+    ulp.  A plain sum that adds the large entry early loses the tail."""
+    below = math.nextafter(t, 0.0)
+    rows = [[0.75, t - 0.75]]
+    for big, tail in ((below, 0.55 * math.ulp(below)), (t, 0.45 * math.ulp(t))):
+        rows.append([big] + [2.0**-62] * round(tail / 2.0**-62))
+    for row in rows:
+        assert math.fsum(row) == t
+    return rows
+
+
+def test_mass_is_certified_at_each_threshold(monkeypatch):
+    upper, lower = 1.0 + ldp.MASS_TOL, 1.0 - ldp.MASS_TOL
+    targets = [f(c) for c in (upper, lower)
+               for f in (lambda c: math.nextafter(c, 0.0), lambda c: c, lambda c: math.nextafter(c, 2.0))]
+    rows = [row for t in targets for row in _rows_summing_to(t)]
+    width = max(map(len, rows))
+    x = np.array([row + [0.0] * (width - len(row)) for row in rows])
+    fsum = np.array([math.fsum(row) for row in rows])
+    plain = np.einsum("ij->i", x)  # as _checked_rows sums a row
+    # the plain sum decides otherwise than math.fsum at both thresholds on some rows
+    assert np.any((plain > upper) != (fsum > upper))
+    assert np.any((np.abs(plain - 1.0) <= ldp.MASS_TOL) != (np.abs(fsum - 1.0) <= ldp.MASS_TOL))
+    refused = fsum > upper
+    assert 0 < np.count_nonzero(refused) < len(rows)
+    for row in x[refused]:
+        with pytest.raises(DomainError):
+            ldp.Configuration(tuple(row.tolist()))
+        for form in ROW_FORMS:
+            with pytest.raises(DomainError):
+                form(row[None])
+    _assert_rows_match_scalar(x[~refused])
+    on = np.abs(fsum[~refused] - 1.0) <= ldp.MASS_TOL
+    assert on.any() and not on.all()
+    # math.fsum sums again only rows within the plain sum's error bound of a threshold
+    calls, real_fsum = [], math.fsum
+
+    def counting_fsum(values):
+        calls.append(len(values))
+        return real_fsum(values)
+
+    monkeypatch.setattr(ldp.math, "fsum", counting_fsum)
+    ldp._checked_rows(x[~refused])
+    assert calls
+    calls.clear()
+    rng = np.random.Generator(np.random.Philox(key=33))
+    for n in range(1, 9):
+        configs = verify.perturbed_configs(n, 4000, rng)
+        for rows_n in (configs, configs * (1.0 - 4.0 * ldp.MASS_TOL), configs * 0.9):
+            ldp._checked_rows(rows_n)
+    assert calls == []
 
 
 def _perturbed_configs_scalar(n_parts, count, rng):
