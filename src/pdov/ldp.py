@@ -12,8 +12,8 @@ descending, zero-padded float matrix, and refuse, with DomainError, an
 input that is not 2-D and any row that Configuration refuses.  Each gives
 on every row the float its scalar form gives on that row's Configuration,
 bit for bit: a sum of entries or of squares is rounded once, as math.fsum
-rounds it (by a split sum, and by math.fsum itself on the rare row the
-split sum cannot certify), and the metric's terms are added left to right,
+rounds it (by _fsum_rows, the one row-sum kernel, which mc also rounds
+each draw's H2 with), and the metric's terms are added left to right,
 as its loop adds them; a row's mass, tested only against 1 +- MASS_TOL, is
 a plain row sum, summed again by math.fsum within its error bound of either.
 The scalar forms are the exact reference, and the only path to the rational
@@ -50,8 +50,6 @@ __all__ = [
 
 MASS_TOL = 1e-12
 MAX_UNIFORM_K = 10**6  # one entry per allele, 8 bytes each
-# (x + g) - g rounds x to a multiple of 2^-40 for x in [0, 1] (hi), of 2^-80 for |x| <= 2^-41 (mid)
-_GRID_HI, _GRID_MID = 2.0**12, 1.5 * 2.0**-28
 
 
 @dataclass(frozen=True)
@@ -195,65 +193,47 @@ def metric_d(x: Configuration, y: Configuration) -> float:
     return total
 
 
-def _split_sums(v: np.ndarray, part: np.ndarray) -> np.ndarray:
-    """Each row's sum of v, as rows (hi, mid, lo) of that sum; v, with
-    entries in [0, 2^12), and the buffer part, of v's shape, are overwritten.
+def _fsum_rows(v: np.ndarray, part: np.ndarray) -> np.ndarray:
+    """math.fsum of each row of v, whose entries lie in [0, 2) and whose
+    rows sum to under 2; v and the buffer part, of its shape, are
+    overwritten.
 
-    Every entry is split into a multiple of 2^-40, a multiple of 2^-80
-    below 2^-41 and a remainder below 2^-81, each exactly; hi and mid sum
-    the first two parts exactly (for rows of under 2^14 entries that sum to
-    under 2^12), and lo the remainders, in floating point (see _fsum_rows);
-    v is left holding the remainders.
+    Each entry is split exactly into part = (entry + 2) - 2, a multiple of
+    2^-51, and a remainder of at most 2^-52, left in v.  A row's parts sum
+    exactly to s, in any order: every partial sum is a multiple of 2^-51
+    below 4.  Its n remainders sum to r in floating point, in any order,
+    off their exact sum R by at most (n - 1) 2^-53 / (1 - (n - 1) 2^-53)
+    times their sizes' sum, itself at most n 2^-52: by about (n - 1) n
+    2^-105.  bound = n^2 2^-104 is more than twice that, so even rounded,
+    r - bound <= R <= r + bound.  Rounding is monotone, so s + (r - bound)
+    and s + (r + bound), each rounded once, bracket the rounded exact sum
+    s + R: where the two are equal, that is math.fsum of the row.
+    Where they are not, a rounding boundary lies near the exact sum, as
+    where a row's largest entries sum to a tie.  There, with g the least
+    spacing of an entry whose remainder is nonzero, each remainder is a
+    multiple of g and every partial sum of them is at most n 2^-52: where
+    g > n 2^-105, that is under 2^53 g, so r is R exactly and s + r,
+    rounded once, is math.fsum of the row, ties included.  Only the other
+    rows, with an entry below n 2^-52 whose remainder is nonzero, are summed
+    again by math.fsum of their parts and remainders, which add up exactly
+    to their entries.
     """
-    np.add(v, _GRID_HI, out=part)
-    part -= _GRID_HI
+    np.add(v, 2.0, out=part)
+    part -= 2.0
     v -= part
-    hi = np.einsum("ij->i", part)
-    np.add(v, _GRID_MID, out=part)
-    part -= _GRID_MID
-    v -= part
-    return np.stack([hi, np.einsum("ij->i", part), np.einsum("ij->i", v)])
-
-
-def _rounded_sum(hi: np.ndarray, mid: np.ndarray, lo: np.ndarray) -> np.ndarray:
-    """hi + mid + lo, the parts of _split_sums, rounded once, ties to even,
-    as math.fsum rounds the entries it sums: the exact hi + mid as s + e,
-    then e + lo as t + f, and a tie in s + t broken by the sign of f, as in
-    math.fsum.  This needs the sum far from a rounding boundary, as
-    measured in lo's own rounding (see _fsum_rows)."""
-    s = hi + mid
-    e = (hi - s) + mid
-    t = e + lo
-    z = t - e
-    f = (e - (t - z)) + (lo - z)
-    r = s + t
-    half = 2.0 * (t - (r - s))  # twice the rounding error of s + t
-    tie = (half * np.sign(f) > 0.0) & ((r + half) - r == half)
-    return np.where(tie, r + half, r)
-
-
-def _fsum_rows(v: np.ndarray) -> np.ndarray:
-    """math.fsum of each row of v (rows as _split_sums takes them; v is
-    not changed).
-
-    The rows go through _split_sums and _rounded_sum, which are exact but
-    for lo's own rounding, at most (n - 1) 2^-53 times the sum of the n
-    remainders' sizes (taken twice over below), and zero where a row has
-    at most one remainder.
-    Where that rounding could move a sum across a rounding boundary, the
-    row is summed again by math.fsum itself: rows built of powers of two
-    can need it, rows of random entries with odds of ~2^-48.
-    """
-    rest = v.copy()
-    hi, mid, lo = _split_sums(rest, np.empty_like(v))  # rest keeps the remainders lo sums
-    out = _rounded_sum(hi, mid, lo)
-    s = hi + mid
-    over = ((s - out) + ((hi - s) + mid)) + lo  # hi + mid + lo - out, to an ulp of itself
-    gap = np.spacing(out)  # boundaries lie gap/2 above out, gap/2 or gap/4 below
-    off = np.minimum(np.abs(np.abs(over) - 0.5 * gap), np.abs(np.abs(over) - 0.25 * gap))
-    lo_err = (v.shape[1] - 1) * 2.0**-52 * np.einsum("ij->i", np.abs(rest))
-    for i in np.flatnonzero((lo_err > 0.0) & (off <= lo_err + 2.0**-50 * gap)):
-        out[i] = math.fsum(v[i].tolist())
+    s = np.einsum("ij->i", part)
+    r = np.einsum("ij->i", v)
+    n = v.shape[1]
+    bound = n**2 * 2.0**-104
+    out = s + (r + bound)
+    rows = np.flatnonzero(s + (r - bound) != out)
+    if rows.size:
+        rest = v[rows]
+        g = np.min(np.spacing(part[rows] + rest), axis=1, where=rest != 0.0, initial=math.inf)
+        exact = g > n * 2.0**-105
+        out[rows[exact]] = s[rows[exact]] + r[rows[exact]]
+        for i in rows[~exact]:
+            out[i] = math.fsum(part[i].tolist() + v[i].tolist())
     return out
 
 
@@ -271,7 +251,7 @@ def _checked_rows(x) -> tuple[np.ndarray, np.ndarray]:
         raise DomainError("configuration entries must be nonnegative")
     if np.any(x[:, :-1] < x[:, 1:]):
         raise DomainError("configuration entries must be descending")
-    if np.any(x[:, :1] > 1.0 + MASS_TOL):  # so _fsum_rows sees entries in [0, 1 + MASS_TOL]
+    if np.any(x[:, :1] > 1.0 + MASS_TOL):  # so _fsum_rows sees entries, and squares, in [0, 2)
         raise DomainError(f"an entry {np.max(x[:, 0])} exceeds 1, and so does its row's mass")
     mass = np.einsum("ij->i", x)
     near = np.abs(np.abs(mass - 1.0) - MASS_TOL) <= x.shape[1] * 2.0**-52 * mass + 2.0**-50
@@ -289,12 +269,14 @@ def _j_rate(x: np.ndarray, on_simplex: np.ndarray) -> np.ndarray:
 def phi2_rows(x: np.ndarray) -> np.ndarray:
     """phi2 of each row of x (one configuration per row): math.fsum of its
     squares."""
-    return _fsum_rows(np.square(_checked_rows(x)[0]))
+    squares = np.square(_checked_rows(x)[0])
+    return _fsum_rows(squares, np.empty_like(squares))
 
 
 def total_mass_rows(x: np.ndarray) -> np.ndarray:
     """Configuration.total_mass of each row of x: math.fsum of its entries."""
-    return _fsum_rows(_checked_rows(x)[0])
+    x = _checked_rows(x)[0].copy()  # _fsum_rows overwrites it, and x may be the caller's array
+    return _fsum_rows(x, np.empty_like(x))
 
 
 def j_rate_rows(x: np.ndarray) -> np.ndarray:
@@ -308,7 +290,8 @@ def s_rate_rows(x: np.ndarray, lam: float) -> np.ndarray:
     {lam/n + n - 1}, +inf off the simplex."""
     best = inf_term(lam)[0]
     x, on_simplex = _checked_rows(x)
-    return _j_rate(x, on_simplex) + lam * _fsum_rows(np.square(x)) - best
+    squares = np.square(x)
+    return _j_rate(x, on_simplex) + lam * _fsum_rows(squares, np.empty_like(squares)) - best
 
 
 def metric_d_rows(x: np.ndarray, y: Configuration) -> np.ndarray:

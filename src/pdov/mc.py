@@ -15,8 +15,8 @@ which fill a small matrix of their own.  Each draw is finished once, when
 it ends, on all its sticks: in its _ROWS-row chunk of the first block as
 that is drawn, or in the late draws' matrix at the end of the batch; no
 batch-sized stick matrix is formed (see _gem_batch).  A draw's H2 is the
-sum of its whole squared sticks rounded once, certified equal to
-math.fsum of them, and so to ldp.phi2 of the draw (see _h2_rows).
+sum of its whole squared sticks rounded once, by ldp's row-sum kernel,
+_fsum_rows: math.fsum of them, and so ldp.phi2 of the draw.
 h2_samples holds one array: the H2 of the last (theta, n, seed) drawn.
 """
 
@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError
-from .ldp import Configuration, _unchecked, phi2
+from .ldp import Configuration, _fsum_rows, _unchecked, phi2
 from .model import SelectionSpec
 
 __all__ = [
@@ -127,39 +127,6 @@ def _sticks(
     return np.multiply(cum[:, :-1], u, out=u)
 
 
-def _h2_rows(squares: np.ndarray, part: np.ndarray) -> np.ndarray:
-    """math.fsum of each row of squares, whose entries lie in [0, 1] and
-    whose rows sum to at most 1; squares and the buffer part, of its shape,
-    are overwritten.
-
-    Each square is split exactly into part = (square + 2) - 2, a multiple
-    of 2^-51, and a remainder of at most 2^-52, left in squares.  A row's
-    parts sum exactly to s, in any order: every partial sum is a multiple
-    of 2^-51 below 4.  Its n remainders sum to r in floating point, in any
-    order, off their exact sum R by at most (n - 1) 2^-53 / (1 - (n - 1)
-    2^-53) times their sizes' sum, itself at most n 2^-52: by about
-    (n - 1) n 2^-105.  bound = n^2 2^-104 is more than twice that, so even
-    rounded, r - bound <= R <= r + bound.  Rounding is monotone, so
-    s + (r - bound) and s + (r + bound), each rounded once, bracket the
-    rounded exact sum s + R: where the two are equal, that is math.fsum of
-    the row.  Where they are not, a rounding boundary lies near the exact
-    sum, and the row is summed again by math.fsum of its parts and
-    remainders, which add up exactly to its squares.  That is ~1e-3 of the
-    draws at theta in [0.01, 0.1]: rows whose two largest squares sum to a
-    tie, and whose other squares add less than the bound.
-    """
-    np.add(squares, 2.0, out=part)
-    part -= 2.0
-    squares -= part
-    s = np.einsum("ij->i", part)
-    r = np.einsum("ij->i", squares)
-    bound = squares.shape[1] ** 2 * 2.0**-104
-    out = s + (r + bound)
-    for i in np.flatnonzero(s + (r - bound) != out):
-        out[i] = math.fsum(part[i].tolist() + squares[i].tolist())
-    return out
-
-
 def _gem_batch(theta: float, size: int, rng: np.random.Generator, statistic: Callable | None = None):
     """Draw `size` GEM(theta) samples, each row's sticks until its own
     residual is below epsilon = DEFAULT_EPSILON.  theta outside (0, 1] is
@@ -176,8 +143,8 @@ def _gem_batch(theta: float, size: int, rng: np.random.Generator, statistic: Cal
 
     Each draw is finished once, when it ends: in its chunk as that is
     drawn, or in the late rows' matrix at the end.  Its H2 is math.fsum of
-    its whole squared sticks, by _h2_rows, which takes the sticks as its
-    buffer once the statistic is done with them.  At theta = 1 each stick
+    its whole squared sticks, by ldp._fsum_rows, which takes the sticks as
+    its buffer once the statistic is done with them.  At theta = 1 each stick
     is the mass left times the uniform V itself (see _sticks).
 
     statistic(sticks, rows, at) values rows `rows` (an index array) of a
@@ -201,10 +168,10 @@ def _gem_batch(theta: float, size: int, rng: np.random.Generator, statistic: Cal
     work = np.empty((2, min(size, _ROWS) * (max(first, _BLOCK) + 1)))
 
     def finish(sticks: np.ndarray, squares: np.ndarray, rows: np.ndarray, at: np.ndarray) -> None:
-        # the statistic first: _h2_rows overwrites the sticks
+        # the statistic first: _fsum_rows overwrites the sticks
         if statistic:
             statistic(sticks, rows, at)
-        h2[at] = _h2_rows(squares, sticks)[rows]
+        h2[at] = _fsum_rows(squares, sticks)[rows]
 
     heads = []  # the late rows' first blocks
     for start in range(0, size, _ROWS):

@@ -328,18 +328,60 @@ def test_row_forms_equal_scalar_forms_on_ten_thousand_rows():
     _assert_rows_match_scalar(x)
 
 
-def test_row_sums_equal_fsum_where_the_split_sum_is_not_certified():
+def test_row_forms_equal_scalar_forms_on_rows_wider_than_2_14():
+    # the kernel's proof holds at any width; rows of mass 1 and of less
+    rng = np.random.Generator(np.random.Philox(key=34))
+    x = -np.sort(-rng.random((3, 2**15)) ** 8, axis=1)
+    x /= x.sum(axis=1, keepdims=True)
+    x[1:] *= rng.random((2, 1))
+    _assert_rows_match_scalar(x)
+
+
+def _open_rows(v):
+    """Whether _fsum_rows finds each row's bracket open, as it splits v."""
+    part = (v + 2.0) - 2.0
+    s, r = part.sum(axis=1), (v - part).sum(axis=1)
+    bound = v.shape[1] ** 2 * 2.0**-104
+    return s + (r - bound) != s + (r + bound)
+
+
+def test_row_sums_equal_fsum_where_the_bracket_is_open(count_fsum):
     # powers of two whose sum sits half an ulp above a double, with a tail
-    # below lo's own rounding: the split sum alone rounds these down
+    # far below n 2^-52: the bracket opens, and math.fsum sums the row again
     mass_row = np.ldexp(1.0, -np.array([[28, 81, 136]]))
     square_row = np.ldexp(1.0, -np.array([[16, 43, 43, 70, 98]]))
-    for row, fsum_rows, fsum in (
+    cases = (
         (mass_row, ldp.total_mass_rows, math.fsum(mass_row[0].tolist())),
         (square_row, ldp.phi2_rows, math.fsum((square_row[0] ** 2).tolist())),
-    ):
-        v = row**2 if fsum_rows is ldp.phi2_rows else row
-        assert ldp._rounded_sum(*ldp._split_sums(v.copy(), np.empty_like(v)))[0] != fsum
+    )
+    assert _open_rows(mass_row).all() and _open_rows(square_row**2).all()
+    calls = count_fsum()
+    for row, fsum_rows, fsum in cases:
         assert fsum_rows(row)[0] == fsum
+    assert calls == [6, 10]  # each row's parts and remainders
+
+
+def test_open_rows_take_the_exact_remainder_sum_where_it_is_exact(count_fsum):
+    # 0.75 + (0.25 + 2^-53) is 1 + 2^-53 exactly, a tie that rounds to even,
+    # to 1.0; the zero row's remainders are all zero
+    exact = [np.array([[0.75, 0.25 + 2.0**-53]]), np.zeros((1, 4))]
+    rng = np.random.Generator(np.random.Philox(key=34))
+    for n in range(1, 9):
+        x = verify.perturbed_configs(n, 1000, rng)
+        exact += [x, x * x]
+    # entries below n 2^-52, of least spacing n 2^-106 and far less: 2^53
+    # times that may not hold the remainders' sum
+    summed_again = [np.array([[3.0 * 2.0**-54, 2.0**-53 + 2.0**-105]]), np.full((1, 3), 2.0**-60)]
+    want = [[math.fsum(row) for row in v.tolist()] for v in exact + summed_again]
+    assert want[0] == [1.0]
+    opened = [int(np.count_nonzero(_open_rows(v))) for v in exact + summed_again]
+    assert opened[:2] == [1, 1] and sum(opened[2:-2]) > 1000 and opened[-2:] == [1, 1]
+    calls = count_fsum()
+    got = [ldp._fsum_rows(v.copy(), np.empty_like(v)).tolist() for v in exact]
+    assert calls == []
+    got += [ldp._fsum_rows(v.copy(), np.empty_like(v)).tolist() for v in summed_again]
+    assert calls == [4, 6]
+    assert got == want
 
 
 ROW_FORMS = (
@@ -378,6 +420,19 @@ def test_row_forms_refuse_rows_that_configuration_refuses(form):
 @pytest.mark.parametrize(
     "form", ROW_FORMS, ids=["phi2", "total_mass", "j_rate", "s_rate", "metric_d"]
 )
+def test_row_forms_leave_the_callers_matrix_unchanged(form):
+    # np.asarray hands a float64 matrix itself to the row forms
+    rng = np.random.Generator(np.random.Philox(key=34))
+    x = np.concatenate([verify.perturbed_configs(5, 400, rng), np.zeros((400, 2))], axis=1)
+    x[:200] *= 0.9
+    before = x.tobytes()
+    form(x)
+    assert x.tobytes() == before
+
+
+@pytest.mark.parametrize(
+    "form", ROW_FORMS, ids=["phi2", "total_mass", "j_rate", "s_rate", "metric_d"]
+)
 def test_row_forms_refuse_input_that_is_not_2d(form):
     for x in ([0.5, 0.5], np.array([[[0.5, 0.5]]]), 0.5):
         with pytest.raises(DomainError, match="rows of a matrix"):
@@ -398,7 +453,7 @@ def _rows_summing_to(t):
     return rows
 
 
-def test_mass_is_certified_at_each_threshold(monkeypatch):
+def test_mass_is_certified_at_each_threshold(count_fsum):
     upper, lower = 1.0 + ldp.MASS_TOL, 1.0 - ldp.MASS_TOL
     targets = [f(c) for c in (upper, lower)
                for f in (lambda c: math.nextafter(c, 0.0), lambda c: c, lambda c: math.nextafter(c, 2.0))]
@@ -422,13 +477,7 @@ def test_mass_is_certified_at_each_threshold(monkeypatch):
     on = np.abs(fsum[~refused] - 1.0) <= ldp.MASS_TOL
     assert on.any() and not on.all()
     # math.fsum sums again only rows within the plain sum's error bound of a threshold
-    calls, real_fsum = [], math.fsum
-
-    def counting_fsum(values):
-        calls.append(len(values))
-        return real_fsum(values)
-
-    monkeypatch.setattr(ldp.math, "fsum", counting_fsum)
+    calls = count_fsum()
     ldp._checked_rows(x[~refused])
     assert calls
     calls.clear()

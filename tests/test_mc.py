@@ -78,47 +78,35 @@ def test_gem_batch_invariants(theta):
         assert drawn.mean() < 2.0 * (1.0 + a)
 
 
-def _counting_fsum(monkeypatch) -> list:
-    """math.fsum replaced by a wrapper that lists its calls' lengths."""
-    fsum, calls = math.fsum, []
-
-    def counted(values):
-        calls.append(len(values))
-        return fsum(values)
-
-    monkeypatch.setattr(math, "fsum", counted)
-    return calls
-
-
-def test_h2_rows_equal_fsum_on_built_rows(monkeypatch):
+def test_fsum_rows_equal_fsum_on_built_rows(count_fsum):
     # squares of powers of two whose sum sits half an ulp above a double,
-    # with a tail far below the bound: the row must be summed again; the
-    # three-part split sum alone is one ulp off on it
+    # with a tail far below the bound: the bracket opens, and with entries
+    # far below n 2^-52 the row must be summed again by math.fsum
     tie = np.ldexp(1.0, -np.array([16, 43, 43, 70, 98])) ** 2
-    assert ldp._rounded_sum(*ldp._split_sums(tie[None].copy(), np.empty((1, 5))))[0] != math.fsum(tie)
     rng = np.random.Generator(np.random.Philox(key=32))
     x = -np.sort(-rng.random((10**4, 9)) ** 4, axis=1)
     x *= rng.random((10**4, 1)) / x.sum(axis=1, keepdims=True)  # descending, mass <= 1
     rows = [tie, np.zeros(5), np.array([1.0, 0.0, 0.0, 0.0, 0.0])]
     want = [math.fsum(v.tolist()) for v in rows] + [math.fsum(v) for v in (x * x).tolist()]
-    calls = _counting_fsum(monkeypatch)
-    got = [mc._h2_rows(v[None].copy(), np.empty((1, 5)))[0] for v in rows]
-    assert calls == [10, 10]  # the tie row and the zero row, by their parts and remainders
+    calls = count_fsum()
+    got = [ldp._fsum_rows(v[None].copy(), np.empty((1, 5)))[0] for v in rows]
+    assert calls == [10]  # the tie row, by its parts and remainders; the zero row's are exact
     squares = x * x
-    got += mc._h2_rows(squares, np.empty_like(squares)).tolist()
+    got += ldp._fsum_rows(squares, np.empty_like(squares)).tolist()
     assert got == want
 
 
-def test_h2_is_fsum_of_each_draw_near_a_tie(monkeypatch):
+def test_h2_is_fsum_of_each_draw_near_a_tie(count_fsum):
     # at theta = 0.01 a draw's two largest squares often sum to a tie, with
-    # the rest of its squares below the kernel's bound: those rows are
-    # summed again, and every H2 is still math.fsum of the draw's squares
+    # the rest of its squares below the kernel's bound: those rows open the
+    # bracket, the ones with a square below n 2^-52 are summed again, and
+    # every H2 is still math.fsum of the draw's squares
     fsum = math.fsum
-    calls = _counting_fsum(monkeypatch)
+    calls = count_fsum()
     for b in range(4):
         valued = {}
 
-        def keep(sticks, rows, at):  # copied before _h2_rows overwrites the sticks
+        def keep(sticks, rows, at):  # copied before _fsum_rows overwrites the sticks
             valued.update(zip(at.tolist(), sticks[rows].tolist()))
 
         h2, _ = mc._gem_batch(0.01, mc._BATCH, mc.stream(5, b), keep)
