@@ -103,28 +103,29 @@ def _sticks(
     row of the stream per row, as a C-contiguous view of work[0] (rows x
     width); `prefix` is overwritten with the mass left after them.
 
-    cum, a view of work[1] (rows x width+1), is a buffer too.  cum[:, j]
-    is the mass left before stick j: the prefix times
-    (1 - U) = (1 - V)^(1/theta) of each stick before it, a running product
-    taken column by column (cumprod's products, in its order); stick j is
-    cum[:, j] U_j.  At theta = 1, U is V itself: V is a multiple of 2^-53
-    in [0, 1), so 1 - V is exact and 1 - (1 - V) is V, and neither the
-    power nor the second subtraction is taken.
+    cum, a view of work[1] (width+1 x rows), is a buffer too, width-major so
+    that every step below runs over contiguous memory.  cum[j] is the mass
+    left before stick j: the prefix times (1 - U) = (1 - V)^(1/theta) of each
+    stick before it, a running product taken one contiguous row of `rows`
+    values at a time (cumprod's products, in its order); stick j is
+    cum[j] U_j, written back row-major.  At theta = 1, U is V itself: V is
+    a multiple of 2^-53 in [0, 1), so 1 - V is exact and 1 - (1 - V) is V,
+    and neither the power nor the second subtraction is taken.
     """
     m = len(prefix)
     u = work[0, : m * width].reshape(m, width)
-    cum = work[1, : m * (width + 1)].reshape(m, width + 1)
+    cum = work[1, : (width + 1) * m].reshape(width + 1, m)
     rng.random(out=u)
-    cum[:, 0] = prefix
-    rest = cum[:, 1:]
-    np.subtract(1.0, u, out=rest)
+    cum[0] = prefix
+    rest = cum[1:]
+    np.subtract(1.0, u.T, out=rest)
     if inv_theta != 1.0:
         rest **= inv_theta
-        np.subtract(1.0, rest, out=u)
+        np.subtract(1.0, rest.T, out=u)
     for j in range(width):
-        np.multiply(cum[:, j], cum[:, j + 1], out=cum[:, j + 1])
-    prefix[:] = cum[:, -1]
-    return np.multiply(cum[:, :-1], u, out=u)
+        np.multiply(cum[j], cum[j + 1], out=cum[j + 1])
+    prefix[:] = cum[-1]
+    return np.multiply(cum[:-1].T, u, out=u)
 
 
 def _gem_batch(theta: float, size: int, rng: np.random.Generator, statistic: Callable | None = None):
@@ -145,7 +146,10 @@ def _gem_batch(theta: float, size: int, rng: np.random.Generator, statistic: Cal
     drawn, or in the late rows' matrix at the end.  Its H2 is math.fsum of
     its whole squared sticks, by ldp._fsum_rows, which takes the sticks as
     its buffer once the statistic is done with them.  At theta = 1 each stick
-    is the mass left times the uniform V itself (see _sticks).
+    is the mass left times the uniform V itself (see _sticks).  work is
+    two rows: _sticks returns a chunk's sticks in work[0] and leaves its
+    width-major running product in work[1], which the chunk's squares then
+    overwrite, as the product is spent by then.
 
     statistic(sticks, rows, at) values rows `rows` (an index array) of a
     C-contiguous stick matrix in draw order, zero-padded, which hold the

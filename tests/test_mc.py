@@ -78,6 +78,46 @@ def test_gem_batch_invariants(theta):
         assert drawn.mean() < 2.0 * (1.0 + a)
 
 
+def _column_loop_sticks(rng, prefix, inv_theta, width, work):
+    """The reference for mc._sticks: its running product row-major, rows x
+    width+1, multiplied one strided column at a time.  The power is numpy's
+    array **, as in mc: math.pow rounds some entries differently."""
+    m = len(prefix)
+    u = work[0, : m * width].reshape(m, width)
+    cum = work[1, : m * (width + 1)].reshape(m, width + 1)
+    rng.random(out=u)
+    cum[:, 0] = prefix
+    rest = cum[:, 1:]
+    np.subtract(1.0, u, out=rest)
+    if inv_theta != 1.0:
+        rest **= inv_theta
+        np.subtract(1.0, rest, out=u)
+    for j in range(width):
+        np.multiply(cum[:, j], cum[:, j + 1], out=cum[:, j + 1])
+    prefix[:] = cum[:, -1]
+    return np.multiply(cum[:, :-1], u, out=u)
+
+
+@pytest.mark.parametrize("m", [1, 3, mc._ROWS])
+@pytest.mark.parametrize("theta", [0.01, 0.105, 0.31, 0.5, 1.0])
+def test_sticks_equal_the_column_loop_bit_for_bit(theta, m):
+    # a first block, then a late block on the mass it left, as _gem_batch draws
+    a = theta * math.log(1.0 / mc.DEFAULT_EPSILON)
+    first = math.floor(a + 2.0 * math.sqrt(a)) + 3
+    cols = max(first, mc._BLOCK) + 1
+    ref_rng, rng = mc.stream(35), mc.stream(35)
+    ref_prefix, prefix = np.ones(m), np.ones(m)
+    for width in (first, mc._BLOCK):
+        want = _column_loop_sticks(ref_rng, ref_prefix, 1.0 / theta, width, np.empty((2, m * cols)))
+        work = np.empty((2, m * cols))
+        got = mc._sticks(rng, prefix, 1.0 / theta, width, work)
+        assert got.shape == (m, width) and got.flags.c_contiguous
+        assert np.shares_memory(got, work[0])
+        assert got.tobytes() == want.tobytes()
+        assert prefix.tobytes() == ref_prefix.tobytes()
+    assert rng.bit_generator.random_raw() == ref_rng.bit_generator.random_raw()
+
+
 def test_fsum_rows_equal_fsum_on_built_rows(count_fsum):
     # squares of powers of two whose sum sits half an ulp above a double,
     # with a tail far below the bound: the bracket opens, and with entries
@@ -618,10 +658,24 @@ GOLDEN_N = 2 * mc._BATCH + 17
 GOLDEN_ESTIMATES = {  # (theta, statistic): (value, std_error, effective_sample_size)
     (0.1, "ball"): ("0x1.2a9a943994777p-1", "0x1.40157dbfeafd1p-8", "0x1.8dc5bd88587a6p+13"),
     (0.1, "generic"): ("0x1.939e5ce62e93cp-1", "0x1.fe8d069a36c3ap-10", "0x1.8dc5bd88587a6p+13"),
+    (0.3, "ball"): ("0x1.06b21fd5100a3p-1", "0x1.a40aceb8783bbp-9", "0x1.84440267bb10cp+14"),
+    (0.3, "generic"): ("0x1.795b1f2302304p-1", "0x1.4c911a8fe2a00p-10", "0x1.84440267bb10cp+14"),
     (1.0, "ball"): ("0x1.65488c5d5b99dp-2", "0x1.59062b2a1f169p-9", "0x1.0022000000000p+15"),
     (1.0, "generic"): ("0x1.408de48e75eccp-1", "0x1.160a44222107bp-10", "0x1.0022000000000p+15"),
 }
 GOLDEN_GEM_WEIGHTS = {  # sample_gem(theta, seed=seed).weights, in stick order
+    (0.3, 480): [
+        "0x1.ff11c67013406p-1", "0x1.f21a838e63999p-15", "0x1.c0cd41da1f55dp-10",
+        "0x1.4e8e86c12b90cp-18", "0x1.1915924f8ecc6p-17", "0x1.4bcc1bf26e1f3p-16",
+        "0x1.244d8c0dd3ef3p-17", "0x1.35a0916750ccfp-19", "0x1.b7288d3362446p-21",
+        "0x1.564f51c3705f5p-23", "0x1.a4a94d77eb9dcp-25", "0x1.c3e3dd9248355p-23",
+        "0x1.6a949b2d8d82bp-21", "0x1.612443edc6bf1p-26", "0x1.5cf5f8d041499p-35",
+        "0x1.8725a455ee7f7p-41", "0x1.f6211e284f5e9p-49", "0x1.034705f0a6a41p-52",
+        "0x1.3337d616c4293p-52", "0x1.1cb1a069ad768p-56", "0x1.246b5d890be63p-55",
+        "0x1.8d8f68c08931ap-56", "0x1.ab2449547bd86p-60", "0x1.d87a995b741a6p-67",
+        "0x1.2e89afc8eeda3p-78", "0x1.8ea3770448b66p-79", "0x1.85e5aebaca8e4p-80",
+        "0x1.b4bffd76a0950p-88", "0x1.2afb582606785p-83",
+    ],
     (0.5, 11): [
         "0x1.e738f5d0c8284p-3", "0x1.5f62d02c7b326p-1", "0x1.0dc72cd360e5bp-4",
         "0x1.176811f4adcc9p-7", "0x1.300a1d907bf69p-10", "0x1.ab51648a2e73dp-16",
@@ -665,6 +719,7 @@ def test_estimates_equal_their_golden_values(theta, statistic):
 @pytest.mark.parametrize("theta, seed", sorted(GOLDEN_GEM_WEIGHTS))
 def test_sample_gem_equals_its_golden_sticks(theta, seed):
     # at theta = 0.5 the draw ends within its first block of 18 sticks; at
-    # theta = 1 it is late, its first block of 30 then one block of 16
+    # theta = 0.3 and 1 it is late, its first block of 13 or 30 then one
+    # block of 16
     weights = mc.sample_gem(theta, seed=seed).weights
     assert [float(x).hex() for x in weights] == GOLDEN_GEM_WEIGHTS[theta, seed]
